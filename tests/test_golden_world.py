@@ -1,0 +1,91 @@
+"""The golden simulated-world table: every engine, pinned to the cycle.
+
+Each suite program plus ``examples/sieve.js`` runs on each of the four
+engines (baseline, threaded, methodjit, tracing) with the default
+configuration.  Per run the table pins:
+
+* the result ``repr`` and the printed output;
+* ``stats.total_cycles`` and the ledger's cycles per activity;
+* the profile's counts of interpreted, recorded and native bytecodes.
+
+The figure tables round to two decimals and the backend differential
+compares two backends of the same tree, so neither notices a change
+that moves every engine's charges the same way.  This table does.
+
+A change that moves the simulated world on purpose regenerates it by
+running this module as a script from the repository root::
+
+    PYTHONPATH=src python tests/test_golden_world.py
+
+and commits the rewritten ``tests/golden_world.json`` with the reason.
+"""
+
+from __future__ import annotations
+
+import json
+import pathlib
+
+from repro.baselines.method_jit import MethodJITVM
+from repro.suite.programs import PROGRAMS
+from repro.vm import BaselineVM, ThreadedVM, TracingVM
+
+ROOT = pathlib.Path(__file__).resolve().parent.parent
+GOLDEN_PATH = ROOT / "tests" / "golden_world.json"
+SIEVE_PATH = ROOT / "examples" / "sieve.js"
+
+ENGINES = {
+    "baseline": BaselineVM,
+    "threaded": ThreadedVM,
+    "methodjit": MethodJITVM,
+    "tracing": TracingVM,
+}
+
+
+def _programs():
+    yield from ((program.name, program.source) for program in PROGRAMS)
+    yield "sieve.js", SIEVE_PATH.read_text()
+
+
+def observe(engine: str, name: str, source: str) -> dict:
+    """One run's pinned observables."""
+    vm = ENGINES[engine]()
+    result = vm.run(source, name=name)
+    stats = vm.stats
+    profile = stats.profile
+    return {
+        "result": repr(result),
+        "output": list(vm.output),
+        "total_cycles": stats.total_cycles,
+        "cycles": stats.ledger.snapshot(),
+        "profile": {
+            "interpreted": profile.interpreted,
+            "recorded": profile.recorded,
+            "native": profile.native,
+        },
+    }
+
+
+def build_table() -> dict:
+    """``{"<program>/<engine>": observables}`` for every run."""
+    return {
+        f"{name}/{engine}": observe(engine, name, source)
+        for name, source in _programs()
+        for engine in ENGINES
+    }
+
+
+def test_every_run_matches_the_golden_table():
+    golden = json.loads(GOLDEN_PATH.read_text())
+    table = build_table()
+    assert sorted(table) == sorted(golden), "the set of runs changed"
+    moved = [key for key in golden if table[key] != golden[key]]
+    assert not moved, "simulated world moved: " + "; ".join(
+        f"{key}: {golden[key]} -> {table[key]}" for key in moved[:3]
+    )
+
+
+if __name__ == "__main__":
+    with open(GOLDEN_PATH, "w") as handle:
+        json.dump(build_table(), handle, indent=1, sort_keys=True)
+        handle.write("\n")
+    print(f"wrote {GOLDEN_PATH.relative_to(ROOT)}")
