@@ -14,6 +14,9 @@ Costs: compilation charges
 COMPILE activity at first call; executed code charges reduced per-op
 costs (no ``DISPATCH``) to the NATIVE activity; IC hits cost
 :data:`repro.costs.IC_HIT`, misses :data:`repro.costs.IC_MISS`.
+Because those charges differ from the interpreter's on nearly every
+opcode, the closures here are separate from the interpreter's handler
+table (:mod:`repro.interp.dispatch`).
 """
 
 from __future__ import annotations
@@ -722,12 +725,9 @@ def _ic_getprop(vm: MethodJITVM, ic: PropertyIC, obj_box: Box, name: str) -> Box
             make_string(f"TypeError: cannot read property '{name}' of non-object")
         )
     obj = obj_box.payload
-    if isinstance(obj, JSArray) and name == "length":
-        vm._charge(costs.TAG_TEST + costs.SLOT_ACCESS)
-        return make_number(obj.length)
-    if isinstance(obj, JSFunction) and name == "prototype":
-        vm._charge(costs.TAG_TEST + costs.SLOT_ACCESS)
-        return make_object(obj.ensure_prototype())
+    special = _get_special(vm, obj, name)
+    if special is not None:
+        return special
     # IC fast path: own-property, shape-matched.
     if ic.shape_id == obj.shape_id and ic.proto_depth == 0:
         ic.hits += 1
@@ -754,11 +754,7 @@ def _ic_setprop(vm: MethodJITVM, ic: PropertyIC, obj_box: Box, name: str, value:
         )
     obj = obj_box.payload
     if isinstance(obj, JSArray) and name == "length":
-        vm._charge(costs.TAG_TEST + costs.SLOT_ACCESS)
-        new_length = int(conversions.to_number(value))
-        if new_length < len(obj.elements):
-            del obj.elements[new_length:]
-        obj.length = max(new_length, 0)
+        _set_array_length(vm, obj, value)
         return
     if ic.shape_id == obj.shape_id and not obj.in_dict_mode:
         ic.hits += 1
@@ -776,6 +772,26 @@ def _ic_setprop(vm: MethodJITVM, ic: PropertyIC, obj_box: Box, name: str, value:
         if slot is not None:
             ic.shape_id = obj.shape_id
             ic.slot = slot
+
+
+def _get_special(vm: MethodJITVM, obj, name: str) -> Optional[Box]:
+    """An array's ``length`` or a function's ``prototype`` (properties
+    with no slot to cache), or None for every other read."""
+    if isinstance(obj, JSArray) and name == "length":
+        vm._charge(costs.TAG_TEST + costs.SLOT_ACCESS)
+        return make_number(obj.length)
+    if isinstance(obj, JSFunction) and name == "prototype":
+        vm._charge(costs.TAG_TEST + costs.SLOT_ACCESS)
+        return make_object(obj.ensure_prototype())
+    return None
+
+
+def _set_array_length(vm: MethodJITVM, obj: JSArray, value: Box) -> None:
+    vm._charge(costs.TAG_TEST + costs.SLOT_ACCESS)
+    new_length = int(conversions.to_number(value))
+    if new_length < len(obj.elements):
+        del obj.elements[new_length:]
+    obj.length = max(new_length, 0)
 
 
 def _index_of(index_box: Box):
@@ -796,6 +812,9 @@ def _jit_getelem(vm: MethodJITVM, obj_box: Box, index_box: Box) -> Box:
             return element if element is not None else UNDEFINED
         key = conversions.to_property_key(index_box)
         vm._charge(costs.STRING_OP * 2 + costs.PROPERTY_LOOKUP)
+        special = _get_special(vm, obj, key)
+        if special is not None:
+            return special
         found = obj.lookup_chain(key)
         return found[1] if found is not None else UNDEFINED
     if obj_box.tag == TAG_STRING:
@@ -821,6 +840,9 @@ def _jit_setelem(vm: MethodJITVM, obj_box: Box, index_box: Box, value: Box) -> N
             return
     key = conversions.to_property_key(index_box)
     vm._charge(costs.STRING_OP * 2 + costs.PROPERTY_LOOKUP)
+    if isinstance(obj, JSArray) and key == "length":
+        _set_array_length(vm, obj, value)
+        return
     if vm.meter is not None and obj.get_own(key) is None:
         vm.meter.note_cells(1, vm)
     obj.set_property(key, value)

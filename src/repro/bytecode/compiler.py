@@ -61,10 +61,10 @@ class Code:
         # recorded here so tooling can see them; the opcode itself is
         # rewritten to NOP.
         self.blacklisted_headers: set = set()
-        # Lazily built table-threaded handler table (None = not built
-        # yet, False = unbuildable; see repro.interp.dispatch).  Header
-        # entries read the live insn, so blacklist patching needs no
-        # invalidation.
+        # The interpreter's handler table, one handler per pc, built on
+        # first execution (None until then; see repro.interp.dispatch).
+        # Header entries read the live insn, so blacklist patching
+        # needs no invalidation.
         self.threaded_table = None
 
     # -- pools --------------------------------------------------------------

@@ -90,15 +90,6 @@ def build_parser() -> argparse.ArgumentParser:
         ),
     )
     parser.add_argument(
-        "--no-threaded-dispatch",
-        action="store_true",
-        help=(
-            "disable the table-threaded interpreter dispatch and fused "
-            "superinstructions; fall back to the classic if/elif chain "
-            "(identical simulated cycles either way)"
-        ),
-    )
-    parser.add_argument(
         "--opt-level",
         type=int,
         choices=(0, 1, 2),
@@ -347,15 +338,13 @@ def build_config(args):
     if not (args.inject_fault or args.chaos_seed is not None
             or args.no_jit_firewall or args.native_backend != "py"
             or args.opt_level != 2 or args.trace_store
-            or args.no_direct_link or args.no_threaded_dispatch):
+            or args.no_direct_link):
         return None
     config = VMConfig()
     config.native_backend = args.native_backend
     config.opt_level = args.opt_level
     if args.no_direct_link:
         config.enable_direct_link = False
-    if args.no_threaded_dispatch:
-        config.enable_threaded_dispatch = False
     if args.trace_store:
         config.trace_store = args.trace_store
         config.trace_store_budget = args.trace_store_budget

@@ -1,19 +1,23 @@
 """The boxed-value bytecode interpreter.
 
-One big dispatch loop, SpiderMonkey-style.  Every opcode charges
-simulated cycles (see :mod:`repro.costs`) for dispatch, tag tests,
-un/boxing, and the semantic work — these charges are exactly what the
-tracing JIT later eliminates, so the cost model *is* the experiment.
+Every opcode charges simulated cycles (see :mod:`repro.costs`) for
+dispatch, tag tests, un/boxing, and the semantic work — these charges
+are exactly what the tracing JIT later eliminates, so the cost model
+*is* the experiment.
 
-Two dispatch strategies share the loop's contract (identical simulated
-cycles, stats, and events per bytecode):
+Each opcode has one implementation: its handler in the per-code table
+built by :mod:`repro.interp.dispatch`.  Two short drivers walk that
+table:
 
-* the **classic** ``if/elif`` chain (:meth:`Interpreter._run_frame_classic`),
-  always used while a recorder is attached;
-* **table-threaded** dispatch (:mod:`repro.interp.dispatch`, the
-  default while *not* recording): a per-code handler table with fused
-  superinstructions for hot opcode pairs, disabled by
-  ``config.enable_threaded_dispatch = False``.
+* the **plain** driver (:meth:`Interpreter._run_frame`) while no
+  recorder is attached;
+* the **recording** driver (:meth:`Interpreter._record_frame`), which
+  hands each bytecode to ``Recorder.record_op`` before its handler runs
+  and the value it produced to ``Recorder.record_result`` after — the
+  paper's recorder observing the interpreter as it executes.
+
+:meth:`Interpreter.execute` picks the driver each time it (re)enters a
+frame, by whether ``vm.recorder`` is set.
 """
 
 from __future__ import annotations
@@ -25,10 +29,9 @@ from repro.bytecode import opcodes as op
 from repro.bytecode.compiler import Code
 from repro.costs import Activity
 from repro.errors import GuestFault, JSThrow, TraceAbort, VMInternalError
-from repro.exec.limits import string_cells
 from repro.interp import dispatch
 from repro.interp.frames import Frame
-from repro.runtime import conversions, operations
+from repro.runtime import conversions
 from repro.runtime.builtins import STRING_METHODS
 from repro.runtime.objects import (
     JSArray,
@@ -39,39 +42,32 @@ from repro.runtime.objects import (
 )
 from repro.runtime.values import (
     Box,
-    FALSE,
-    NULL,
     TAG_DOUBLE,
     TAG_INT,
     TAG_OBJECT,
     TAG_STRING,
-    TRUE,
     UNDEFINED,
-    make_bool,
     make_number,
     make_object,
     make_string,
 )
 
-#: Boxes for ZERO/ONE fast opcodes.
-_ZERO_BOX = make_number(0)
-_ONE_BOX = make_number(1)
-
 
 class Interpreter:
     """Executes bytecode against a VM (globals, ledger, monitor, recorder).
 
-    ``dispatch_cost`` parameterizes the baseline: 5 cycles for the
-    switch-threaded SpiderMonkey-like interpreter, 2 for the
-    call-threaded SquirrelFish-like baseline.
+    ``dispatch_cost`` parameterizes the baseline: ``costs.DISPATCH`` (8
+    cycles) for the switch-threaded SpiderMonkey-like interpreter,
+    ``costs.DISPATCH_THREADED`` (3) for the call-threaded
+    SquirrelFish-like baseline.
     """
 
     def __init__(self, vm, dispatch_cost: int = costs.DISPATCH):
         self.vm = vm
         self.dispatch_cost = dispatch_cost
         self.frames: List[Frame] = []
-        # RETURN/RETUNDEF value handoff from threaded handlers (the
-        # driving loop owns the frames/base-depth bookkeeping).
+        # RETURN/RETUNDEF value handoff from the handlers (the driver
+        # owns the frames/base-depth bookkeeping).
         self._ret: Optional[Box] = None
 
     # -- cost / profile helpers ---------------------------------------------
@@ -139,7 +135,7 @@ class Interpreter:
             self._charge(costs.FRAME_TEARDOWN)
         return False
 
-    # -- the dispatch loop -----------------------------------------------------
+    # -- the drivers -----------------------------------------------------------
 
     def execute(self, frame: Frame) -> Box:
         """Run ``frame`` (and everything it calls) to completion."""
@@ -150,11 +146,9 @@ class Interpreter:
 
         while len(frames) > base_depth:
             frame = frames[-1]
-            code = frame.code
-            insns = code.insns
-            stack = frame.stack
+            drive = self._run_frame if vm.recorder is None else self._record_frame
             try:
-                result = self._run_frame(frame, frames, base_depth)
+                result = drive(frame, frames, base_depth)
             except JSThrow as thrown:
                 if vm.recorder is not None:
                     vm.monitor.abort_recording("exception-thrown")
@@ -165,43 +159,26 @@ class Interpreter:
                 return result
         raise VMInternalError("interpreter frame stack underflow")
 
-    def _run_frame(self, frame: Frame, frames: List[Frame], base_depth: int):
-        """Execute until the current frame changes or execution completes.
-
-        Returns ``_SWITCH_FRAME`` when the top frame changed (call /
-        return / unwinding), or the final completion/return Box.
-
-        Dispatch strategy: the table-threaded loop while not recording
-        (and the knob is on), the classic ``if/elif`` chain otherwise.
-        Both charge identical simulated cycles per bytecode, so which
-        one runs is invisible to results, stats, and events.
-        """
-        vm = self.vm
-        if vm.recorder is None and vm.config.enable_threaded_dispatch:
-            return self._run_frame_threaded(frame, frames, base_depth)
-        return self._run_frame_classic(frame, frames, base_depth)
-
-    def _run_frame_threaded(self, frame: Frame, frames: List[Frame], base_depth: int):
-        """Table-threaded twin of :meth:`_run_frame_classic`: one
-        pre-resolved handler per pc (see :mod:`repro.interp.dispatch`)
-        instead of the opcode chain.  Never runs while recording — the
-        loop-header handler returns ``_SWITCH_FRAME`` the moment a
-        recorder starts, and this method re-routes to the classic loop
-        on re-entry."""
-        code = frame.code
+    @staticmethod
+    def _table(code: Code) -> list:
         table = code.threaded_table
         if table is None:
-            table = dispatch.build_table(code)
-            code.threaded_table = table if table is not None else False
-        if table is False:
-            # Some opcode had no handler; this code stays classic.
-            return self._run_frame_classic(frame, frames, base_depth)
-        vm = self.vm
-        profile = vm.stats.profile
+            table = code.threaded_table = dispatch.build_table(code)
+        return table
+
+    def _run_frame(self, frame: Frame, frames: List[Frame], base_depth: int):
+        """The plain driver: one table call per bytecode.
+
+        Runs until the top frame changes, a recorder attaches (the
+        loop-header handler then returns ``_SWITCH_FRAME``), or
+        execution completes.  Returns ``_SWITCH_FRAME`` or the final
+        completion/return Box.
+        """
+        table = self._table(frame.code)
+        profile = self.vm.stats.profile
         stack = frame.stack
         charge = self._charge
         dispatch_cost = self.dispatch_cost
-        FRAME_TEARDOWN = costs.FRAME_TEARDOWN
 
         while True:
             pc = frame.pc
@@ -211,424 +188,78 @@ class Interpreter:
             result = table[pc](self, frame, stack, charge, pc)
             if result is None:
                 continue
-            if result is _SWITCH_FRAME:
-                return _SWITCH_FRAME
             if result is _DO_RETURN:
-                value = self._ret
-                self._ret = None
-                frames.pop()
-                charge(FRAME_TEARDOWN)
-                if len(frames) == base_depth:
-                    return value
-                caller = frames[-1]
-                if caller.code.insns[caller.pc - 1][0] == op.NEW:
-                    # `new F()`: a non-object return is replaced by `this`.
-                    if value.tag != TAG_OBJECT:
-                        value = frame.this_box
-                caller.stack.append(value)
-                return _SWITCH_FRAME
-            # END: the handler popped the frame; result is the
-            # completion Box.
+                return self._return(frame, frames, base_depth)
+            # _SWITCH_FRAME, or END's completion Box.
             return result
 
-    def _run_frame_classic(self, frame: Frame, frames: List[Frame], base_depth: int):
-        """The classic ``if/elif`` dispatch chain (always used while a
-        recorder is attached; also the ``--no-threaded-dispatch``
-        baseline)."""
+    def _record_frame(self, frame: Frame, frames: List[Frame], base_depth: int):
+        """The recording driver: the plain driver with the recorder's
+        hooks around each handler.  Hands back to the plain driver
+        (``_SWITCH_FRAME``) at the first bytecode after recording ends."""
         vm = self.vm
+        monitor = vm.monitor
         stats = vm.stats
         profile = stats.profile
-        code = frame.code
-        insns = code.insns
-        consts = code.consts
-        names = code.names
+        ledger = stats.ledger
+        insns = frame.code.insns
+        table = self._table(frame.code)
         stack = frame.stack
-        local_vars = frame.locals
-        dispatch_cost = self.dispatch_cost
-        # Hoisted per-iteration lookups (the dispatch loop touches
-        # these on every bytecode): the charge helper and the cost
-        # constants otherwise re-fetched as module attributes.
         charge = self._charge
-        ALLOC = costs.ALLOC
-        BOX = costs.BOX
-        D2I32 = costs.D2I32
-        FRAME_TEARDOWN = costs.FRAME_TEARDOWN
-        GLOBAL_LOOKUP = costs.GLOBAL_LOOKUP
-        PROPERTY_LOOKUP = costs.PROPERTY_LOOKUP
+        dispatch_cost = self.dispatch_cost
         RECORD_PER_BYTECODE = costs.RECORD_PER_BYTECODE
-        SHAPE_TRANSITION = costs.SHAPE_TRANSITION
-        SLOT_ACCESS = costs.SLOT_ACCESS
-        STACK_OP = costs.STACK_OP
-        TAG_TEST = costs.TAG_TEST
 
         while True:
+            recorder = vm.recorder
+            if recorder is None:
+                return _SWITCH_FRAME
             pc = frame.pc
             opcode, arg = insns[pc]
             frame.pc = pc + 1
-
-            recorder = vm.recorder
-            if recorder is not None:
-                profile.recorded += 1
-                stats.ledger.charge(Activity.RECORD, RECORD_PER_BYTECODE)
-                try:
-                    wants_result = recorder.record_op(self, frame, pc, opcode, arg)
-                except TraceAbort as abort:
-                    vm.monitor.abort_recording(abort.reason)
-                    wants_result = False
-                    recorder = None
-                except (JSThrow, GuestFault):
-                    raise
-                except Exception as error:
-                    # The record firewall boundary: recording is passive
-                    # (the bytecode has not executed yet), so containing
-                    # the failure and dropping the recorder resumes
-                    # interpretation with no state repair needed.
-                    if not vm.monitor.contain_internal_failure("record", error):
-                        raise
-                    wants_result = False
-                    recorder = None
-            else:
-                profile.interpreted += 1
+            profile.recorded += 1
+            ledger.charge(Activity.RECORD, RECORD_PER_BYTECODE)
+            try:
+                wants_result = recorder.record_op(self, frame, pc, opcode, arg)
+            except TraceAbort as abort:
+                monitor.abort_recording(abort.reason)
                 wants_result = False
-
+            except (JSThrow, GuestFault):
+                raise
+            except Exception as error:
+                # The record firewall boundary: recording is passive
+                # (the bytecode has not executed yet), so containing the
+                # failure and dropping the recorder resumes
+                # interpretation with no state repair needed.
+                if not monitor.contain_internal_failure("record", error):
+                    raise
+                wants_result = False
             charge(dispatch_cost)
-
-            # ---- constants and stack shuffling ----------------------------
-            if opcode == op.CONST:
-                stack.append(consts[arg])
-                charge(STACK_OP)
-            elif opcode == op.GETLOCAL:
-                stack.append(local_vars[arg])
-                charge(SLOT_ACCESS + STACK_OP)
-            elif opcode == op.SETLOCAL:
-                local_vars[arg] = stack[-1]
-                charge(SLOT_ACCESS)
-            elif opcode == op.ZERO:
-                stack.append(_ZERO_BOX)
-                charge(STACK_OP)
-            elif opcode == op.ONE:
-                stack.append(_ONE_BOX)
-                charge(STACK_OP)
-            elif opcode == op.UNDEF:
-                stack.append(UNDEFINED)
-                charge(STACK_OP)
-            elif opcode == op.NULL:
-                stack.append(NULL)
-                charge(STACK_OP)
-            elif opcode == op.TRUE:
-                stack.append(TRUE)
-                charge(STACK_OP)
-            elif opcode == op.FALSE:
-                stack.append(FALSE)
-                charge(STACK_OP)
-            elif opcode == op.POP:
-                stack.pop()
-                charge(STACK_OP)
-            elif opcode == op.POPV:
-                frame.completion = stack.pop()
-                charge(STACK_OP)
-            elif opcode == op.DUP:
-                stack.append(stack[-1])
-                charge(STACK_OP)
-            elif opcode == op.SWAP:
-                stack[-1], stack[-2] = stack[-2], stack[-1]
-                charge(STACK_OP)
-
-            # ---- globals ---------------------------------------------------
-            elif opcode == op.GETGLOBAL:
-                name = names[arg]
-                charge(GLOBAL_LOOKUP + STACK_OP)
-                try:
-                    stack.append(vm.globals[name])
-                except KeyError:
-                    raise JSThrow(
-                        make_string(f"ReferenceError: {name} is not defined")
-                    ) from None
-            elif opcode == op.SETGLOBAL:
-                vm.globals[names[arg]] = stack[-1]
-                charge(GLOBAL_LOOKUP)
-
-            # ---- arithmetic / logic ----------------------------------------
-            elif opcode == op.ADD:
-                right = stack.pop()
-                left = stack.pop()
-                value, cycles = operations.add(left, right)
-                stack.append(value)
-                charge(cycles + 3 * STACK_OP)
-                if value.tag == TAG_STRING and vm.meter is not None:
-                    vm.meter.note_cells(string_cells(len(value.payload)), vm)
-            elif opcode == op.SUB:
-                right = stack.pop()
-                left = stack.pop()
-                value, cycles = operations.sub(left, right)
-                stack.append(value)
-                charge(cycles + 3 * STACK_OP)
-            elif opcode == op.MUL:
-                right = stack.pop()
-                left = stack.pop()
-                value, cycles = operations.mul(left, right)
-                stack.append(value)
-                charge(cycles + 3 * STACK_OP)
-            elif opcode == op.DIV:
-                right = stack.pop()
-                left = stack.pop()
-                value, cycles = operations.div(left, right)
-                stack.append(value)
-                charge(cycles + 3 * STACK_OP)
-            elif opcode == op.MOD:
-                right = stack.pop()
-                left = stack.pop()
-                value, cycles = operations.mod(left, right)
-                stack.append(value)
-                charge(cycles + 3 * STACK_OP)
-            elif opcode == op.NEG:
-                value, cycles = operations.neg(stack.pop())
-                stack.append(value)
-                charge(cycles + 2 * STACK_OP)
-            elif opcode == op.TONUM:
-                operand = stack[-1]
-                if operand.tag not in (TAG_INT, TAG_DOUBLE):
-                    stack[-1] = make_number(conversions.to_number(operand))
-                    charge(TAG_TEST + D2I32 + BOX)
-                else:
-                    charge(TAG_TEST)
-            elif opcode == op.BITAND:
-                right = stack.pop()
-                left = stack.pop()
-                value, cycles = operations.bitand(left, right)
-                stack.append(value)
-                charge(cycles + 3 * STACK_OP)
-            elif opcode == op.BITOR:
-                right = stack.pop()
-                left = stack.pop()
-                value, cycles = operations.bitor(left, right)
-                stack.append(value)
-                charge(cycles + 3 * STACK_OP)
-            elif opcode == op.BITXOR:
-                right = stack.pop()
-                left = stack.pop()
-                value, cycles = operations.bitxor(left, right)
-                stack.append(value)
-                charge(cycles + 3 * STACK_OP)
-            elif opcode == op.BITNOT:
-                value, cycles = operations.bitnot(stack.pop())
-                stack.append(value)
-                charge(cycles + 2 * STACK_OP)
-            elif opcode == op.SHL:
-                right = stack.pop()
-                left = stack.pop()
-                value, cycles = operations.shl(left, right)
-                stack.append(value)
-                charge(cycles + 3 * STACK_OP)
-            elif opcode == op.SHR:
-                right = stack.pop()
-                left = stack.pop()
-                value, cycles = operations.shr(left, right)
-                stack.append(value)
-                charge(cycles + 3 * STACK_OP)
-            elif opcode == op.USHR:
-                right = stack.pop()
-                left = stack.pop()
-                value, cycles = operations.ushr(left, right)
-                stack.append(value)
-                charge(cycles + 3 * STACK_OP)
-            elif opcode in (op.LT, op.LE, op.GT, op.GE):
-                right = stack.pop()
-                left = stack.pop()
-                relop = _RELOP_TEXT[opcode]
-                value, cycles = operations.compare(left, right, relop)
-                stack.append(value)
-                charge(cycles + 3 * STACK_OP)
-            elif opcode in (op.EQ, op.NE, op.STRICTEQ, op.STRICTNE):
-                right = stack.pop()
-                left = stack.pop()
-                strict = opcode in (op.STRICTEQ, op.STRICTNE)
-                negate = opcode in (op.NE, op.STRICTNE)
-                value, cycles = operations.equals(left, right, strict, negate)
-                stack.append(value)
-                charge(cycles + 3 * STACK_OP)
-            elif opcode == op.NOT:
-                value, cycles = operations.logical_not(stack.pop())
-                stack.append(value)
-                charge(cycles + 2 * STACK_OP)
-            elif opcode == op.TYPEOF:
-                value, cycles = operations.typeof_op(stack.pop())
-                stack.append(value)
-                charge(cycles + 2 * STACK_OP)
-
-            # ---- control flow -----------------------------------------------
-            elif opcode == op.JUMP:
-                if arg <= pc:
-                    self._check_preemption()
-                frame.pc = arg
-            elif opcode == op.IFFALSE:
-                condition = stack.pop()
-                charge(STACK_OP + TAG_TEST)
-                if not conversions.to_boolean(condition):
-                    if arg <= pc:
-                        self._check_preemption()
-                    frame.pc = arg
-            elif opcode == op.IFTRUE:
-                condition = stack.pop()
-                charge(STACK_OP + TAG_TEST)
-                if conversions.to_boolean(condition):
-                    if arg <= pc:
-                        self._check_preemption()
-                    frame.pc = arg
-            elif opcode == op.ANDJMP:
-                charge(STACK_OP + TAG_TEST)
-                if not conversions.to_boolean(stack[-1]):
-                    frame.pc = arg
-                else:
-                    stack.pop()
-            elif opcode == op.ORJMP:
-                charge(STACK_OP + TAG_TEST)
-                if conversions.to_boolean(stack[-1]):
-                    frame.pc = arg
-                else:
-                    stack.pop()
-            elif opcode == op.LOOPHEADER:
-                if vm.monitor is not None:
-                    vm.monitor.on_loop_header(self, frame, pc)
-                    if frames[-1] is not frame or frame.pc != pc + 1:
-                        # A trace ran (or frames changed); re-enter the
-                        # outer loop to refresh cached frame state.
-                        return _SWITCH_FRAME
-            elif opcode == op.NOP:
-                pass
-
-            # ---- property access (fat opcodes) --------------------------------
-            elif opcode == op.GETPROP:
-                obj_box = stack.pop()
-                stack.append(self._getprop(obj_box, names[arg]))
+            result = table[pc](self, frame, stack, charge, pc)
+            if result is None:
                 if wants_result:
                     recorder.record_result(stack[-1])
-            elif opcode == op.SETPROP:
-                value = stack.pop()
-                obj_box = stack.pop()
-                self._setprop(obj_box, names[arg], value)
-                stack.append(value)
-            elif opcode == op.GETELEM:
-                index_box = stack.pop()
-                obj_box = stack.pop()
-                stack.append(self._getelem(obj_box, index_box))
-                if wants_result:
-                    recorder.record_result(stack[-1])
-            elif opcode == op.SETELEM:
-                value = stack.pop()
-                index_box = stack.pop()
-                obj_box = stack.pop()
-                self._setelem(obj_box, index_box, value)
-                stack.append(value)
-            elif opcode == op.ITERKEYS:
-                from repro.runtime.objects import enumerable_keys
+                continue
+            if result is _DO_RETURN:
+                return self._return(frame, frames, base_depth)
+            return result
 
-                obj_box = stack.pop()
-                keys = enumerable_keys(obj_box, vm.array_prototype)
-                stack.append(make_object(keys))
-                charge(
-                    ALLOC
-                    + PROPERTY_LOOKUP
-                    + SLOT_ACCESS * max(keys.length, 1)
-                    + 2 * STACK_OP
-                )
-                if vm.meter is not None:
-                    vm.meter.note_cells(1 + keys.length, vm)
-            elif opcode == op.DELPROP:
-                obj_box = stack.pop()
-                if obj_box.tag != TAG_OBJECT:
-                    raise JSThrow(make_string("TypeError: delete on non-object"))
-                charge(PROPERTY_LOOKUP + SHAPE_TRANSITION)
-                stack.append(make_bool(obj_box.payload.delete_property(names[arg])))
-            elif opcode == op.INITPROP:
-                value = stack.pop()
-                obj_box = stack[-1]
-                obj_box.payload.set_property(names[arg], value)
-                charge(SHAPE_TRANSITION + SLOT_ACCESS)
-
-            # ---- allocation -----------------------------------------------------
-            elif opcode == op.NEWOBJ:
-                stack.append(make_object(JSObject()))
-                charge(ALLOC + STACK_OP)
-                if vm.meter is not None:
-                    vm.meter.note_cells(1, vm)
-                if wants_result:
-                    recorder.record_result(stack[-1])
-            elif opcode == op.NEWARR:
-                arr = JSArray(proto=vm.array_prototype)
-                if arg:
-                    elements = stack[len(stack) - arg :]
-                    del stack[len(stack) - arg :]
-                    for index, element in enumerate(elements):
-                        arr.set_element(index, element)
-                stack.append(make_object(arr))
-                charge(ALLOC + (arg + 1) * STACK_OP)
-                if vm.meter is not None:
-                    vm.meter.note_cells(1 + arg, vm)
-                if wants_result:
-                    recorder.record_result(stack[-1])
-
-            # ---- calls -----------------------------------------------------------
-            elif opcode == op.CALL:
-                args = stack[len(stack) - arg :]
-                del stack[len(stack) - arg :]
-                callee_box = stack.pop()
-                switched = self._do_call(
-                    frames, frame, callee_box, UNDEFINED, args, wants_result, recorder
-                )
-                if switched:
-                    return _SWITCH_FRAME
-            elif opcode == op.CALLMETHOD:
-                args = stack[len(stack) - arg :]
-                del stack[len(stack) - arg :]
-                callee_box = stack.pop()
-                this_box = stack.pop()
-                switched = self._do_call(
-                    frames, frame, callee_box, this_box, args, wants_result, recorder
-                )
-                if switched:
-                    return _SWITCH_FRAME
-            elif opcode == op.NEW:
-                args = stack[len(stack) - arg :]
-                del stack[len(stack) - arg :]
-                callee_box = stack.pop()
-                switched = self._do_new(
-                    frames, frame, callee_box, args, wants_result, recorder
-                )
-                if switched:
-                    return _SWITCH_FRAME
-            elif opcode == op.RETURN or opcode == op.RETUNDEF:
-                value = stack.pop() if opcode == op.RETURN else UNDEFINED
-                frames.pop()
-                charge(FRAME_TEARDOWN)
-                if len(frames) == base_depth:
-                    return value
-                caller = frames[-1]
-                if caller.code.insns[caller.pc - 1][0] == op.NEW:
-                    # `new F()`: a non-object return is replaced by `this`.
-                    if value.tag != TAG_OBJECT:
-                        value = frame.this_box
-                caller.stack.append(value)
-                return _SWITCH_FRAME
-
-            # ---- exceptions --------------------------------------------------------
-            elif opcode == op.THROW:
-                raise JSThrow(stack.pop())
-            elif opcode == op.TRYPUSH:
-                frame.try_stack.append((arg, len(stack)))
-                charge(STACK_OP)
-            elif opcode == op.TRYPOP:
-                frame.try_stack.pop()
-                charge(STACK_OP)
-
-            elif opcode == op.THIS:
-                stack.append(frame.this_box)
-                charge(STACK_OP)
-            elif opcode == op.END:
-                frames.pop()
-                return frame.completion
-            else:
-                raise VMInternalError(f"unhandled opcode {op.opcode_name(opcode)}")
+    def _return(self, frame: Frame, frames: List[Frame], base_depth: int):
+        """RETURN/RETUNDEF bookkeeping for both drivers: pop ``frame``
+        and hand the handler's stashed value to the caller (or return
+        it, when ``frame`` was this activation's base)."""
+        value = self._ret
+        self._ret = None
+        frames.pop()
+        self._charge(costs.FRAME_TEARDOWN)
+        if len(frames) == base_depth:
+            return value
+        caller = frames[-1]
+        if caller.code.insns[caller.pc - 1][0] == op.NEW:
+            # `new F()`: a non-object return is replaced by `this`.
+            if value.tag != TAG_OBJECT:
+                value = frame.this_box
+        caller.stack.append(value)
+        return _SWITCH_FRAME
 
     # -- preemption (Section 6.4) ---------------------------------------------
 
@@ -766,8 +397,6 @@ class Interpreter:
         callee_box: Box,
         this_box: Box,
         args: List[Box],
-        wants_result: bool,
-        recorder,
     ) -> bool:
         """Returns True if a new interpreter frame was pushed."""
         if callee_box.tag != TAG_OBJECT or not callee_box.payload.is_callable:
@@ -777,10 +406,7 @@ class Interpreter:
             self._charge(
                 costs.NATIVE_CALL + costs.FFI_BOX_PER_ARG * len(args) + costs.STACK_OP
             )
-            result = callee.fn(self.vm, this_box, args)
-            frame.stack.append(result)
-            if wants_result:
-                recorder.record_result(result)
+            frame.stack.append(callee.fn(self.vm, this_box, args))
             return False
         self._charge(costs.FRAME_SETUP)
         vm = self.vm
@@ -798,8 +424,6 @@ class Interpreter:
         frame: Frame,
         callee_box: Box,
         args: List[Box],
-        wants_result: bool,
-        recorder,
     ) -> bool:
         if callee_box.tag != TAG_OBJECT or not callee_box.payload.is_callable:
             raise JSThrow(make_string("TypeError: not a constructor"))
@@ -811,8 +435,6 @@ class Interpreter:
             if result.tag != TAG_OBJECT:
                 result = make_object(JSObject())
             frame.stack.append(result)
-            if wants_result:
-                recorder.record_result(result)
             return False
         this_obj = new_object_with_proto(callee)
         self._charge(costs.FRAME_SETUP + costs.SHAPE_TRANSITION)
@@ -825,11 +447,9 @@ class Interpreter:
         return True
 
 
-_RELOP_TEXT = {op.LT: "<", op.LE: "<=", op.GT: ">", op.GE: ">="}
-
-#: Sentinel: the current frame changed; refresh cached state (shared
-#: with the threaded handler table).
+#: Sentinel: the top frame changed, or the driver must be picked
+#: afresh; refresh cached state.  Shared with the handler table.
 _SWITCH_FRAME = dispatch.SWITCH_FRAME
-#: Sentinel: a threaded RETURN/RETUNDEF handler stashed its value in
+#: Sentinel: a RETURN/RETUNDEF handler stashed its value in
 #: ``interp._ret``.
 _DO_RETURN = dispatch.DO_RETURN

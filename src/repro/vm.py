@@ -110,12 +110,6 @@ class VMConfig:
     #: or the monitor.  Simulated cycles, stats, and events are
     #: byte-identical either way (``--no-direct-link`` disables).
     enable_direct_link: bool = True
-    #: Table-threaded interpreter dispatch: precompute a per-code
-    #: handler table (with fused superinstructions for hot opcode
-    #: pairs) instead of walking the if/elif opcode chain.  Charges
-    #: identical simulated cycles per original bytecode
-    #: (``--no-threaded-dispatch`` disables).
-    enable_threaded_dispatch: bool = True
     #: Directory of the persistent trace store (``--trace-store DIR``);
     #: None disables warm start.  See :mod:`repro.core.store`.
     trace_store: Optional[str] = None

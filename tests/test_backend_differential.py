@@ -88,12 +88,10 @@ def test_sieve_identical_across_backends():
 
 
 #: The execution-strategy knob matrix: direct fragment linking (py
-#: backend megafunctions) x table-threaded interpreter dispatch.  The
-#: default/default combination is covered by the tests above.
+#: backend megafunctions) off.  The default is covered by the tests
+#: above.
 _KNOB_MATRIX = [
     {"enable_direct_link": False},
-    {"enable_threaded_dispatch": False},
-    {"enable_direct_link": False, "enable_threaded_dispatch": False},
 ]
 
 

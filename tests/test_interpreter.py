@@ -9,7 +9,9 @@ import math
 import pytest
 
 from repro import BaselineVM
-from repro.errors import JSThrow
+from repro.bytecode import opcodes as op
+from repro.errors import JSThrow, VMInternalError
+from repro.interp import dispatch
 from repro.runtime.values import TAG_DOUBLE, TAG_INT
 
 
@@ -281,3 +283,13 @@ class TestCompletionValue:
 
     def test_statements_do_not_clobber(self):
         assert value("5; var x = 1;") == 5
+
+
+class TestHandlerTable:
+    def test_every_opcode_has_a_handler(self):
+        assert sorted(dispatch._FACTORIES) == list(range(op.N_OPCODES))
+
+    def test_unknown_opcode_is_an_internal_error(self, monkeypatch):
+        monkeypatch.delitem(dispatch._FACTORIES, op.TYPEOF)
+        with pytest.raises(VMInternalError, match="unhandled opcode TYPEOF"):
+            run("var x = 1; typeof x;")

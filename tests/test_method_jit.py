@@ -19,6 +19,10 @@ PROGRAMS = [
     "'abc'.charCodeAt(1) + 'xy'.length;",
     "var b = -1; for (var i = 0; i < 100; i++) b = b & ~i; b;",
     "var s = ''; for (var i = 0; i < 20; i++) s += i; s;",
+    # Computed keys reach the same non-slot properties as dotted ones.
+    "var a=[1,2,3]; a[\"length\"];",
+    "var a=[1,2,3]; a[\"length\"]=1; a.length;",
+    "function F(){} typeof F[\"prototype\"];",
 ]
 
 
