@@ -344,8 +344,8 @@ class TraceMonitor:
             linked = self.cache.register_branch(tree, fragment)
             if linked and self.config.enable_stitching:
                 recorder.anchor_exit.target = fragment
-                # The link graph changed: any direct-link megafunction
-                # built for this tree is stale and rebuilds lazily.
+                # Count the link; the tree's direct-link megafunction is
+                # rebuilt once the count has doubled since its last build.
                 tree.link_version += 1
         else:
             fragment.bytecount = recorder.bytecodes_recorded

@@ -907,8 +907,8 @@ class _EntryLoader:
                 target = exit_record.get("target")
                 if target is not None:
                     exit.target = fragments[target]
-                    # The restored link graph differs from the fresh
-                    # tree's; any direct-link megafunction must rebuild.
+                    # Count the restored link, as the monitor counts an
+                    # attached one (see TraceTree.link_version).
                     tree.link_version += 1
             del tree._store_all_exits
 

@@ -134,10 +134,13 @@ class TraceTree:
         #: .TreeValueState`), lazily created at the first CSE pass.
         self.opt_vn = None
         #: Direct-link state (py backend; see repro.jit.pycompile).
-        #: ``link_version`` is bumped whenever the tree's link graph
-        #: changes (a side exit gains a target, a store preload rewires
-        #: targets); the tree-level "megafunction" is rebuilt lazily
-        #: when ``direct_link_version`` no longer matches.
+        #: ``link_version`` counts the tree's links: it is bumped once
+        #: per side exit that gains a branch target, attached by the
+        #: monitor or restored by a store preload.  A target is set only
+        #: once, so the count only grows.  The tree-level "megafunction"
+        #: is built at the first link and rebuilt once the count has at
+        #: least doubled since ``direct_link_version``, the count at the
+        #: last build.
         self.link_version = 0
         self.direct_fn = None
         self.direct_consts = None

@@ -30,18 +30,27 @@ as one "megafunction" (:class:`_TreeEmitter`) with every LINKED branch
 body inlined at its guard site, so hot trunk<->branch transitions stay
 inside a single Python frame instead of surfacing an exit tuple to the
 driver on every transfer.  The megafunction is cached on the tree and
-rebuilt lazily whenever the link graph changes (``link_version``);
-retirement drops it with the fragments it inlines.  Exits without
-linked targets keep the driver's stitch path, so mid-run link growth
-and cache eviction behave exactly as before.
+rebuilt only once the tree's link count (``link_version``) has at
+least doubled since the last build, so a tree that grows n links is
+compiled O(log n) times.  A megafunction that lacks the newest links
+stays correct: exits it did not inline keep the driver's stitch path,
+which follows ``exit.target`` at run time.  Retirement drops it with
+the fragments it inlines.
 
 **Cycle-accounting contract**: the generated function charges *exactly*
-the same simulated cycles at *exactly* the same points as the step
-machine — per-instruction cost increments, the ``>= 4096`` ledger-flush
-check after every instruction, and ``machine._loop_edge`` (commit
-snapshot, insn budget, supervisor ``meter.poll``, fault site) at every
-back edge — so every table, event stream, and chaos sweep is
-byte-identical across backends.  Only wall-clock time differs.
+the same simulated cycles as the step machine, and the ledger and the
+``cycles`` accumulator agree with the step machine's wherever other
+code can read them.  Costs are summed per straight-line *run* (the
+instructions between two hand-off points): one coalesced ``cycles +=``
+precedes each guard or exit.  Before a helper/FFI ``call``, a
+``calltree`` or a loop edge, at the prologue/loop boundary, and on a
+failing guard's way into ``_finish_exit``, :func:`_settle` replays the
+step machine's per-instruction ``>= 4096`` flush checks over the run's
+static costs.
+Loop edges call the same ``machine._loop_edge`` (commit snapshot,
+insn budget, supervisor ``meter.poll``, fault site), so every table,
+event stream, and chaos sweep is byte-identical across backends.  Only
+wall-clock time differs.
 
 Failures anywhere in emission/compile/exec fall back to the step
 machine through a dedicated firewall boundary (``pycompile``): the
@@ -90,6 +99,26 @@ TRANSFER = 2  # jtree: re-enter the tree's root trunk (cycles carry over)
 
 #: The ledger-flush threshold mirrored from the step machine's run loop.
 _FLUSH_AT = 4096
+
+
+def _settle(charge, cycles, run, count=None, tail=0):
+    """Charge the ledger flushes the step machine made during a run.
+
+    ``cycles`` is the accumulator after the run's coalesced increments.
+    The step machine checks ``>= 4096`` after each of the first
+    ``count`` instructions of ``run`` (their static costs; all of them
+    when ``count`` is None); ``tail`` was added after the last check, by
+    a failing guard that never reaches its own.  Returns the accumulator
+    the step machine holds at the same point.
+    """
+    steps = run if count is None else run[:count]
+    acc = cycles - tail - sum(steps)
+    for cost in steps:
+        acc += cost
+        if acc >= _FLUSH_AT:
+            charge(Activity.NATIVE, acc)
+            acc = 0
+    return acc + tail
 
 _TAG_OF_TYPE = {
     TraceType.INT: TAG_INT,
@@ -163,6 +192,7 @@ class _Emitter:
         #: Pooled name of the fragment currently being emitted (the
         #: tree emitter swaps it while inlining branch fragments).
         self.frag_ref = self.pool.add(fragment, "frag")
+        self.begin_run()
 
     def _executed_offset(self, index: int) -> int:
         """Instructions executed past the last ``executed`` update.
@@ -227,6 +257,67 @@ class _Emitter:
             parts.append("machine.ovf = ovf")
         return "; ".join(parts) if parts else "pass"
 
+    # -- straight-line runs ------------------------------------------------
+
+    def begin_run(self) -> None:
+        """Open a straight-line run of instructions.
+
+        The accumulator is below the flush threshold on every path into
+        a run: function entry, a hand-off's own flush check, a settled
+        prologue, or a direct transfer's ``cycles = 0``.
+        """
+        #: Static cost of each instruction of the run emitted so far.
+        self.run: List[int] = []
+        self._run_ref: Optional[str] = None
+        #: Cost of the run's instructions since the last ``cycles +=``.
+        self.pending = 0
+
+    def run_ref(self) -> str:
+        """Pooled name of the run's cost list (complete once emitted)."""
+        if self._run_ref is None:
+            self._run_ref = self.const(self.run)
+        return self._run_ref
+
+    def add_cost(self, cost: int) -> None:
+        """One run instruction's cost, charged at the next guard or
+        settle point."""
+        self.pending += cost
+        self.run.append(cost)
+
+    def charge_pending(self) -> None:
+        """The coalesced ``cycles +=`` for the run since the last one."""
+        if self.pending:
+            self.emit(f"cycles += {self.pending}")
+            self.pending = 0
+
+    def settle(self) -> None:
+        """End the run where control hands off (a call, a calltree, a
+        loop edge) or paths join (the prologue/loop boundary): charge
+        its pending cost and replay the flush checks the step machine
+        made in it, then open the next run."""
+        if self.run:
+            self.charge_pending()
+            settle = self.const(_settle, "settle")
+            self.emit(f"if cycles >= {_FLUSH_AT}:")
+            self.emit(f"    cycles = {settle}(charge, cycles, {self.run_ref()})")
+        self.begin_run()
+
+    def exit_cycles(self) -> str:
+        """The accumulator a failing guard hands ``_finish_exit``.
+
+        The guard's cost is the run's last; the total is already exact,
+        and when it reached 4096 the flush checks due before the guard
+        are replayed.
+        """
+        count = len(self.run) - 1
+        if count == 0:
+            return "cycles"
+        settle = self.const(_settle, "settle")
+        return (
+            f"cycles if cycles < {_FLUSH_AT} else {settle}(charge, cycles, "
+            f"{self.run_ref()}, {count}, {self.run[-1]})"
+        )
+
     # -- exit sequences ----------------------------------------------------
 
     def _inline_target(self, exit):
@@ -254,7 +345,10 @@ class _Emitter:
             self.emit("    event.exception = event.inner.exception")
         if branch is None:
             self.emit(self.writeback())
-        self.emit(f"result = finish_exit(event, {self.frag_ref}, cycles, profile)")
+        self.emit(
+            f"result = finish_exit(event, {self.frag_ref}, "
+            f"{self.exit_cycles()}, profile)"
+        )
         self.emit("if result is not None:")
         self.emit(f"    return ({RESULT}, result, 0, 0)")
         if branch is None:
@@ -281,13 +375,14 @@ class _Emitter:
 
     def guard(self, insn, index: int, fail: str, cost: int,
               boxed: Optional[str] = None) -> None:
-        """A conditional guard: charge, test, exit on ``fail``."""
-        self.emit(f"cycles += {cost}")
+        """A conditional guard: charge the run so far, test, exit on
+        ``fail``."""
+        self.add_cost(cost)
+        self.charge_pending()
         self.emit(f"if {fail}:")
         self.indent += 1
         self.exit_body(insn, index, boxed=boxed)
         self.indent -= 1
-        self.flush_check()
 
     # -- per-instruction emission -----------------------------------------
 
@@ -300,8 +395,7 @@ class _Emitter:
 
     def _alu(self, insn, expr: str, cost: int) -> None:
         self.emit(f"{self.reg(insn.dst)} = {expr}")
-        self.emit(f"cycles += {cost}")
-        self.flush_check()
+        self.add_cost(cost)
 
     # moves and AR access
 
@@ -324,8 +418,7 @@ class _Emitter:
             if insn.aux is not None:
                 self.emit(f"area_types[{gslot}] = {self.const(insn.aux)}")
             self.emit(f"area_dirty.add({gslot})")
-        self.emit(f"cycles += {costs.NATIVE_STORE}")
-        self.flush_check()
+        self.add_cost(costs.NATIVE_STORE)
 
     def _op_movi(self, insn, index):
         self._alu(insn, self.imm(insn.imm), costs.NATIVE_MOV)
@@ -341,8 +434,7 @@ class _Emitter:
         dst = self.reg(insn.dst)
         self.emit(f"{dst} = {a} {pyop} {b}")
         self.emit(f"ovf = not ({INT_MIN} <= {dst} <= {INT_MAX})")
-        self.emit(f"cycles += {costs.NATIVE_ALU}")
-        self.flush_check()
+        self.add_cost(costs.NATIVE_ALU)
 
     def _op_addi(self, insn, index):
         self._ovf_arith(insn, "+")
@@ -419,8 +511,7 @@ class _Emitter:
         self.emit(f"        {dst} = -{inf}")
         self.emit("else:")
         self.emit(f"    {dst} = {a} / {b}")
-        self.emit(f"cycles += {costs.NATIVE_FALU * 2}")
-        self.flush_check()
+        self.add_cost(costs.NATIVE_FALU * 2)
 
     def _op_modd(self, insn, index):
         f = self.const(js_mod, "js_mod")
@@ -438,7 +529,8 @@ class _Emitter:
     def _op_d2i(self, insn, index):
         a = self.reg(insn.a)
         dst = self.reg(insn.dst)
-        self.emit(f"cycles += {costs.NATIVE_D2I}")
+        self.add_cost(costs.NATIVE_D2I)
+        self.charge_pending()
         self.emit(
             f"if isinstance({a}, float) and {a}.is_integer() "
             f"and {INT_MIN} <= {a} <= {INT_MAX}:"
@@ -448,7 +540,6 @@ class _Emitter:
         self.indent += 1
         self.exit_body(insn, index)
         self.indent -= 1
-        self.flush_check()
 
     def _op_d2i32(self, insn, index):
         f = self.const(to_int32, "to_int32")
@@ -549,8 +640,7 @@ class _Emitter:
 
     def _op_stslot(self, insn, index):
         self.emit(f"{self.reg(insn.a)}.slots[{insn.imm}] = {self.reg(insn.b)}")
-        self.emit(f"cycles += {costs.NATIVE_STORE}")
-        self.flush_check()
+        self.add_cost(costs.NATIVE_STORE)
 
     def _op_arraylen(self, insn, index):
         self._alu(insn, f"{self.reg(insn.a)}.length", costs.NATIVE_LOAD)
@@ -568,8 +658,7 @@ class _Emitter:
         self.emit(f"_t.elements[{b}] = {c}")
         self.emit(f"if {b} >= _t.length:")
         self.emit(f"    _t.length = {b} + 1")
-        self.emit(f"cycles += {costs.NATIVE_STORE}")
-        self.flush_check()
+        self.add_cost(costs.NATIVE_STORE)
 
     def _op_strlen(self, insn, index):
         self._alu(insn, f"len({self.reg(insn.a)})", costs.NATIVE_LOAD)
@@ -591,8 +680,7 @@ class _Emitter:
         self.emit(f"    {dst} = None")
         self.emit("else:")
         self.emit(f"    {dst} = {a}.payload")
-        self.emit(f"cycles += {costs.NATIVE_ALU}")
-        self.flush_check()
+        self.add_cost(costs.NATIVE_ALU)
 
     def _op_gtag(self, insn, index):
         a = self.reg(insn.a)
@@ -647,7 +735,8 @@ class _Emitter:
                    costs.NATIVE_GUARD)
 
     def _op_x(self, insn, index):
-        self.emit(f"cycles += {costs.NATIVE_JUMP}")
+        self.add_cost(costs.NATIVE_JUMP)
+        self.charge_pending()
         boxed = self.reg(insn.b) if insn.b is not None else None
         self.exit_body(insn, index, boxed=boxed)
 
@@ -664,6 +753,7 @@ class _Emitter:
     def _op_call(self, insn, index):
         spec = insn.aux
         srcs = [self.reg(r) for r in (insn.srcs or ())]
+        self.settle()
         self.emit(f"cycles += {spec.cost}")
         if spec.accesses_state:
             self.emit("cycles += flush_globals()")
@@ -717,6 +807,7 @@ class _Emitter:
 
     def _op_calltree(self, insn, index):
         site = self.const(insn.aux)
+        self.settle()
         self.emit(f"cycles += {costs.CALLTREE_CALL}")
         self.emit(f"{self.reg(insn.dst)} = run_inner({site}, profile)")
         self.flush_check()
@@ -724,6 +815,7 @@ class _Emitter:
     # back edges
 
     def _edge(self, insn, index: int, is_loopjmp: bool) -> None:
+        self.settle()
         self.emit(f"cycles += {costs.NATIVE_JUMP}")
         self.emit(f"profile.native += {self.fragment.bytecount}")
         if is_loopjmp:
@@ -757,6 +849,7 @@ class _Emitter:
             # over (the back edge re-enters at the ``while 1:``).
             for index in range(loop_start):
                 self.emit_insn(insns[index], index)
+            self.settle()
             self.emit(f"executed += {loop_start}")
             self.emit("while 1:")
             self.indent = 2
@@ -830,9 +923,9 @@ class _TreeEmitter(_Emitter):
     fragments, so an un-inlined exit always hands the step machine a
     complete register file.
 
-    Exits whose targets are not (yet) linked keep the plain STITCH
-    path; the driver handles them and re-enters the megafunction at the
-    next trunk ``jtree``.  Simulated cycles, events, and stats are
+    Exits whose targets are not linked, or were linked after this
+    build, keep the plain STITCH path; the driver handles them and
+    re-enters the megafunction at the next trunk ``jtree``.  Simulated cycles, events, and stats are
     byte-identical to per-fragment dispatch by construction.
     """
 
@@ -873,15 +966,18 @@ class _TreeEmitter(_Emitter):
 
     def _emit_inline(self, branch) -> None:
         """The branch body, emitted in place at its guard site."""
-        saved = (self.fragment, self.loop_start, self.frag_ref)
+        saved = (self.fragment, self.loop_start, self.frag_ref,
+                 self.run, self._run_ref, self.pending)
         self.fragment = branch
         self.loop_start = 0
         self.frag_ref = self.const(branch)
+        self.begin_run()
         for index, insn in enumerate(branch.native):
             self.emit_insn(insn, index)
         if branch.native[-1].op not in ("jtree", "x"):
             self.emit("raise IndexError('list index out of range')")
-        self.fragment, self.loop_start, self.frag_ref = saved
+        (self.fragment, self.loop_start, self.frag_ref,
+         self.run, self._run_ref, self.pending) = saved
 
     def _op_loopjmp(self, insn, index):
         if self.fragment is not self.tree.fragment:
@@ -913,6 +1009,7 @@ class _TreeEmitter(_Emitter):
         for index in range(loop_start):
             self.emit_insn(insns[index], index)
         if loop_start:
+            self.settle()
             self.emit(f"executed += {loop_start}")
         self.emit("while 1:")
         self.indent = 3
@@ -1041,9 +1138,9 @@ def compile_fragment_py(vm, fragment):
 def compile_tree_py(vm, tree):
     """Compile ``tree``'s direct-linked megafunction; None on failure.
 
-    Cached on the tree (``direct_fn`` / ``direct_consts``) and keyed on
-    ``link_version`` so a link-graph change (a new branch stitched, a
-    store preload rewiring targets) rebuilds it lazily;
+    Cached on the tree (``direct_fn`` / ``direct_consts``) together
+    with the link count it was built at (``direct_link_version``), which
+    :func:`direct_fn_for` uses to decide when a rebuild pays off;
     :meth:`repro.core.tree.TraceTree.retire` drops it with the
     fragments it inlines.  Failures are contained through the same
     ``pycompile`` firewall boundary as per-fragment emission and
@@ -1079,7 +1176,7 @@ def compile_tree_py(vm, tree):
             profiler.exit()
     elapsed = time.perf_counter() - started
     if profiler is not None:
-        profiler.note_pycompile(tree, elapsed)
+        profiler.note_pycompile(tree, elapsed, tree_build=True)
     metrics = vm.metrics
     if metrics is not None:
         metrics.pycompile_fragments.inc()
@@ -1098,14 +1195,26 @@ def _tree_has_links(tree) -> bool:
 
 
 def direct_fn_for(vm, tree):
-    """The tree's megafunction, rebuilding lazily on link changes;
-    None = use per-fragment dispatch (unlinked tree, failure latch)."""
+    """The tree's megafunction; None = use per-fragment dispatch
+    (unlinked tree, failure latch, retired trunk).
+
+    The first build happens at the first stitched link, and the next
+    only once the tree's link count (``link_version``) has at least
+    doubled since the last build, so a tree that grows n links is built
+    at most floor(log2 n) + 1 times and emits about twice its final
+    megafunction's source in total.  Until then the megafunction lacks
+    the newest links, which is safe: an exit's target is set only once,
+    so every exit it inlined still leads to the same LINKED branch, and
+    every exit it did not inline goes through ``_finish_exit``, which
+    follows ``exit.target`` at run time and hands the driver a STITCH.
+    """
     if tree.direct_failed or tree.fragment.py_failed:
         # A trunk whose own emission failed would fail inside the
         # megafunction too; keep the whole tree on the fallback path.
         return None
-    if tree.direct_link_version == tree.link_version:
-        return tree.direct_fn
+    fn = tree.direct_fn
+    if fn is not None and tree.link_version < 2 * tree.direct_link_version:
+        return fn
     if tree.fragment.state is FragmentState.RETIRED:
         return None
     if not _tree_has_links(tree):

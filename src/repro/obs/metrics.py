@@ -355,7 +355,8 @@ class MetricsRegistry:
         # -- pycompile ---------------------------------------------------------
         self.pycompile_fragments = self.counter(
             "repro_pycompile_fragments_total",
-            "Fragments successfully compiled to Python functions.",
+            "Python functions successfully compiled: fragment functions "
+            "and direct-link megafunction builds.",
         )
         self.pycompile_failures = self.counter(
             "repro_pycompile_failures_total",
@@ -363,7 +364,8 @@ class MetricsRegistry:
         )
         self.pycompile_wall = self.histogram(
             "repro_pycompile_wall_seconds",
-            "Wall seconds per fragment-to-Python compilation.",
+            "Wall seconds per Python compilation (fragment function or "
+            "megafunction build).",
             COMPILE_WALL_BUCKETS,
         )
 

@@ -232,8 +232,10 @@ class PhaseProfiler:
         self._loop_order: List[LoopProfile] = []
         #: Firewall trips by boundary (record / compile / native / ...).
         self.firewall_trips: Dict[str, int] = {}
-        #: Python-backend fragment compilations (count / wall seconds).
+        #: Python-backend compilations: fragment functions, direct-link
+        #: megafunction builds, and the wall seconds of both.
         self.pycompile_count = 0
+        self.pycompile_tree_builds = 0
         self.pycompile_wall = 0.0
         #: Fragment-to-fragment transfers that stayed native, split by
         #: how: inside a direct-linked megafunction vs mediated by the
@@ -429,9 +431,14 @@ class PhaseProfiler:
         """One contained internal JIT failure at ``boundary``."""
         self.firewall_trips[boundary] = self.firewall_trips.get(boundary, 0) + 1
 
-    def note_pycompile(self, tree, seconds: float) -> None:
-        """One fragment compiled to Python for ``tree`` (wall cost)."""
-        self.pycompile_count += 1
+    def note_pycompile(self, tree, seconds: float,
+                       tree_build: bool = False) -> None:
+        """One fragment function (or, with ``tree_build``, one
+        megafunction) compiled to Python for ``tree`` (wall cost)."""
+        if tree_build:
+            self.pycompile_tree_builds += 1
+        else:
+            self.pycompile_count += 1
         self.pycompile_wall += seconds
         self.loop_profile(tree).compile_wall += seconds
 
@@ -528,6 +535,7 @@ class PhaseProfiler:
             },
             "pycompile": {
                 "fragments": self.pycompile_count,
+                "tree_builds": self.pycompile_tree_builds,
                 "wall_seconds": self.pycompile_wall,
             },
             "transitions": {

@@ -93,6 +93,17 @@ def validate_profile(doc: dict) -> int:
         sum(data["cycles"] for data in phases) == total,
         "profile phase cycles do not sum to total_cycles",
     )
+    pycompile = doc.get("pycompile")
+    _require(isinstance(pycompile, dict), "profile missing pycompile")
+    # ``tree_builds`` (megafunction builds, counted apart from fragment
+    # functions) is additive within v5: older documents lack it.
+    for key, value in (("fragments", pycompile.get("fragments")),
+                       ("tree_builds", pycompile.get("tree_builds", 0))):
+        _require(isinstance(value, int) and value >= 0,
+                 f"pycompile: bad {key}")
+    wall = pycompile.get("wall_seconds")
+    _require(isinstance(wall, (int, float)) and wall >= 0,
+             "pycompile: bad wall_seconds")
     transitions = doc.get("transitions")
     _require(isinstance(transitions, dict), "profile missing transitions")
     for key in ("direct_transfers", "monitor_stitched", "exit_surfacings"):

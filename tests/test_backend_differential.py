@@ -11,16 +11,23 @@ The one permitted difference is the global side-exit id counter
 within a process — two *same-backend* runs also disagree on raw exit
 ids.  Events are therefore compared after renumbering exit ids in
 first-seen order.
+
+Equal totals do not pin *when* the native cycle accumulator is flushed
+to the ledger, so the suite also compares the ledger (and accumulator)
+at every point where code outside a trace reads them mid-run: each loop
+edge, nested-tree call, and side-exit settlement.
 """
 
 from __future__ import annotations
 
+import contextlib
 import json
 import pathlib
 
 import pytest
 
 from repro.core import events as eventkind
+from repro.jit.native import NativeMachine
 from repro.suite.programs import PROGRAMS
 from repro.vm import TracingVM, VMConfig
 
@@ -36,6 +43,47 @@ def _run(source: str, backend: str, **overrides):
     vm.events.capture = True
     result = vm.run(source)
     return result, vm
+
+
+@contextlib.contextmanager
+def _ledger_read_points():
+    """Record the ledger at every ``NativeMachine`` hook that reads it:
+    ``(ledger, cycles, executed)`` at loop edges (commit, budget,
+    ``meter.poll``), the ledger at nested-tree calls, and ``(ledger,
+    cycles)`` as a side exit is settled."""
+    points = []
+    loop_edge = NativeMachine._loop_edge
+    run_inner = NativeMachine._run_inner_tree
+    finish_exit = NativeMachine._finish_exit
+
+    def on_loop_edge(self, executed, cycles):
+        points.append(("loop-edge", self.vm.stats.ledger.total, cycles, executed))
+        return loop_edge(self, executed, cycles)
+
+    def on_run_inner(self, site, profile):
+        points.append(("calltree", self.vm.stats.ledger.total))
+        return run_inner(self, site, profile)
+
+    def on_finish_exit(self, event, fragment, cycles, profile):
+        points.append(("exit", self.vm.stats.ledger.total, cycles))
+        return finish_exit(self, event, fragment, cycles, profile)
+
+    NativeMachine._loop_edge = on_loop_edge
+    NativeMachine._run_inner_tree = on_run_inner
+    NativeMachine._finish_exit = on_finish_exit
+    try:
+        yield points
+    finally:
+        NativeMachine._loop_edge = loop_edge
+        NativeMachine._run_inner_tree = run_inner
+        NativeMachine._finish_exit = finish_exit
+
+
+def _first_difference(left, right):
+    for index, (a, b) in enumerate(zip(left, right)):
+        if a != b:
+            return f"point {index}: {a} != {b}"
+    return f"lengths {len(left)} != {len(right)}"
 
 
 def _normalized_events(vm):
@@ -58,8 +106,10 @@ def _side_exit_sequence(events):
 
 
 def _assert_runs_identical(source: str, name: str):
-    result_py, vm_py = _run(source, "py")
-    result_step, vm_step = _run(source, "step")
+    with _ledger_read_points() as points_py:
+        result_py, vm_py = _run(source, "py")
+    with _ledger_read_points() as points_step:
+        result_step, vm_step = _run(source, "step")
 
     assert repr(result_py) == repr(result_step), name
     assert vm_py.stats.total_cycles == vm_step.stats.total_cycles, name
@@ -70,6 +120,14 @@ def _assert_runs_identical(source: str, name: str):
     events_step = _normalized_events(vm_step)
     assert events_py == events_step, name
     assert _side_exit_sequence(events_py) == _side_exit_sequence(events_step)
+
+    # The py backend coalesces cycle increments; wherever other code can
+    # read the ledger it must hold exactly what the step machine's
+    # per-instruction flushes put there.
+    assert points_py == points_step, (
+        f"{name}: ledger differs at a read point, "
+        + _first_difference(points_py, points_step)
+    )
 
     # The py backend must actually have compiled something on traceable
     # programs: a silent fallback to step would make this test vacuous.
@@ -85,6 +143,41 @@ def test_suite_program_identical_across_backends(program):
 
 def test_sieve_identical_across_backends():
     _assert_runs_identical(SIEVE_PATH.read_text(), "sieve.js")
+
+
+#: A loop whose exit guard sits mid-body.  At these break points the
+#: cycle accumulator crosses the 4096 flush threshold earlier in the
+#: exiting iteration, so the failing guard must settle the flushes the
+#: step machine made before it; no suite program reaches that case.
+_MID_RUN_EXIT = """
+var s = 0;
+for (var i = 0; i < 400; i++) {
+    s = (s + i * 3) | 0;
+    s = (s ^ (i << 2)) | 0;
+    s = (s + (i & 7)) | 0;
+    if (i == %d) break;
+    s = (s - (i >> 1)) | 0;
+}
+s;
+"""
+
+
+@pytest.mark.parametrize("stop", [123, 304, 364])
+def test_exit_after_mid_run_flush_identical_across_backends(stop, monkeypatch):
+    from repro.jit import pycompile
+
+    exit_flushes = []
+    settle = pycompile._settle
+
+    def counting_settle(charge, cycles, run, count=None, tail=0):
+        settled = settle(charge, cycles, run, count, tail)
+        if count is not None and settled != cycles:
+            exit_flushes.append(cycles)
+        return settled
+
+    monkeypatch.setattr(pycompile, "_settle", counting_settle)
+    _assert_runs_identical(_MID_RUN_EXIT % stop, f"break at {stop}")
+    assert exit_flushes, "the exiting guard's run must have crossed 4096"
 
 
 #: The execution-strategy knob matrix: direct fragment linking (py

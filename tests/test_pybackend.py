@@ -72,6 +72,23 @@ def test_emitted_source_is_python():
     assert isinstance(consts, tuple)
 
 
+def test_megafunction_rebuilds_grow_logarithmically_with_links():
+    """regexp-dna-lite's loop at pc 12 grows a 64-deep chain of branch
+    traces.  Its megafunction is rebuilt only when the link count has
+    doubled (at 1, 2, 4, ..., 64 links: 7 builds), plus 1 build for the
+    program's other tree — not once per link."""
+    from repro.suite.programs import PROGRAMS
+
+    program = next(p for p in PROGRAMS if p.name == "regexp-dna-lite")
+    vm = _py_vm()
+    vm.enable_profiling()
+    vm.run(program.source)
+    section = vm.profiler.to_dict()["pycompile"]
+    assert 0 < section["tree_builds"] <= 8, section
+    # Megafunction builds are not fragment functions.
+    assert section["fragments"] == vm.profiler.pycompile_count
+
+
 def test_emit_empty_fragment_raises():
     class Empty:
         native = []

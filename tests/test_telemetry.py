@@ -333,6 +333,24 @@ class TestArtifactValidation:
         with pytest.raises(ValidationError):
             detect_and_validate(str(bad))
 
+    def test_validator_checks_pycompile_counts(self, tmp_path):
+        vm = TracingVM(VMConfig())
+        vm.enable_profiling()
+        vm.run(SIEVE)
+        doc = vm.profiler.to_dict(program="sieve")
+        assert doc["pycompile"]["tree_builds"] > 0
+        path = tmp_path / "profile.json"
+        path.write_text(json.dumps(doc))
+        detect_and_validate(str(path))
+        # The field is additive: a v5 profile written without it is valid.
+        del doc["pycompile"]["tree_builds"]
+        path.write_text(json.dumps(doc))
+        detect_and_validate(str(path))
+        doc["pycompile"]["tree_builds"] = -1
+        path.write_text(json.dumps(doc))
+        with pytest.raises(ValidationError):
+            detect_and_validate(str(path))
+
     def test_validator_rejects_non_cumulative_histogram(self, tmp_path):
         bad = tmp_path / "metrics.json"
         bad.write_text(json.dumps({
