@@ -61,10 +61,11 @@ def measure_wallclock(source: str, backend: str, runs: int = 3,
         )
         cycles = vm.stats.total_cycles
         compile_wall = vm.profiler.pycompile_wall
+        tracing = vm.stats.tracing
         transitions = {
-            "direct_transfers": vm.profiler.transfers_direct,
-            "monitor_stitched": vm.profiler.transfers_stitched,
-            "exit_surfacings": vm.profiler.total_side_exits,
+            "direct_transfers": tracing.direct_transfers,
+            "monitor_stitched": tracing.driver_transfers,
+            "exit_surfacings": tracing.side_exits_taken,
         }
     return {
         "backend": backend,

@@ -105,10 +105,10 @@ class MethodJITVM(PreemptionMixin):
         self.config = config or VMConfig()
         self.stats = VMStats()
         #: Present so the CLI's --events and the supervisor's guest-
-        #: fault events work uniformly; the stats fold subscribes like
+        #: fault events work uniformly; the stats read its tally like
         #: on the tracing VM (it only ever sees supervisor kinds here).
         self.events = EventStream(capture=self.config.capture_events)
-        self.events.subscribe(self.stats.tracing.apply_event)
+        self.stats.tracing.attach(self.events)
         self.globals: Dict[str, Box] = {}
         self.output: List[str] = []
         self._init_preemption()

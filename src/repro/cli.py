@@ -81,15 +81,6 @@ def build_parser() -> argparse.ArgumentParser:
         ),
     )
     parser.add_argument(
-        "--no-direct-link",
-        action="store_true",
-        help=(
-            "disable direct fragment linking (the py backend's per-tree "
-            "megafunction); every fragment transition surfaces an exit "
-            "tuple to the native machine as before"
-        ),
-    )
-    parser.add_argument(
         "--opt-level",
         type=int,
         choices=(0, 1, 2),
@@ -240,44 +231,41 @@ def add_store_arguments(parser) -> None:
     )
 
 
-def write_telemetry(vm, args, program: str) -> int:
+def telemetry_of(vm) -> tuple:
+    """A VM's (metrics, span recorder, profiler); None where absent."""
+    return tuple(getattr(vm, name, None)
+                 for name in ("metrics", "span_recorder", "profiler"))
+
+
+def write_telemetry(args, program: str, metrics, spans, profiler=None) -> int:
     """Write the telemetry artifacts the flags asked for; 0 on success.
 
-    Shared by single-run mode and ``batch``, and also called on the
-    guest-fault path — a terminated run's metrics and spans are exactly
-    the interesting ones.
+    Shared by single-run mode, ``batch`` and the fleet, and also called
+    on the guest-fault path — a terminated run's metrics and spans are
+    exactly the interesting ones.
     """
-    if args.metrics_json:
-        from repro.obs.metrics import write_metrics_json
+    if not (args.metrics_json or args.metrics_prom or args.trace_export):
+        return 0
+    from repro.obs.metrics import write_metrics_json, write_metrics_prom
+    from repro.obs.spans import write_chrome_trace
 
+    for path, what, write in (
+        (args.metrics_json, "metrics",
+         lambda path: write_metrics_json(metrics, path, program=program)),
+        (args.metrics_prom, "metrics",
+         lambda path: write_metrics_prom(metrics, path)),
+        (args.trace_export, "trace",
+         lambda path: write_chrome_trace(spans, path, profiler=profiler,
+                                         program=program)),
+    ):
+        if not path:
+            continue
         try:
-            write_metrics_json(vm.metrics, args.metrics_json, program=program)
+            write(path)
         except OSError as error:
-            print(f"repro: cannot write {args.metrics_json}: {error}",
-                  file=sys.stderr)
+            print(f"repro: cannot write {path}: {error}", file=sys.stderr)
             return 1
-        print(f"(metrics written to {args.metrics_json})", file=sys.stderr)
-    if args.metrics_prom:
-        from repro.obs.metrics import write_metrics_prom
-
-        try:
-            write_metrics_prom(vm.metrics, args.metrics_prom)
-        except OSError as error:
-            print(f"repro: cannot write {args.metrics_prom}: {error}",
-                  file=sys.stderr)
-            return 1
-        print(f"(metrics written to {args.metrics_prom})", file=sys.stderr)
-    if args.trace_export:
-        from repro.obs.spans import write_chrome_trace
-
-        try:
-            write_chrome_trace(vm.span_recorder, args.trace_export,
-                               profiler=vm.profiler, program=program)
-        except OSError as error:
-            print(f"repro: cannot write {args.trace_export}: {error}",
-                  file=sys.stderr)
-            return 1
-        print(f"(trace written to {args.trace_export})", file=sys.stderr)
+        print(f"({what} written to {path})", file=sys.stderr)
     return 0
 
 
@@ -337,14 +325,11 @@ def build_config(args):
 
     if not (args.inject_fault or args.chaos_seed is not None
             or args.no_jit_firewall or args.native_backend != "py"
-            or args.opt_level != 2 or args.trace_store
-            or args.no_direct_link):
+            or args.opt_level != 2 or args.trace_store):
         return None
     config = VMConfig()
     config.native_backend = args.native_backend
     config.opt_level = args.opt_level
-    if args.no_direct_link:
-        config.enable_direct_link = False
     if args.trace_store:
         config.trace_store = args.trace_store
         config.trace_store_budget = args.trace_store_budget
@@ -751,11 +736,11 @@ def run_batch(argv: list, out) -> int:
         names = ", ".join(sorted(degraded))
         print(f"degraded tenants (interp-only): {names}", file=out)
     if fleet is not None:
-        if _write_fleet_telemetry(fleet, args):
+        if write_telemetry(args, "batch-fleet", fleet.metrics, fleet.spans):
             return 1
         event_stream = fleet.events
     else:
-        if write_telemetry(supervisor.vm, args, program="batch"):
+        if write_telemetry(args, "batch", *telemetry_of(supervisor.vm)):
             return 1
         event_stream = supervisor.vm.events
     if args.dump_events:
@@ -794,43 +779,6 @@ def run_batch(argv: list, out) -> int:
         print(f"(results written to {args.dump_results})", file=sys.stderr)
     # Contained guest faults are the supervisor working as designed;
     # only host-side problems make batch itself fail.
-    return 0
-
-
-def _write_fleet_telemetry(fleet, args) -> int:
-    """Write the fleet scheduler's metrics/spans artifacts; 0 on success."""
-    if args.metrics_json:
-        from repro.obs.metrics import write_metrics_json
-
-        try:
-            write_metrics_json(fleet.metrics, args.metrics_json,
-                               program="batch-fleet")
-        except OSError as error:
-            print(f"repro: cannot write {args.metrics_json}: {error}",
-                  file=sys.stderr)
-            return 1
-        print(f"(metrics written to {args.metrics_json})", file=sys.stderr)
-    if args.metrics_prom:
-        from repro.obs.metrics import write_metrics_prom
-
-        try:
-            write_metrics_prom(fleet.metrics, args.metrics_prom)
-        except OSError as error:
-            print(f"repro: cannot write {args.metrics_prom}: {error}",
-                  file=sys.stderr)
-            return 1
-        print(f"(metrics written to {args.metrics_prom})", file=sys.stderr)
-    if args.trace_export:
-        from repro.obs.spans import write_chrome_trace
-
-        try:
-            write_chrome_trace(fleet.spans, args.trace_export,
-                               program="batch-fleet")
-        except OSError as error:
-            print(f"repro: cannot write {args.trace_export}: {error}",
-                  file=sys.stderr)
-            return 1
-        print(f"(trace written to {args.trace_export})", file=sys.stderr)
     return 0
 
 
@@ -905,7 +853,7 @@ def main(argv: Optional[list] = None, out=None) -> int:
         print(f"repro: script terminated: {fault}", file=sys.stderr)
         if program_span:
             vm.span_recorder.close(program_span, status="terminated")
-        write_telemetry(vm, args, program=args.file or "<cli>")
+        write_telemetry(args, args.file or "<cli>", *telemetry_of(vm))
         if args.dump_events:
             # The breach events are the interesting part of a faulted
             # run; export them even though the run was terminated.
@@ -968,7 +916,7 @@ def main(argv: Optional[list] = None, out=None) -> int:
         print(f"(timeline written to {args.timeline})", file=sys.stderr)
     if program_span:
         vm.span_recorder.close(program_span, status="ok")
-    if write_telemetry(vm, args, program=args.file or "<cli>"):
+    if write_telemetry(args, args.file or "<cli>", *telemetry_of(vm)):
         return 1
     if args.dump_events:
         try:

@@ -65,10 +65,9 @@ class TraceCache:
         #: Optional fault injector (repro.hardening) for the
         #: ``link.register`` and ``cache.flush`` sites.
         self.faults = faults
-        #: Optional :class:`repro.obs.metrics.MetricsRegistry`, for the
-        #: one retirement path with no event: per-header invalidation.
-        #: Set by :meth:`repro.vm.VM.enable_metrics`; None otherwise.
-        self.metrics = None
+        #: Invalidation reason -> fragments retired by per-header
+        #: invalidation (the one retirement path with no event).
+        self.invalidated: Dict[str, int] = {}
         #: Optional :class:`repro.core.store.TraceStore`; when set,
         #: invalidations and flushes supersede the persisted entries so
         #: a later warm start cannot resurrect retired fragments.
@@ -81,7 +80,6 @@ class TraceCache:
         #: Simulated bytes of native code currently linked.
         self.code_size_used = 0
         self.code_size_high_water = 0
-        self.flush_count = 0
 
     @staticmethod
     def key(code, header_pc: int) -> Tuple[int, int]:
@@ -223,11 +221,7 @@ class TraceCache:
 
     def _check_budget(self, keep=None) -> None:
         budget = self.config.code_cache_budget
-        if (
-            budget > 0
-            and self.config.enable_cache_flush
-            and self.code_size_used > budget
-        ):
+        if budget > 0 and self.code_size_used > budget:
             self.flush("budget-overflow", keep=keep)
 
     # -- invalidation and flushing --------------------------------------------------
@@ -274,10 +268,8 @@ class TraceCache:
             self.code_size_used -= tree.code_size_total
             retired += tree.retire()
             self._check_callables_dropped(tree)
-        if self.metrics is not None and retired:
-            self.metrics.fragments_retired.inc(
-                retired, reason=f"invalidate:{reason}"
-            )
+        if retired:
+            self.invalidated[reason] = self.invalidated.get(reason, 0) + retired
         if self.store is not None:
             self.store.note_invalidated(code)
         return retired
@@ -307,7 +299,6 @@ class TraceCache:
         self._hot_counters.clear()
         self._code_refs.clear()
         self.code_size_used = 0
-        self.flush_count += 1
         if keep is not None:
             self._insert_tree(keep)
             self.code_size_used = keep.code_size_total

@@ -6,24 +6,25 @@ blacklisting a header, flushing the code cache — is emitted as one
 :class:`TraceEvent` on the VM's :class:`EventStream`.  The stream is
 the single observability seam for the JIT:
 
-* :class:`repro.stats.TraceStats` subscribes and *folds* the stream
-  into its lifecycle counters (so the counters are derived data, not a
-  second bookkeeping path);
+* every emission updates the stream's **tally** (per kind, broken down
+  by the payload fields :data:`TALLY_LABELS` names), the one home of
+  every event count: :class:`repro.stats.TraceStats` and the metrics
+  families read their event counts from it;
 * the CLI's ``--events`` / ``--dump-events`` flags retain the events
   and export them as JSONL for offline analysis;
 * tests and benchmarks subscribe ad hoc to assert on exact sequences.
 
-Events are dispatched to subscribers unconditionally (the stats fold
-depends on it) but only *retained* when ``capture`` is set, so hot
-workloads do not accumulate unbounded history by default.  Payloads are
-restricted to JSON-scalar values (str/int/float/bool/None) so every
-event serializes losslessly.
+Events are tallied and dispatched to subscribers unconditionally but
+only *retained* when ``capture`` is set, so hot workloads do not
+accumulate unbounded history by default.  Payloads are restricted to
+JSON-scalar values (str/int/float/bool/None) so every event serializes
+losslessly.
 """
 
 from __future__ import annotations
 
 import json
-from typing import Callable, Dict, Iterator, List, Optional
+from typing import Callable, Dict, Iterator, List, Optional, Tuple
 
 #: Version of the exported JSONL event records, carried on every record
 #: so offline consumers can detect format changes (see
@@ -112,6 +113,29 @@ STORE_FALLBACK = "store-fallback"
 #: (payload: worker, sources, fragments).
 WORKER_WARM_START = "worker-warm-start"
 
+#: Event kind -> the payload fields its tally is broken down by, in the
+#: label order of the metrics family the kind feeds (see
+#: :mod:`repro.obs.metrics`).  A missing field tallies as ``"?"``; kinds
+#: not listed are tallied per kind only (under the empty key).
+TALLY_LABELS = {
+    SIDE_EXIT: ("exit_kind",),
+    RECORD_START: ("fragment",),
+    RECORD_ABORT: ("reason",),
+    COMPILE: ("fragment",),
+    LINK: ("fragment",),
+    FLUSH: ("reason",),
+    JIT_INTERNAL_FAILURE: ("boundary",),
+    FAULT_INJECTED: ("site",),
+    QUOTA_EXCEEDED: ("resource",),
+    JOB_RETRIED: ("tenant",),
+    TENANT_PROBATION: ("tenant", "phase"),
+    JOB_SHED: ("tenant", "reason"),
+    WORK_STOLEN: ("thief",),
+    WORKER_RESPAWN: ("reason",),
+    STORE_LOAD: ("result",),
+    STORE_FALLBACK: ("boundary", "reason"),
+}
+
 
 class TraceEvent:
     """One structured lifecycle event: a kind, a sequence number, and a
@@ -144,8 +168,8 @@ class TraceEvent:
 class EventStream:
     """Ordered stream of :class:`TraceEvent`; the JIT's observability bus.
 
-    ``counts`` (events seen per kind) is always maintained, even when
-    retention is off, so cheap assertions never require capture.
+    The :attr:`tally` is always maintained, even when retention is off,
+    so cheap assertions never require capture.
     """
 
     def __init__(self, capture: bool = False, limit: Optional[int] = None):
@@ -153,7 +177,8 @@ class EventStream:
         self.capture = capture
         #: When set, only the most recent ``limit`` events are retained.
         self.limit = limit
-        self.counts: Dict[str, int] = {}
+        #: kind -> {label values (per :data:`TALLY_LABELS`) -> events seen}.
+        self.tally: Dict[str, Dict[Tuple[object, ...], int]] = {}
         self._events: List[TraceEvent] = []
         self._subscribers: List[Callable[[TraceEvent], None]] = []
         self._seq = 0
@@ -163,7 +188,9 @@ class EventStream:
     def emit(self, kind: str, **payload) -> TraceEvent:
         self._seq += 1
         event = TraceEvent(self._seq, kind, payload)
-        self.counts[kind] = self.counts.get(kind, 0) + 1
+        key = tuple([payload.get(name, "?") for name in TALLY_LABELS.get(kind, ())])
+        by_label = self.tally.setdefault(kind, {})
+        by_label[key] = by_label.get(key, 0) + 1
         for subscriber in self._subscribers:
             subscriber(event)
         if self.capture:
@@ -174,6 +201,15 @@ class EventStream:
 
     def subscribe(self, fn: Callable[[TraceEvent], None]) -> None:
         self._subscribers.append(fn)
+
+    # -- the tally ---------------------------------------------------------------
+
+    @property
+    def counts(self) -> Dict[str, int]:
+        """Events seen per kind, in first-seen order."""
+        return {
+            kind: sum(by_label.values()) for kind, by_label in self.tally.items()
+        }
 
     # -- access ------------------------------------------------------------------
 

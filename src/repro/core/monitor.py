@@ -199,15 +199,11 @@ class TraceMonitor:
         if loop_info is None:
             raise VMInternalError(f"LOOPHEADER at pc {pc} has no LoopInfo")
         tree = self.find_matching_tree(interp, frame, pc)
-        metrics = vm.metrics
         if tree is not None:
-            if metrics is not None:
-                metrics.trace_lookups.inc(1, result="hit")
+            vm.stats.tracing.lookup_hits += 1
             self.execute_tree(interp, frame, tree, len(interp.frames) - 1)
             return
-        if metrics is not None:
-            metrics.trace_lookups.inc(1, result="miss")
-        self.vm.stats.tracing.loops_seen += 1
+        vm.stats.tracing.loops_seen += 1
         count = self.cache.bump_hotness(code, pc)
         if count >= self.config.hotness_threshold:
             self.consider_recording(interp, frame, pc)
@@ -325,8 +321,6 @@ class TraceMonitor:
                 return
             fragment.bytecount = recorder.bytecodes_recorded
             tree.compile_fragment(fragment, lir, self.config)
-            if self.vm.profiler is not None:
-                self.vm.profiler.record_opt(fragment.opt_stats)
             self.events.emit(
                 eventkind.COMPILE,
                 fragment="branch",
@@ -350,8 +344,6 @@ class TraceMonitor:
         else:
             fragment.bytecount = recorder.bytecodes_recorded
             tree.compile_fragment(fragment, lir, self.config)
-            if self.vm.profiler is not None:
-                self.vm.profiler.record_opt(fragment.opt_stats)
             self.events.emit(
                 eventkind.COMPILE,
                 fragment="root",
@@ -674,10 +666,6 @@ class TraceMonitor:
             pc=exit.pc,
             depth=exit.depth,
         )
-        if vm.metrics is not None:
-            # An exit tuple surfaced all the way to the monitor (the
-            # transition the direct-link fast path exists to avoid).
-            vm.metrics.exit_surfacings.inc(1, kind=exit.kind)
         if vm.profiler is not None:
             vm.profiler.record_side_exit(exit)
         exit.hit_count += 1

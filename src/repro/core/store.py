@@ -94,7 +94,6 @@ FINGERPRINT_FIELDS = (
     "max_peer_trees",
     "max_branch_traces",
     "code_cache_budget",
-    "enable_cache_flush",
     "enable_nesting",
     "enable_oracle",
     "enable_stitching",
@@ -1338,8 +1337,6 @@ class TraceStore:
                 reason=reason,
                 source=source_name,
             )
-            if vm.profiler is not None:
-                vm.profiler.note_firewall_trip("store")
         finally:
             if faults is not None:
                 faults.suspended -= 1

@@ -39,10 +39,12 @@ What the scheduler adds over one supervisor:
 Observability follows the repo idiom: fleet-level facts flow through
 one :class:`~repro.core.events.EventStream` (``job-shed``,
 ``work-stolen``, ``worker-online``, ``worker-respawn``, plus the
-supervisor's ``job-retried``), folded into a
-:class:`~repro.obs.metrics.MetricsRegistry` and a
-:class:`~repro.obs.spans.FleetSpanRecorder` exactly like the per-VM
-folds.  All stream emissions happen under the fleet lock; the span
+supervisor's ``job-retried``), tallied like a VM stream and drawn by a
+:class:`~repro.obs.spans.FleetSpanRecorder`.  With metrics on, every
+worker supervisor keeps its own registry and the fleet's
+:class:`~repro.obs.metrics.MetricsRegistry` reports the fleet stream's
+families plus every worker's series (live and replaced), summed per
+label set.  All stream emissions happen under the fleet lock; the span
 recorder carries its own lock.  See docs/INTERNALS.md §15.
 """
 
@@ -455,10 +457,12 @@ class Fleet:
         self.events = EventStream(capture=capture_events)
         self.metrics = None
         if capture_metrics:
-            from repro.obs.metrics import MetricsRegistry
+            from repro.obs.metrics import MetricsRegistry, attach_fleet_views
 
             self.metrics = MetricsRegistry()
-            self.events.subscribe(self.metrics.apply_event)
+            attach_fleet_views(self.metrics, self.events, lambda: [
+                w.supervisor.vm.metrics for w in self._workers + self._dead
+            ])
         self.spans = None
         if capture_spans:
             from repro.obs.spans import FleetSpanRecorder
@@ -500,6 +504,7 @@ class Fleet:
             degrade_after=self.degrade_after,
             probation_after=self.probation_after,
             backoff_seed=self.backoff_seed,
+            capture_metrics=self.metrics is not None,
         )
 
     # -- lifecycle ----------------------------------------------------------

@@ -86,8 +86,6 @@ class JITFirewall:
                 injected=site is not None,
                 site=site,
             )
-            if vm.profiler is not None:
-                vm.profiler.note_firewall_trip(boundary)
             if fragment is not None:
                 fragment.retire()
             if recorder is not None and not recorder.finished:

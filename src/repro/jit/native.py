@@ -857,12 +857,10 @@ class NativeMachine:
         """Transfer control to the branch trace patched onto ``exit``."""
         vm = self.vm
         stats = vm.stats
-        stats.tracing.stitched_transfers += 1
+        stats.tracing.driver_transfers += 1
         stats.ledger.charge(Activity.NATIVE, costs.STITCH_PENALTY)
         if vm.profiler is not None:
             vm.profiler.record_stitch(exit)
-        if vm.metrics is not None:
-            vm.metrics.fragment_transfers.inc(1, mode="stitched")
         fragment = exit.target
         return fragment, fragment.native, 0, 0
 

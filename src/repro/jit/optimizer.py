@@ -20,9 +20,8 @@ trace tree.  Three passes, in order:
    code — there are no joins that could weaken the state.
 
 2. **Trace-level DCE + dead-store elimination**
-   (:func:`run_backward_filters`).  The backward liveness walk that
-   used to live in ``jit/backward.py`` (that module is now a
-   compatibility shim re-exporting this one).  Guards are observation
+   (:func:`run_backward_filters`).  The backward liveness walk over
+   the completed trace.  Guards are observation
    points; stores no future exit can observe are dead, as are pure
    instructions whose value is never used — including the condition
    chains of guards the CSE pass deleted.

@@ -24,8 +24,7 @@ Emission strategy (see docs/INTERNALS.md section 12):
 * a root fragment's ``loopjmp`` becomes ``continue`` on a ``while``
   loop around the body; ``jtree`` returns a transfer request.
 
-**Direct fragment linking** (``enable_direct_link``, the default): once
-a tree has stitched branch fragments, the whole tree is compiled again
+**Direct fragment linking**: once a tree has stitched branch fragments, the whole tree is compiled again
 as one "megafunction" (:class:`_TreeEmitter`) with every LINKED branch
 body inlined at its guard site, so hot trunk<->branch transitions stay
 inside a single Python frame instead of surfacing an exit tuple to the
@@ -35,7 +34,9 @@ least doubled since the last build, so a tree that grows n links is
 compiled O(log n) times.  A megafunction that lacks the newest links
 stays correct: exits it did not inline keep the driver's stitch path,
 which follows ``exit.target`` at run time.  Retirement drops it with
-the fragments it inlines.
+the fragments it inlines.  A megafunction build that fails (the
+``pycompile.link`` fault site) leaves the tree on per-fragment
+dispatch, which is observationally identical.
 
 **Cycle-accounting contract**: the generated function charges *exactly*
 the same simulated cycles as the step machine, and the ledger and the
@@ -363,12 +364,10 @@ class _Emitter:
         # (every un-inlined exit inside the branch writes back the union
         # of registers before surfacing).
         native = self.const(Activity.NATIVE, "NATIVE")
-        self.emit("tracing.stitched_transfers += 1")
+        self.emit("tracing.direct_transfers += 1")
         self.emit(f"charge({native}, {costs.STITCH_PENALTY})")
         self.emit("if profiler is not None:")
-        self.emit(f"    profiler.record_stitch({ex}, direct=True)")
-        self.emit("if metrics is not None:")
-        self.emit("    metrics.fragment_transfers.inc(1, mode='direct')")
+        self.emit(f"    profiler.record_stitch({ex})")
         self.emit(f"executed += {self._executed_offset(index)}")
         self.emit("cycles = 0")
         self._emit_inline(branch)
@@ -995,7 +994,6 @@ class _TreeEmitter(_Emitter):
 
     def _hoist_extras(self, hoist) -> None:
         hoist("profiler = vm.profiler")
-        hoist("metrics = vm.metrics")
 
     def source(self) -> str:
         trunk = self.fragment
@@ -1076,11 +1074,45 @@ def _contain_pycompile_failure(vm, fragment, error: BaseException) -> None:
             injected=site is not None,
             site=site,
         )
-        if vm.profiler is not None:
-            vm.profiler.note_firewall_trip("pycompile")
     finally:
         if faults is not None:
             faults.suspended -= 1
+
+
+def _build_py(vm, tree, site: str, emit, label: str, fn_name: str,
+              on_failure):
+    """Emit, compile and exec one Python function; ``(fn, consts)``, or
+    ``(None, None)`` after ``on_failure(error)`` contained a failure.
+
+    Lazy compilation runs inside the monitor's PHASE_NATIVE bracket, so
+    the build pushes PHASE_COMPILE: without it the one-time emission
+    wall would bill to the native phase the wall-clock frontier
+    measures.  The wall is attributed to ``tree``'s loop profile and
+    observed by the pycompile wall histogram.
+    """
+    started = time.perf_counter()
+    profiler = vm.profiler
+    if profiler is not None:
+        profiler.enter(PHASE_COMPILE)
+    try:
+        if vm.faults is not None:
+            vm.faults.fire(site)
+        source, consts = emit()
+        namespace = {"_consts": consts, "ExitEvent": ExitEvent}
+        exec(compile(source, f"<pycompile:{label}>", "exec"), namespace)
+        fn = namespace[fn_name]
+    except Exception as error:
+        on_failure(error)
+        return None, None
+    finally:
+        if profiler is not None:
+            profiler.exit()
+    elapsed = time.perf_counter() - started
+    if profiler is not None and tree is not None and hasattr(tree, "code"):
+        profiler.note_pycompile(tree, elapsed)
+    if vm.metrics is not None:
+        vm.metrics.pycompile_wall.observe(elapsed)
+    return fn, consts
 
 
 def compile_fragment_py(vm, fragment):
@@ -1093,45 +1125,23 @@ def compile_fragment_py(vm, fragment):
     and latched in ``py_failed`` so a broken fragment is not recompiled
     on every invocation.
     """
-    started = time.perf_counter()
-    profiler = vm.profiler
-    if profiler is not None:
-        # Lazy compilation runs inside the monitor's PHASE_NATIVE
-        # bracket; without this push the one-time emission wall would
-        # bill to the native phase the wall-clock frontier measures.
-        profiler.enter(PHASE_COMPILE)
-    try:
+
+    def failed(error):
         try:
-            if vm.faults is not None:
-                vm.faults.fire(sites.PYCOMPILE_EMIT)
-            source, consts = emit_fragment(fragment)
-            namespace = {"_consts": consts, "ExitEvent": ExitEvent}
-            code_obj = compile(source, f"<pycompile:{fragment!r}>", "exec")
-            exec(code_obj, namespace)
-            fn = namespace["_fragment_fn"]
-        except Exception as error:
-            try:
-                fragment.py_failed = True
-            except AttributeError:
-                pass  # a stub without the latch still falls back correctly
-            _contain_pycompile_failure(vm, fragment, error)
-            if vm.metrics is not None:
-                vm.metrics.pycompile_failures.inc()
-            return None
+            fragment.py_failed = True
+        except AttributeError:
+            pass  # a stub without the latch still falls back correctly
+        _contain_pycompile_failure(vm, fragment, error)
+
+    fn, consts = _build_py(
+        vm, getattr(fragment, "tree", None), sites.PYCOMPILE_EMIT,
+        lambda: emit_fragment(fragment), repr(fragment), "_fragment_fn",
+        failed,
+    )
+    if fn is not None:
         fragment.py_func = fn
         fragment.py_consts = consts
-    finally:
-        if profiler is not None:
-            profiler.exit()
-    elapsed = time.perf_counter() - started
-    if profiler is not None:
-        tree = getattr(fragment, "tree", None)
-        if tree is not None and hasattr(tree, "code"):
-            profiler.note_pycompile(tree, elapsed)
-    metrics = vm.metrics
-    if metrics is not None:
-        metrics.pycompile_fragments.inc()
-        metrics.pycompile_wall.observe(elapsed)
+        vm.stats.tracing.pycompile_fragments += 1
     return fn
 
 
@@ -1147,40 +1157,20 @@ def compile_tree_py(vm, tree):
     latched in ``direct_failed`` — losing direct linking only costs
     performance; per-fragment dispatch still runs the tree.
     """
-    started = time.perf_counter()
-    profiler = vm.profiler
-    if profiler is not None:
-        profiler.enter(PHASE_COMPILE)
-    try:
-        try:
-            if vm.faults is not None:
-                vm.faults.fire(sites.PYCOMPILE_LINK)
-            source, consts = emit_tree(tree)
-            namespace = {"_consts": consts, "ExitEvent": ExitEvent}
-            code_obj = compile(
-                source, f"<pycompile:tree@{tree.header_pc}>", "exec"
-            )
-            exec(code_obj, namespace)
-            fn = namespace["_tree_fn"]
-        except Exception as error:
-            tree.direct_failed = True
-            _contain_pycompile_failure(vm, tree.fragment, error)
-            if vm.metrics is not None:
-                vm.metrics.pycompile_failures.inc()
-            return None
+
+    def failed(error):
+        tree.direct_failed = True
+        _contain_pycompile_failure(vm, tree.fragment, error)
+
+    fn, consts = _build_py(
+        vm, tree, sites.PYCOMPILE_LINK, lambda: emit_tree(tree),
+        f"tree@{tree.header_pc}", "_tree_fn", failed,
+    )
+    if fn is not None:
         tree.direct_fn = fn
         tree.direct_consts = consts
         tree.direct_link_version = tree.link_version
-    finally:
-        if profiler is not None:
-            profiler.exit()
-    elapsed = time.perf_counter() - started
-    if profiler is not None:
-        profiler.note_pycompile(tree, elapsed, tree_build=True)
-    metrics = vm.metrics
-    if metrics is not None:
-        metrics.pycompile_fragments.inc()
-        metrics.pycompile_wall.observe(elapsed)
+        vm.stats.tracing.pycompile_tree_builds += 1
     return fn
 
 
@@ -1253,10 +1243,9 @@ def run_compiled(machine, fragment):
     cycles = 0
     vm = machine.vm
     tree = machine.tree
-    direct = vm.config.enable_direct_link
     while True:
         fn = None
-        if direct and fragment is tree.fragment:
+        if fragment is tree.fragment:
             fn = direct_fn_for(vm, tree)
         if fn is None:
             fn = compiled_fn_for(vm, fragment)

@@ -15,22 +15,16 @@ named instruments in the Prometheus data model:
 Every instrument is a *family*: one name + help string, with one series
 per distinct label combination (``repro_side_exits_total{kind="type"}``).
 
-Wiring follows the repo's observability idiom.  Lifecycle facts that
-already flow through the structured event stream are **folded** from it
-(:meth:`MetricsRegistry.apply_event` subscribes exactly like the stats
-fold does), so the counters can never drift from the events.  Facts the
-stream does not carry get direct hooks at the boundary that owns them —
-the monitor's trace lookup (hit/miss), the cache's per-header
-invalidation, pycompile's wall-clock histogram, the supervisor's queue
-and billing — each guarded by one ``vm.metrics is not None`` attribute
-test.  Point-in-time levels (ledger cycles, cache residency) are
-sampled by **collectors** at snapshot time, Prometheus-scrape style,
-so the hot path never maintains them.
-
-The contract matches the profiler's: the registry charges **zero
-simulated cycles**, every hook site is skipped when ``vm.metrics is
-None`` (the default), and benchmark tables are byte-identical with
-telemetry on or off.
+The per-VM counter families are **views** of the VM's store (the event
+tally of :mod:`repro.core.events`, :class:`repro.stats.TraceStats` and
+the trace cache), computed whenever the registry is read, so they
+cannot drift and nothing on the run-time path updates them; a registry
+attached after the VM has run reports counts since VM start.  Levels
+(ledger cycles, cache residency, store size) are sampled by
+**collectors** at snapshot time.  Direct instruments remain only for
+facts with no other home: the pycompile wall histogram, the
+supervisor's jobs, billing, queue depth and meter polls, and the fleet
+gauges.  The registry charges **zero simulated cycles**.
 
 Exports: :meth:`MetricsRegistry.snapshot` (JSON document, schema v1,
 CLI ``--metrics-json``) and :meth:`MetricsRegistry.to_prometheus`
@@ -84,6 +78,8 @@ class _Instrument:
         self.name = name
         self.help = help
         self.label_names = tuple(label_names)
+        #: The owning registry, whose views refresh before a read.
+        self.registry: Optional["MetricsRegistry"] = None
 
     def _key(self, labels: dict) -> Tuple[str, ...]:
         if len(labels) != len(self.label_names):
@@ -112,11 +108,15 @@ class Counter(_Instrument):
         self.values[key] = self.values.get(key, 0) + amount
 
     def value(self, **labels) -> float:
+        if self.registry is not None:
+            self.registry.refresh()
         return self.values.get(self._key(labels), 0)
 
     @property
     def total(self) -> float:
         """Sum over every series of the family."""
+        if self.registry is not None:
+            self.registry.refresh()
         return sum(self.values.values())
 
     def series(self) -> List[dict]:
@@ -231,7 +231,7 @@ def _num(value) -> str:
 
 
 class MetricsRegistry:
-    """All instruments of one VM, plus the event fold and collectors.
+    """All instruments of one VM, plus its views and collectors.
 
     Attach with :meth:`repro.vm.VM.enable_metrics`; the full instrument
     catalogue is pre-registered here so hook sites grab attributes
@@ -241,6 +241,7 @@ class MetricsRegistry:
 
     def __init__(self):
         self._instruments: Dict[str, _Instrument] = {}
+        self._views: List[Callable[["MetricsRegistry"], None]] = []
         self._collectors: List[Callable[["MetricsRegistry"], None]] = []
 
         # -- monitor / dispatch ------------------------------------------------
@@ -502,6 +503,7 @@ class MetricsRegistry:
                 )
             return existing
         self._instruments[instrument.name] = instrument
+        instrument.registry = self
         return instrument
 
     def counter(self, name, help, label_names=()) -> Counter:
@@ -513,6 +515,11 @@ class MetricsRegistry:
     def histogram(self, name, help, buckets, label_names=()) -> Histogram:
         return self._register(Histogram(name, help, buckets, label_names))
 
+    def add_view(self, fn: Callable[["MetricsRegistry"], None]) -> None:
+        """Register a function that recomputes counter families (and
+        histograms) from their home whenever the registry is read."""
+        self._views.append(fn)
+
     def add_collector(self, fn: Callable[["MetricsRegistry"], None]) -> None:
         """Register a sampler run before every snapshot/exposition.
 
@@ -521,86 +528,16 @@ class MetricsRegistry:
         """
         self._collectors.append(fn)
 
+    def refresh(self) -> None:
+        """Recompute every view family from its home."""
+        for view in self._views:
+            view(self)
+
     def collect(self) -> None:
+        """Refresh the views and sample every gauge."""
+        self.refresh()
         for collector in self._collectors:
             collector(self)
-
-    # -- the event fold ----------------------------------------------------------
-
-    def apply_event(self, event) -> None:
-        """Fold one :class:`repro.core.events.TraceEvent` into counters.
-
-        Subscribed by :meth:`repro.vm.VM.enable_metrics` exactly like
-        the stats fold, so lifecycle counters share the stats counters'
-        single source of truth.
-        """
-        kind = event.kind
-        payload = event.payload
-        if kind == eventkind.SIDE_EXIT:
-            self.side_exits.inc(1, kind=payload.get("exit_kind", "?"))
-        elif kind == eventkind.RECORD_START:
-            self.recordings.inc(1, fragment=payload.get("fragment", "?"))
-        elif kind == eventkind.RECORD_ABORT:
-            self.record_aborts.inc(1, reason=payload.get("reason", "?"))
-        elif kind == eventkind.COMPILE:
-            self.compiles.inc(1, fragment=payload.get("fragment", "?"))
-            self.compiled_code_bytes.inc(payload.get("code_size", 0))
-        elif kind == eventkind.LINK:
-            self.fragments_linked.inc(1, fragment=payload.get("fragment", "?"))
-        elif kind == eventkind.UNSTABLE_LINK:
-            self.unstable_links.inc()
-        elif kind == eventkind.BACKOFF:
-            self.backoffs.inc()
-        elif kind == eventkind.BLACKLIST:
-            self.blacklists.inc()
-        elif kind == eventkind.FLUSH:
-            reason = payload.get("reason", "?")
-            self.cache_flushes.inc(1, reason=reason)
-            self.fragments_retired.inc(
-                payload.get("fragments", 0), reason=f"flush:{reason}"
-            )
-        elif kind == eventkind.PEER_OVERFLOW:
-            self.capacity_refusals.inc(1, kind="peer-overflow")
-        elif kind == eventkind.BRANCH_CAP:
-            self.capacity_refusals.inc(1, kind="branch-cap")
-        elif kind == eventkind.JIT_INTERNAL_FAILURE:
-            self.firewall_trips.inc(1, boundary=payload.get("boundary", "?"))
-        elif kind == eventkind.SAFE_MODE:
-            self.safe_mode_entries.inc()
-        elif kind == eventkind.FAULT_INJECTED:
-            self.faults_injected.inc(1, site=payload.get("site", "?"))
-        elif kind == eventkind.SCRIPT_DEADLINE:
-            self.guest_faults.inc(1, kind="deadline")
-        elif kind == eventkind.QUOTA_EXCEEDED:
-            self.guest_faults.inc(1, kind="quota")
-            self.quota_breaches.inc(1, resource=payload.get("resource", "?"))
-        elif kind == eventkind.SCRIPT_CANCELLED:
-            self.guest_faults.inc(1, kind="cancelled")
-        elif kind == eventkind.JOB_RETRIED:
-            self.job_retries.inc(1, tenant=payload.get("tenant", "?"))
-        elif kind == eventkind.TENANT_PROBATION:
-            self.tenant_probations.inc(
-                1,
-                tenant=payload.get("tenant", "?"),
-                phase=payload.get("phase", "?"),
-            )
-        elif kind == eventkind.JOB_SHED:
-            self.fleet_sheds.inc(
-                1,
-                tenant=payload.get("tenant", "?"),
-                reason=payload.get("reason", "?"),
-            )
-        elif kind == eventkind.WORK_STOLEN:
-            self.fleet_steals.inc(1, thief=payload.get("thief", "?"))
-        elif kind == eventkind.WORKER_RESPAWN:
-            self.fleet_respawns.inc(1, reason=payload.get("reason", "?"))
-        elif kind == eventkind.STORE_LOAD:
-            self.store_loads.inc(1, result=payload.get("result", "?"))
-        elif kind == eventkind.STORE_FALLBACK:
-            if payload.get("boundary") == "store.load":
-                self.store_load_failures.inc(1, reason=payload.get("reason", "?"))
-        elif kind == eventkind.STORE_SAVE:
-            self.store_saves.inc()
 
     # -- export ------------------------------------------------------------------
 
@@ -645,7 +582,10 @@ class MetricsRegistry:
 
         The supervisor diffs two of these around a job attempt to build
         the per-job metrics delta carried on :class:`repro.exec.JobResult`.
+        Refreshes the counter views only: gauges are not sampled (the
+        store gauges read the manifest from disk).
         """
+        self.refresh()
         flat: Dict[str, float] = {}
         for instrument in self._instruments.values():
             if instrument.kind != "counter":
@@ -665,8 +605,105 @@ class MetricsRegistry:
         return out
 
 
+# -- views --------------------------------------------------------------------------
+
+#: ``(family, event kind, key map)``: the family's series are the kind's
+#: tally, each tally key turned into label values by the map (``None``
+#: keeps the key; a map returning ``None`` drops it).  Series exist
+#: exactly when their fact has happened, as if counted at each site.
+EVENT_VIEWS = (
+    ("repro_recordings_total", eventkind.RECORD_START, None),
+    ("repro_record_aborts_total", eventkind.RECORD_ABORT, None),
+    ("repro_compiles_total", eventkind.COMPILE, None),
+    ("repro_side_exits_total", eventkind.SIDE_EXIT, None),
+    # Every side exit surfaces its exit tuple to the monitor.
+    ("repro_exit_surfacings_total", eventkind.SIDE_EXIT, None),
+    ("repro_unstable_links_total", eventkind.UNSTABLE_LINK, None),
+    ("repro_backoffs_total", eventkind.BACKOFF, None),
+    ("repro_blacklists_total", eventkind.BLACKLIST, None),
+    ("repro_capacity_refusals_total", eventkind.PEER_OVERFLOW,
+     lambda key: ("peer-overflow",)),
+    ("repro_capacity_refusals_total", eventkind.BRANCH_CAP,
+     lambda key: ("branch-cap",)),
+    ("repro_fragments_linked_total", eventkind.LINK, None),
+    ("repro_cache_flushes_total", eventkind.FLUSH, None),
+    ("repro_firewall_trips_total", eventkind.JIT_INTERNAL_FAILURE, None),
+    # A pycompile failure is a firewall trip at the pycompile boundary.
+    ("repro_pycompile_failures_total", eventkind.JIT_INTERNAL_FAILURE,
+     lambda key: () if key == ("pycompile",) else None),
+    ("repro_safe_mode_entries_total", eventkind.SAFE_MODE, None),
+    ("repro_faults_injected_total", eventkind.FAULT_INJECTED, None),
+    ("repro_guest_faults_total", eventkind.SCRIPT_DEADLINE,
+     lambda key: ("deadline",)),
+    ("repro_guest_faults_total", eventkind.QUOTA_EXCEEDED,
+     lambda key: ("quota",)),
+    ("repro_guest_faults_total", eventkind.SCRIPT_CANCELLED,
+     lambda key: ("cancelled",)),
+    ("repro_quota_breaches_total", eventkind.QUOTA_EXCEEDED, None),
+    ("repro_job_retries_total", eventkind.JOB_RETRIED, None),
+    ("repro_tenant_probations_total", eventkind.TENANT_PROBATION, None),
+    ("repro_fleet_sheds_total", eventkind.JOB_SHED, None),
+    ("repro_fleet_steals_total", eventkind.WORK_STOLEN, None),
+    ("repro_fleet_respawns_total", eventkind.WORKER_RESPAWN, None),
+    ("repro_store_loads_total", eventkind.STORE_LOAD, None),
+    ("repro_store_load_failures_total", eventkind.STORE_FALLBACK,
+     lambda key: key[1:] if key[0] == "store.load" else None),
+    ("repro_store_saves_total", eventkind.STORE_SAVE, None),
+)
+
+#: Gauges the fleet sets itself, and gauges of a resource its workers
+#: share (one trace-store directory, sampled from one worker).
+FLEET_GAUGES = ("repro_fleet_workers", "repro_fleet_worker_queue_depth")
+SHARED_GAUGES = ("repro_store_entries", "repro_store_bytes")
+
+
+def stream_series(stream) -> Dict[str, dict]:
+    """The event-view families of one stream, from its tally."""
+    series: Dict[str, dict] = {}
+    for name, kind, key_map in EVENT_VIEWS:
+        for key, count in stream.tally.get(kind, {}).items():
+            labels = key if key_map is None else key_map(key)
+            if labels is not None:
+                family = series.setdefault(name, {})
+                labels = tuple(str(value) for value in labels)
+                family[labels] = family.get(labels, 0) + count
+    return series
+
+
+def vm_series(vm) -> Dict[str, dict]:
+    """The per-VM counter families of ``vm`` that have series: its
+    stream's event views plus the facts kept in its stats and cache."""
+    series = stream_series(vm.events)
+    tracing = vm.stats.tracing
+    monitor = getattr(vm, "monitor", None)
+    for reason, count in tracing.flush_retired.items():
+        series.setdefault("repro_fragments_retired_total", {})[
+            ("flush:" + reason,)] = count
+    for reason, count in (monitor.cache.invalidated if monitor else {}).items():
+        series.setdefault("repro_fragments_retired_total", {})[
+            ("invalidate:" + reason,)] = count
+    if eventkind.COMPILE in vm.events.tally:
+        series["repro_compiled_code_bytes_total"] = {
+            (): tracing.compiled_code_bytes}
+    for name, key, value in (
+        ("repro_trace_lookups_total", ("hit",), tracing.lookup_hits),
+        ("repro_trace_lookups_total", ("miss",), tracing.loops_seen),
+        ("repro_fragment_transfers_total", ("direct",),
+         tracing.direct_transfers),
+        ("repro_fragment_transfers_total", ("stitched",),
+         tracing.driver_transfers),
+        ("repro_pycompile_fragments_total", (),
+         tracing.pycompile_fragments + tracing.pycompile_tree_builds),
+    ):
+        if value:
+            series.setdefault(name, {})[key] = value
+    return series
+
+
 def attach_vm_collector(registry: MetricsRegistry, vm) -> None:
-    """Sample ledger and cache levels into gauges at snapshot time."""
+    """Compute the per-VM counter families from ``vm``'s store, and
+    sample its ledger, cache and store levels into gauges, whenever the
+    registry is read."""
 
     def _collect(reg: MetricsRegistry) -> None:
         for activity, cycles in vm.stats.ledger.by_activity.items():
@@ -683,7 +720,44 @@ def attach_vm_collector(registry: MetricsRegistry, vm) -> None:
             reg.store_entries.set(entries)
             reg.store_bytes.set(nbytes)
 
+    def _view(reg: MetricsRegistry) -> None:
+        # Counts only grow, so a family without series here has none.
+        for name, values in vm_series(vm).items():
+            reg._instruments[name].values = values
+
+    registry.add_view(_view)
     registry.add_collector(_collect)
+
+
+def attach_fleet_views(registry: MetricsRegistry, stream,
+                       worker_registries: Callable[[], List[MetricsRegistry]]
+                       ) -> None:
+    """Fill a fleet registry: every family but the fleet's own gauges is
+    the fleet stream's event view plus the series of every worker
+    registry — live and replaced — summed per label set."""
+
+    def _merge(reg: MetricsRegistry, kinds, refresh) -> None:
+        workers = worker_registries()
+        for worker in workers:
+            refresh(worker)
+        series = stream_series(stream) if "counter" in kinds else {}
+        for name, instrument in reg._instruments.items():
+            if instrument.kind not in kinds or name in FLEET_GAUGES:
+                continue
+            values = dict(series.get(name, {}))
+            for worker in workers[:1] if name in SHARED_GAUGES else workers:
+                for key, value in worker._instruments[name].values.items():
+                    if isinstance(value, list):  # histogram cells
+                        old = values.get(key, [0] * len(value))
+                        values[key] = [a + b for a, b in zip(old, value)]
+                    else:
+                        values[key] = values.get(key, 0) + value
+            instrument.values = values
+
+    registry.add_view(lambda reg: _merge(
+        reg, ("counter", "histogram"), MetricsRegistry.refresh))
+    registry.add_collector(lambda reg: _merge(
+        reg, ("gauge",), MetricsRegistry.collect))
 
 
 def write_metrics_json(registry: MetricsRegistry, path: str,

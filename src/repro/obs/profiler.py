@@ -28,14 +28,22 @@ simulated cycle counts are bit-identical to an unprofiled run.
 
 Beyond the timeline the profiler owns the **per-fragment runtime
 profiles**: one :class:`LoopProfile` per trace tree (entries,
-iterations, cycles-on-trace) holding one :class:`GuardProfile` per
-side exit actually taken (exit counts, stitched transfers, and
-pc -> source-line attribution via the bytecode's line table).  Profiles
-outlive cache flushes — a retired tree's history is still reported.
+iterations, cycles-on-trace, compile wall) holding one
+:class:`GuardProfile` per side exit actually taken (exit counts,
+stitched transfers, and pc -> source-line attribution via the
+bytecode's line table).  Profiles outlive cache flushes — a retired
+tree's history is still reported.
+
+The profiler keeps attribution only.  The profile document's counter
+sections (``optimizer``, ``pycompile`` counts, ``transitions``,
+``firewall`` trips) are views of the VM's stats, event tally and
+firewall, so they report counts since VM start even for a profiler
+attached late.
 """
 
 from __future__ import annotations
 
+import collections
 import time
 from typing import Dict, List, Optional
 
@@ -224,24 +232,8 @@ class PhaseProfiler:
         #: Forward-pipeline observation (LIR emitted vs surviving filters).
         self.lir_emitted = 0
         self.lir_retained = 0
-        #: Whole-trace optimizer totals (per-pass removal counters).
-        self.opt_cse_removed = 0
-        self.opt_guards_eliminated = 0
-        self.opt_hoisted = 0
         self._loops: Dict[int, LoopProfile] = {}
         self._loop_order: List[LoopProfile] = []
-        #: Firewall trips by boundary (record / compile / native / ...).
-        self.firewall_trips: Dict[str, int] = {}
-        #: Python-backend compilations: fragment functions, direct-link
-        #: megafunction builds, and the wall seconds of both.
-        self.pycompile_count = 0
-        self.pycompile_tree_builds = 0
-        self.pycompile_wall = 0.0
-        #: Fragment-to-fragment transfers that stayed native, split by
-        #: how: inside a direct-linked megafunction vs mediated by the
-        #: backend driver's stitch loop.
-        self.transfers_direct = 0
-        self.transfers_stitched = 0
         #: Cycle count at the safe-mode transition (None = never tripped).
         #: Everything after it accrues to interpret/monitor phases, so
         #: the Figure 12 fractions stay partition-exact across the flip.
@@ -399,17 +391,9 @@ class PhaseProfiler:
             return
         self.guard_profile(exit).exits += 1
 
-    def record_stitch(self, exit, direct: bool = False) -> None:
-        """One guard failure that transferred into a branch trace.
-
-        ``direct`` distinguishes transfers taken inside a direct-linked
-        megafunction from ones mediated by the driver's stitch loop;
-        the per-guard ``stitched`` total counts both.
-        """
-        if direct:
-            self.transfers_direct += 1
-        else:
-            self.transfers_stitched += 1
+    def record_stitch(self, exit) -> None:
+        """One guard failure that transferred into a branch trace (inside
+        a direct-linked megafunction or through the driver's stitch loop)."""
         if exit.tree is None:
             return
         self.guard_profile(exit).stitched += 1
@@ -419,27 +403,9 @@ class PhaseProfiler:
         self.lir_emitted += emitted
         self.lir_retained += retained
 
-    def record_opt(self, opt_stats) -> None:
-        """Whole-trace pass-manager totals for one compiled fragment."""
-        if opt_stats is None:
-            return
-        self.opt_cse_removed += opt_stats.cse_removed
-        self.opt_guards_eliminated += opt_stats.guards_eliminated
-        self.opt_hoisted += opt_stats.hoisted
-
-    def note_firewall_trip(self, boundary: str) -> None:
-        """One contained internal JIT failure at ``boundary``."""
-        self.firewall_trips[boundary] = self.firewall_trips.get(boundary, 0) + 1
-
-    def note_pycompile(self, tree, seconds: float,
-                       tree_build: bool = False) -> None:
-        """One fragment function (or, with ``tree_build``, one
-        megafunction) compiled to Python for ``tree`` (wall cost)."""
-        if tree_build:
-            self.pycompile_tree_builds += 1
-        else:
-            self.pycompile_count += 1
-        self.pycompile_wall += seconds
+    def note_pycompile(self, tree, seconds: float) -> None:
+        """One fragment function or megafunction compiled to Python for
+        ``tree`` (wall cost)."""
         self.loop_profile(tree).compile_wall += seconds
 
     def note_safe_mode(self) -> None:
@@ -465,8 +431,14 @@ class PhaseProfiler:
 
     @property
     def total_side_exits(self) -> int:
-        """Sum of per-guard monitor exits (equals the event-stream fold)."""
+        """Sum of per-guard monitor exits (equals the event tally)."""
         return sum(loop.total_exits for loop in self._loop_order)
+
+    @property
+    def pycompile_wall(self) -> float:
+        """Wall seconds of every Python compilation (per-loop sum)."""
+        return sum(loop.compile_wall for loop in self._loop_order)
+
 
     # -- results -----------------------------------------------------------------
 
@@ -505,6 +477,8 @@ class PhaseProfiler:
     def to_dict(self, program: Optional[str] = None) -> dict:
         """The full profile document (see docs/INTERNALS.md for the schema)."""
         fractions = self.phase_fractions()
+        tracing = self.vm.stats.tracing
+        firewall = getattr(self.vm, "firewall", None)
         return {
             "schema_version": PROFILE_SCHEMA_VERSION,
             "program": program,
@@ -529,22 +503,24 @@ class PhaseProfiler:
             ],
             "lir": {"emitted": self.lir_emitted, "retained": self.lir_retained},
             "optimizer": {
-                "cse_removed": self.opt_cse_removed,
-                "guards_eliminated": self.opt_guards_eliminated,
-                "ops_hoisted": self.opt_hoisted,
+                "cse_removed": tracing.opt_cse_removed,
+                "guards_eliminated": tracing.opt_guards_eliminated,
+                "ops_hoisted": tracing.opt_hoisted,
             },
             "pycompile": {
-                "fragments": self.pycompile_count,
-                "tree_builds": self.pycompile_tree_builds,
+                "fragments": tracing.pycompile_fragments,
+                "tree_builds": tracing.pycompile_tree_builds,
                 "wall_seconds": self.pycompile_wall,
             },
             "transitions": {
-                "direct_transfers": self.transfers_direct,
-                "monitor_stitched": self.transfers_stitched,
-                "exit_surfacings": self.total_side_exits,
+                "direct_transfers": tracing.direct_transfers,
+                "monitor_stitched": tracing.driver_transfers,
+                "exit_surfacings": tracing.side_exits_taken,
             },
             "firewall": {
-                "trips": dict(self.firewall_trips),
+                "trips": dict(collections.Counter(
+                    trip[0] for trip in (firewall.trips if firewall else ())
+                )),
                 "safe_mode_at": self.safe_mode_at,
             },
             "timeline": {

@@ -1,7 +1,8 @@
 """Human-readable profile reports: phase breakdown, hot loops, deopt sites.
 
 Renders the data collected by :class:`repro.obs.profiler.PhaseProfiler`
-into the tables the paper's evaluation leans on:
+(and, for the transition and optimizer totals, the VM's stats) into the
+tables the paper's evaluation leans on:
 
 * the **phase breakdown** is Figure 12 for one program (cycle fraction
   per VM phase, guaranteed to sum to 1);
@@ -115,12 +116,12 @@ def profile_report(vm, limit_loops: int = 20, limit_deopts: int = 10) -> str:
         "\n".join(hot_loops_lines(profiler, limit_loops)),
         "\n".join(deopt_sites_lines(profiler, limit_deopts)),
     ]
-    transfers = profiler.transfers_direct + profiler.transfers_stitched
-    if transfers or profiler.total_side_exits:
+    tracing = vm.stats.tracing
+    if tracing.stitched_transfers or tracing.side_exits_taken:
         sections.append(
-            f"trace transitions: {profiler.transfers_direct:,} direct "
-            f"(linked in the megafunction), {profiler.transfers_stitched:,} "
-            f"monitor-stitched, {profiler.total_side_exits:,} exits "
+            f"trace transitions: {tracing.direct_transfers:,} direct "
+            f"(linked in the megafunction), {tracing.driver_transfers:,} "
+            f"monitor-stitched, {tracing.side_exits_taken:,} exits "
             f"surfaced to the interpreter"
         )
     if profiler.lir_emitted:
@@ -130,14 +131,14 @@ def profile_report(vm, limit_loops: int = 20, limit_deopts: int = 10) -> str:
             f"{profiler.lir_retained:,} retained ({kept:.1%})"
         )
     if (
-        profiler.opt_cse_removed
-        or profiler.opt_guards_eliminated
-        or profiler.opt_hoisted
+        tracing.opt_cse_removed
+        or tracing.opt_guards_eliminated
+        or tracing.opt_hoisted
     ):
         sections.append(
-            f"trace optimizer: {profiler.opt_cse_removed:,} instructions CSE'd, "
-            f"{profiler.opt_guards_eliminated:,} guards eliminated, "
-            f"{profiler.opt_hoisted:,} ops hoisted"
+            f"trace optimizer: {tracing.opt_cse_removed:,} instructions CSE'd, "
+            f"{tracing.opt_guards_eliminated:,} guards eliminated, "
+            f"{tracing.opt_hoisted:,} ops hoisted"
         )
     return "\n\n".join(sections)
 

@@ -8,8 +8,7 @@ retries punctuated it.  This module records that as spans:
 * a **span** is a named interval on a track (job, attempt, phase) with
   a parent, opened and closed by hooks in the supervisor and VM;
 * an **instant** is a point event (side exit, abort, flush, guest
-  fault, retry) folded from the existing event stream, exactly like the
-  stats and metrics folds;
+  fault, retry) drawn from the existing event stream by a subscriber;
 * the VM's **phase spans** (interpret/record/compile/native/...) are
   not re-instrumented — they are derived from the phase profiler's
   retained timeline intervals, so both views share one source of truth.
@@ -171,8 +170,8 @@ class SpanRecorder:
     # -- the event fold ----------------------------------------------------------
 
     def apply_event(self, event) -> None:
-        """Fold one trace event into an instant marker (same idiom as
-        the stats and metrics folds; subscribed by ``enable_span_tracing``)."""
+        """Draw one trace event as an instant marker (subscribed by
+        ``enable_span_tracing``)."""
         mapping = _INSTANT_KINDS.get(event.kind)
         if mapping is None:
             return

@@ -8,14 +8,12 @@ Three consumers:
   branch traces attached, aborts, blacklistings, side exits, ...);
 * the trace cache reports its lifecycle (flushes, retired fragments).
 
-Lifecycle counters are a **fold over the structured event stream**
-(:mod:`repro.core.events`): the VM subscribes
-:meth:`TraceStats.apply_event` to its stream, and every recording /
-compile / link / side-exit / blacklist / flush event updates the
-counters here.  Only per-bytecode and per-instruction figures that are
-too hot for event dispatch (``loops_seen``, ``trace_entries``,
-``stitched_transfers``, ``loop_iterations_native``, ...) are still
-incremented directly.
+Every VM fact has one home: event counts live in the VM stream's tally
+(:mod:`repro.core.events`), which :class:`TraceStats` reads by name;
+:meth:`TraceStats.apply_event` folds only what is not a count (payload
+sums, unstable roots, safe mode); per-iteration figures are plain ints
+incremented at their one site.  ``--stats``, the profile's counter
+sections and the per-VM metrics families are views of this store.
 """
 
 from __future__ import annotations
@@ -59,32 +57,43 @@ class ExecutionProfile:
         return self.interpreted / total
 
 
+def _tallied(kind: str, *labels):
+    """A read-only :class:`TraceStats` counter: the events of ``kind`` in
+    the stream's tally (with ``labels``, only those under that key)."""
+
+    def count(stats) -> int:
+        by_label = stats.tally.get(kind, {})
+        return by_label.get(labels, 0) if labels else sum(by_label.values())
+
+    return property(count)
+
+
 @dataclass
 class TraceStats:
     """Counters for tracing events.
 
-    The lifecycle counters (recordings, compiles, links, side exits,
-    blacklistings, cache flushes) are maintained by :meth:`apply_event`
-    folding the VM's event stream; the rest are direct.
+    The event counters (recordings, compiles, links, side exits,
+    blacklistings, cache flushes, ...) read the tally of the stream
+    :meth:`attach` bound; the rest are plain ints.
     """
 
+    #: The bound stream's tally (see :meth:`attach`).
+    tally: Dict[str, Dict[tuple, int]] = field(default_factory=dict)
     loops_seen: int = 0
-    recordings_started: int = 0
-    traces_completed: int = 0
-    traces_aborted: int = 0
-    abort_reasons: Dict[str, int] = field(default_factory=dict)
-    trees_formed: int = 0
-    branch_traces: int = 0
+    #: Monitor lookups at a loop header that found a matching tree (the
+    #: lookups that found none are ``loops_seen``).
+    lookup_hits: int = 0
     unstable_traces: int = 0
-    unstable_links: int = 0
     tree_calls_recorded: int = 0
     tree_calls_executed: int = 0
     trace_entries: int = 0
-    side_exits_taken: int = 0
-    stitched_transfers: int = 0
+    #: Transfers into a branch trace mediated by the backend driver's
+    #: stitch loop (``NativeMachine._stitch``).
+    driver_transfers: int = 0
+    #: Transfers into a branch trace inlined in a direct-linked
+    #: megafunction (py backend).
+    direct_transfers: int = 0
     loop_iterations_native: int = 0
-    blacklisted: int = 0
-    backoffs: int = 0
     oracle_marks: int = 0
     guards_emitted: int = 0
     deep_bails: int = 0
@@ -93,27 +102,64 @@ class TraceStats:
     opt_cse_removed: int = 0
     opt_guards_eliminated: int = 0
     opt_hoisted: int = 0
-    fragments_linked: int = 0
-    fragments_retired: int = 0
-    cache_flushes: int = 0
-    peer_overflows: int = 0
-    branch_caps: int = 0
-    internal_failures: int = 0
-    faults_injected: int = 0
+    #: Simulated native code bytes emitted (COMPILE payload sum).
+    compiled_code_bytes: int = 0
+    #: Flush reason -> fragments those flushes retired (FLUSH payload sum).
+    flush_retired: Dict[str, int] = field(default_factory=dict)
+    #: Python functions compiled by the py backend: fragment functions
+    #: and direct-link megafunction builds.
+    pycompile_fragments: int = 0
+    pycompile_tree_builds: int = 0
     safe_mode: bool = False
-    script_deadlines: int = 0
-    quota_breaches: int = 0
-    script_cancels: int = 0
-    jobs_retried: int = 0
+
+    recordings_started = _tallied(eventkind.RECORD_START)
+    traces_completed = _tallied(eventkind.COMPILE)
+    traces_aborted = _tallied(eventkind.RECORD_ABORT)
+    trees_formed = _tallied(eventkind.COMPILE, "root")
+    branch_traces = _tallied(eventkind.COMPILE, "branch")
+    unstable_links = _tallied(eventkind.UNSTABLE_LINK)
+    side_exits_taken = _tallied(eventkind.SIDE_EXIT)
+    blacklisted = _tallied(eventkind.BLACKLIST)
+    backoffs = _tallied(eventkind.BACKOFF)
+    fragments_linked = _tallied(eventkind.LINK)
+    cache_flushes = _tallied(eventkind.FLUSH)
+    peer_overflows = _tallied(eventkind.PEER_OVERFLOW)
+    branch_caps = _tallied(eventkind.BRANCH_CAP)
+    internal_failures = _tallied(eventkind.JIT_INTERNAL_FAILURE)
+    faults_injected = _tallied(eventkind.FAULT_INJECTED)
+    script_deadlines = _tallied(eventkind.SCRIPT_DEADLINE)
+    quota_breaches = _tallied(eventkind.QUOTA_EXCEEDED)
+    script_cancels = _tallied(eventkind.SCRIPT_CANCELLED)
+    jobs_retried = _tallied(eventkind.JOB_RETRIED)
+
+    def attach(self, stream) -> None:
+        """Read event counts from ``stream``'s tally and fold its payload
+        sums (called once, by the VM that owns both)."""
+        self.tally = stream.tally
+        stream.subscribe(self.apply_event)
+
+    @property
+    def stitched_transfers(self) -> int:
+        """Every transfer into a branch trace that stayed native."""
+        return self.driver_transfers + self.direct_transfers
+
+    @property
+    def fragments_retired(self) -> int:
+        """Fragments retired by whole-cache flushes."""
+        return sum(self.flush_retired.values())
+
+    @property
+    def abort_reasons(self) -> Dict[str, int]:
+        """Recording aborts per reason, in first-seen order."""
+        return {
+            key[0]: count
+            for key, count in self.tally.get(eventkind.RECORD_ABORT, {}).items()
+        }
 
     @property
     def guest_faults(self) -> int:
         """Total resource-policy violations by the guest program."""
         return self.script_deadlines + self.quota_breaches + self.script_cancels
-
-    def count_abort(self, reason: str) -> None:
-        self.traces_aborted += 1
-        self.abort_reasons[reason] = self.abort_reasons.get(reason, 0) + 1
 
     def top_abort_reasons(self, limit: int = 3) -> List[tuple]:
         """The most frequent abort reasons, ``(reason, count)`` pairs."""
@@ -122,58 +168,27 @@ class TraceStats:
         )
         return ranked[:limit]
 
-    # -- the event fold ----------------------------------------------------------
+    # -- the payload fold --------------------------------------------------------
 
     def apply_event(self, event) -> None:
-        """Fold one :class:`repro.core.events.TraceEvent` into the counters."""
+        """Fold what one event carries beyond its count."""
         kind = event.kind
-        if kind == eventkind.SIDE_EXIT:
-            self.side_exits_taken += 1
-        elif kind == eventkind.RECORD_START:
-            self.recordings_started += 1
-        elif kind == eventkind.RECORD_ABORT:
-            self.count_abort(event.payload["reason"])
-        elif kind == eventkind.COMPILE:
-            self.traces_completed += 1
+        if kind == eventkind.COMPILE:
             payload = event.payload
             self.opt_cse_removed += payload.get("cse", 0)
             self.opt_guards_eliminated += payload.get("guards_elim", 0)
             self.opt_hoisted += payload.get("hoisted", 0)
-            if event.payload["fragment"] == "root":
-                self.trees_formed += 1
-                if event.payload.get("status") == "unstable":
-                    self.unstable_traces += 1
-            else:
-                self.branch_traces += 1
-        elif kind == eventkind.LINK:
-            self.fragments_linked += 1
-        elif kind == eventkind.UNSTABLE_LINK:
-            self.unstable_links += 1
-        elif kind == eventkind.BACKOFF:
-            self.backoffs += 1
-        elif kind == eventkind.BLACKLIST:
-            self.blacklisted += 1
+            self.compiled_code_bytes += payload.get("code_size", 0)
+            if payload["fragment"] == "root" and payload.get("status") == "unstable":
+                self.unstable_traces += 1
         elif kind == eventkind.FLUSH:
-            self.cache_flushes += 1
-            self.fragments_retired += event.payload.get("fragments", 0)
-        elif kind == eventkind.PEER_OVERFLOW:
-            self.peer_overflows += 1
-        elif kind == eventkind.BRANCH_CAP:
-            self.branch_caps += 1
-        elif kind == eventkind.JIT_INTERNAL_FAILURE:
-            self.internal_failures += 1
-        elif kind == eventkind.FAULT_INJECTED:
-            self.faults_injected += 1
+            reason = event.payload.get("reason", "?")
+            self.flush_retired[reason] = (
+                self.flush_retired.get(reason, 0)
+                + event.payload.get("fragments", 0)
+            )
         elif kind == eventkind.SAFE_MODE:
             self.safe_mode = True
-        elif kind == eventkind.SCRIPT_DEADLINE:
-            self.script_deadlines += 1
-        elif kind == eventkind.QUOTA_EXCEEDED:
-            self.quota_breaches += 1
-        elif kind == eventkind.SCRIPT_CANCELLED:
-            self.script_cancels += 1
-        elif kind == eventkind.JOB_RETRIED:
-            self.jobs_retried += 1
 
 
 @dataclass
@@ -186,9 +201,6 @@ class VMStats:
     #: The attached :class:`repro.obs.profiler.PhaseProfiler`, when the
     #: VM enabled profiling (set by :meth:`repro.vm.VM.enable_profiling`).
     profiler: object = None
-    #: The attached :class:`repro.obs.metrics.MetricsRegistry`, when the
-    #: VM enabled metrics (set by :meth:`repro.vm.VM.enable_metrics`).
-    metrics: object = None
 
     @property
     def total_cycles(self) -> int:

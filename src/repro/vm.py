@@ -39,11 +39,10 @@ class VMConfig:
       cache may hold; on overflow the whole cache is flushed, like
       nanojit's code cache (0 = unlimited);
     * ``capture_events`` — retain the structured trace-lifecycle event
-      stream for JSONL export (events are always *dispatched* to the
-      stats fold; capture only controls retention);
+      stream for JSONL export (events are always *tallied* and
+      dispatched; capture only controls retention);
     * ``profile`` — attach a :class:`repro.obs.profiler.PhaseProfiler`
-      at construction (``profile_timeline`` additionally retains the
-      interval timeline for the TraceVis-style renderers);
+      at construction;
     * ``enable_jit_firewall`` / ``max_internal_failures`` — the JIT
       firewall (:mod:`repro.hardening`) contains internal JIT failures
       and, after ``max_internal_failures`` trips, flips the VM into
@@ -66,17 +65,8 @@ class VMConfig:
     max_peer_trees: int = 12
     max_branch_traces: int = 64
     code_cache_budget: int = 0
-    enable_cache_flush: bool = True
     capture_events: bool = False
     profile: bool = False
-    profile_timeline: bool = False
-    #: Attach a :class:`repro.obs.metrics.MetricsRegistry` at
-    #: construction (``--metrics-json`` / ``--metrics-prom``).
-    metrics: bool = False
-    #: Attach a :class:`repro.obs.spans.SpanRecorder` at construction
-    #: (``--trace-export``); implies profiling with the timeline on, so
-    #: the exported trace has the VM phase lane.
-    spans: bool = False
     enable_tracing: bool = True
     enable_nesting: bool = True
     enable_oracle: bool = True
@@ -103,13 +93,6 @@ class VMConfig:
     #: ``"step"`` interprets the sequence.  Simulated cycles, events,
     #: and stats are byte-identical either way.
     native_backend: str = "py"
-    #: Direct fragment linking (py backend only): compile each trace
-    #: tree to one Python "megafunction" with every LINKED branch
-    #: fragment inlined at its guard site, so hot trunk<->branch
-    #: transitions never surface an exit tuple to the native machine
-    #: or the monitor.  Simulated cycles, stats, and events are
-    #: byte-identical either way (``--no-direct-link`` disables).
-    enable_direct_link: bool = True
     #: Directory of the persistent trace store (``--trace-store DIR``);
     #: None disables warm start.  See :mod:`repro.core.store`.
     trace_store: Optional[str] = None
@@ -134,10 +117,10 @@ class VM(PreemptionMixin):
     def __init__(self, config: Optional[VMConfig] = None):
         self.config = config or VMConfig()
         self.stats = VMStats()
-        #: Structured trace-lifecycle event stream; the stats counters
-        #: are a fold over it (see repro.core.events).
+        #: Structured trace-lifecycle event stream; its tally holds the
+        #: stats' event counters (see repro.core.events).
         self.events = EventStream(capture=self.config.capture_events)
-        self.events.subscribe(self.stats.tracing.apply_event)
+        self.stats.tracing.attach(self.events)
         self.globals: dict = {}
         self.output: List[str] = []
         self._init_preemption()
@@ -147,9 +130,10 @@ class VM(PreemptionMixin):
         #: Optional :class:`repro.obs.profiler.PhaseProfiler`; ``None``
         #: (the default) keeps every hook site to one attribute test.
         self.profiler = None
-        #: Optional :class:`repro.obs.metrics.MetricsRegistry`; same
-        #: contract as the profiler (None by default, one attribute
-        #: test per hook, zero simulated cycles when attached).
+        #: Optional :class:`repro.obs.metrics.MetricsRegistry`; None by
+        #: default.  Its per-VM families are views of the stats and the
+        #: event tally, so no run-time path consults it except the
+        #: pycompile wall histogram; zero simulated cycles always.
         self.metrics = None
         #: Optional :class:`repro.obs.spans.SpanRecorder`; ditto.
         self.span_recorder = None
@@ -192,11 +176,7 @@ class VM(PreemptionMixin):
             )
             self.monitor.cache.store = self.trace_store
         if self.config.profile:
-            self.enable_profiling(timeline=self.config.profile_timeline)
-        if self.config.metrics:
-            self.enable_metrics()
-        if self.config.spans:
-            self.enable_span_tracing()
+            self.enable_profiling()
 
     @property
     def firewall(self):
@@ -226,21 +206,17 @@ class VM(PreemptionMixin):
     def enable_metrics(self):
         """Attach (or return) the VM's live metrics registry.
 
-        The registry folds the event stream for lifecycle counters and
-        samples the ledger / cache gauges at snapshot time; direct hook
-        sites (monitor lookup, pycompile, cache eviction) check
-        ``vm.metrics is not None`` — one attribute test when disabled,
-        zero simulated cycles always.
+        The registry computes its per-VM counter families from the
+        stats and the event tally, and samples the ledger / cache / store
+        gauges, whenever it is read; a registry attached after the VM has
+        run therefore reports counts since VM start.  Zero simulated
+        cycles always.
         """
         if self.metrics is None:
             from repro.obs.metrics import MetricsRegistry, attach_vm_collector
 
             self.metrics = MetricsRegistry()
             attach_vm_collector(self.metrics, self)
-            self.events.subscribe(self.metrics.apply_event)
-            self.stats.metrics = self.metrics
-            if self.monitor is not None:
-                self.monitor.cache.metrics = self.metrics
         return self.metrics
 
     def enable_span_tracing(self):

@@ -180,43 +180,57 @@ def test_exit_after_mid_run_flush_identical_across_backends(stop, monkeypatch):
     assert exit_flushes, "the exiting guard's run must have crossed 4096"
 
 
-#: The execution-strategy knob matrix: direct fragment linking (py
-#: backend megafunctions) off.  The default is covered by the tests
-#: above.
-_KNOB_MATRIX = [
-    {"enable_direct_link": False},
-]
+def _knob_matrix():
+    """The execution-strategy matrix beyond the default: every direct-
+    link megafunction build failing (the ``pycompile.link`` fault site),
+    which leaves each tree on per-fragment dispatch.  The default is
+    covered by the tests above."""
+    from repro.hardening import FaultPlan
+
+    return [{"fault_plan": FaultPlan.parse(["pycompile.link:*"])}]
+
+
+#: Records and summary lines a fault plan adds on purpose.
+_INJECTED_KINDS = (eventkind.FAULT_INJECTED, eventkind.JIT_INTERNAL_FAILURE)
 
 
 def _observables(result, vm):
     return (
         repr(result),
         vm.stats.total_cycles,
-        tuple(vm.stats.summary_lines()),
+        vm.stats.ledger.snapshot(),
+        tuple(
+            line for line in vm.stats.summary_lines()
+            if not line.startswith("jit firewall")
+        ),
         tuple(vm.output),
-        _normalized_events(vm),
+        [pair for pair in _normalized_events(vm)
+         if pair[0] not in _INJECTED_KINDS],
     )
+
+
+def _assert_identical_across_knob_matrix(source: str, name: str):
+    """Every knob combination, on both backends, is observationally
+    identical to the default py-backend run: same result, cycles (total
+    and per activity), summaries, output, and (renumbered) event stream,
+    less what the fault plan itself reports."""
+    baseline = _observables(*_run(source, "py"))
+    for overrides in _knob_matrix():
+        for backend in ("py", "step"):
+            result, vm = _run(source, backend, **overrides)
+            # No megafunction ran: every transfer went through the driver.
+            assert vm.stats.tracing.direct_transfers == 0, name
+            got = _observables(result, vm)
+            assert got == baseline, f"{name}: {backend} {overrides}"
 
 
 @pytest.mark.parametrize("program", PROGRAMS, ids=lambda p: p.name)
 def test_suite_program_identical_across_knob_matrix(program):
-    """Every knob combination, on both backends, is observationally
-    identical to the default py-backend run: same result, cycles,
-    summaries, output, and (renumbered) event stream."""
-    baseline = _observables(*_run(program.source, "py"))
-    for overrides in _KNOB_MATRIX:
-        for backend in ("py", "step"):
-            got = _observables(*_run(program.source, backend, **overrides))
-            assert got == baseline, f"{program.name}: {backend} {overrides}"
+    _assert_identical_across_knob_matrix(program.source, program.name)
 
 
 def test_sieve_identical_across_knob_matrix():
-    source = SIEVE_PATH.read_text()
-    baseline = _observables(*_run(source, "py"))
-    for overrides in _KNOB_MATRIX:
-        for backend in ("py", "step"):
-            got = _observables(*_run(source, backend, **overrides))
-            assert got == baseline, f"sieve.js: {backend} {overrides}"
+    _assert_identical_across_knob_matrix(SIEVE_PATH.read_text(), "sieve.js")
 
 
 def _profiled_run(source: str, backend: str, **overrides):
@@ -239,8 +253,8 @@ def test_backend_used_reflects_config():
     assert all(loop.backend == "py" for loop in vm_py.profiler.loops)
     assert all(loop.backend == "step" for loop in vm_step.profiler.loops)
     # Compile wall time is only spent by the py backend.
-    assert vm_py.profiler.pycompile_count > 0
-    assert vm_step.profiler.pycompile_count == 0
+    assert vm_py.stats.tracing.pycompile_fragments > 0
+    assert vm_step.stats.tracing.pycompile_fragments == 0
 
 
 def test_chaos_pycompile_fault_falls_back_to_step():
@@ -285,7 +299,7 @@ def test_chaos_pycompile_link_fault_falls_back_to_stitching():
 
     source = SIEVE_PATH.read_text()
     clean_result, clean_vm = _profiled_run(source, "py")
-    assert clean_vm.profiler.transfers_direct > 0, "expected direct transfers"
+    assert clean_vm.stats.tracing.direct_transfers > 0, "expected direct transfers"
 
     config = VMConfig()
     config.native_backend = "py"
@@ -302,8 +316,8 @@ def test_chaos_pycompile_link_fault_falls_back_to_stitching():
     # so the loops stay on the py backend with monitor stitching.
     assert vm.profiler.loops
     assert all(loop.backend == "py" for loop in vm.profiler.loops)
-    assert vm.profiler.transfers_direct == 0
-    assert vm.profiler.transfers_stitched > 0
+    assert vm.stats.tracing.direct_transfers == 0
+    assert vm.stats.tracing.driver_transfers > 0
     failures = vm.events.of_kind(eventkind.JIT_INTERNAL_FAILURE)
     assert failures, "injected pycompile.link faults must be reported"
     assert all(e.payload["boundary"] == "pycompile" for e in failures)

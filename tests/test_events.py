@@ -122,9 +122,9 @@ class TestStatsFold:
 
     def test_top_abort_reasons_in_summary(self):
         vm = TracingVM()
-        vm.stats.tracing.count_abort("rare")
+        vm.events.emit(eventkind.RECORD_ABORT, reason="rare")
         for _ in range(5):
-            vm.stats.tracing.count_abort("common")
+            vm.events.emit(eventkind.RECORD_ABORT, reason="common")
         text = "\n".join(vm.stats.summary_lines())
         assert "top abort reasons" in text
         # Ranked by count: the common reason leads.

@@ -375,6 +375,27 @@ class TestFleetObservability:
         assert metrics.fleet_respawns.value(reason="crash") == 1
         assert metrics.fleet_workers.value() == 2
 
+    def test_metrics_include_every_worker_series(self):
+        """The fleet snapshot sums every worker's series: the per-tenant
+        job totals at 2 workers equal a 1-worker run of the same jobs."""
+
+        def jobs_series(workers):
+            with Fleet(workers=workers, capture_metrics=True) as fleet:
+                fleet.run(mixed_jobs(9))
+                doc = fleet.metrics.snapshot(program="fleet")
+            family = next(
+                f for f in doc["counters"] if f["name"] == "repro_jobs_total"
+            )
+            return {
+                (series["labels"]["tenant"], series["labels"]["status"]):
+                    series["value"]
+                for series in family["series"]
+            }
+
+        two = jobs_series(2)
+        assert sum(two.values()) == 9
+        assert two == jobs_series(1)
+
     def test_span_recorder_exports_worker_lanes(self):
         from repro.obs.validate import validate_chrome_trace
 

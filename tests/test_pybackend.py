@@ -86,7 +86,7 @@ def test_megafunction_rebuilds_grow_logarithmically_with_links():
     section = vm.profiler.to_dict()["pycompile"]
     assert 0 < section["tree_builds"] <= 8, section
     # Megafunction builds are not fragment functions.
-    assert section["fragments"] == vm.profiler.pycompile_count
+    assert section["fragments"] == vm.stats.tracing.pycompile_fragments
 
 
 def test_emit_empty_fragment_raises():
@@ -140,7 +140,7 @@ a + b;
     )
     result = vm.run(source)
     assert result.payload == sum(range(300)) + 600
-    assert vm.monitor.cache.flush_count >= 1
+    assert vm.stats.tracing.cache_flushes >= 1
     # Eviction dropped the callables (the eviction-site assertion in
     # TraceCache._check_callables_dropped did not fire), and nothing
     # retired still holds one.

@@ -1,5 +1,7 @@
 """Tests for the cycle ledger, execution profile, and VM stats."""
 
+from repro.core import events as eventkind
+from repro.core.events import EventStream
 from repro.costs import Activity, CycleLedger
 from repro.stats import ExecutionProfile, TraceStats, VMStats
 
@@ -45,9 +47,10 @@ class TestExecutionProfile:
 class TestTraceStats:
     def test_abort_counting(self):
         stats = TraceStats()
-        stats.count_abort("reason-a")
-        stats.count_abort("reason-a")
-        stats.count_abort("reason-b")
+        stream = EventStream()
+        stats.attach(stream)
+        for reason in ("reason-a", "reason-a", "reason-b"):
+            stream.emit(eventkind.RECORD_ABORT, reason=reason)
         assert stats.traces_aborted == 3
         assert stats.abort_reasons == {"reason-a": 2, "reason-b": 1}
 
@@ -55,10 +58,13 @@ class TestTraceStats:
 class TestVMStats:
     def test_summary_lines_render(self):
         stats = VMStats()
+        stream = EventStream()
+        stats.tracing.attach(stream)
         stats.ledger.charge(Activity.NATIVE, 100)
         stats.profile.native = 50
-        stats.tracing.trees_formed = 2
-        stats.tracing.count_abort("oops")
+        for _ in range(2):
+            stream.emit(eventkind.COMPILE, fragment="root")
+        stream.emit(eventkind.RECORD_ABORT, reason="oops")
         lines = stats.summary_lines()
         text = "\n".join(lines)
         assert "total simulated cycles : 100" in text

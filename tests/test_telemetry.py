@@ -62,8 +62,6 @@ class TestDisabledContract:
         vm.run(BRANCHY)
         assert vm.metrics is None
         assert vm.span_recorder is None
-        assert vm.stats.metrics is None
-        assert vm.monitor.cache.metrics is None
 
     def test_telemetry_charges_no_simulated_cycles(self):
         plain = TracingVM()
@@ -158,6 +156,73 @@ class TestConservation:
         assert series[0]["count"] == fragments
         assert series[0]["buckets"][-1]["le"] == "+Inf"
         assert series[0]["buckets"][-1]["count"] == fragments
+
+
+class TestOneCountPerFact:
+    """Every per-VM fact has one update site: a run with a registry
+    attached updates no registry instrument except the pycompile wall
+    histogram, and every export reads the stats and the event tally."""
+
+    @pytest.mark.parametrize(
+        "program", ["sieve", "regexp-dna-lite", "bitops-bits-in-byte"]
+    )
+    def test_run_updates_no_counter(self, program, monkeypatch):
+        from perfbench.workloads import source_of
+        from repro.obs import metrics as metrics_module
+
+        calls = {}
+        for cls, name in (
+            (metrics_module.Counter, "inc"),
+            (metrics_module.Gauge, "inc"),
+            (metrics_module.Gauge, "set"),
+            (metrics_module.Histogram, "observe"),
+        ):
+            original = getattr(cls, name)
+
+            def counting(self, *args, _key=(cls.__name__, name),
+                         _original=original, **kwargs):
+                calls[_key] = calls.get(_key, 0) + 1
+                return _original(self, *args, **kwargs)
+
+            monkeypatch.setattr(cls, name, counting)
+        vm = TracingVM()
+        vm.enable_metrics()
+        vm.run(source_of(program))
+        tracing = vm.stats.tracing
+        builds = tracing.pycompile_fragments + tracing.pycompile_tree_builds
+        assert builds > 0
+        assert calls == {("Histogram", "observe"): builds}
+        # The views still report every fact.
+        assert vm.metrics.side_exits.total == tracing.side_exits_taken
+        assert vm.metrics.pycompile_fragments.total == builds
+        assert vm.metrics.trace_lookups.value(result="hit") == (
+            tracing.lookup_hits
+        )
+
+    def test_late_registry_reports_counts_since_vm_start(self):
+        vm = TracingVM()
+        vm.run(BRANCHY)
+        metrics = vm.enable_metrics()
+        tracing = vm.stats.tracing
+        assert metrics.side_exits.total == tracing.side_exits_taken > 0
+        assert metrics.compiles.total == tracing.traces_completed > 0
+        assert metrics.trace_lookups.value(result="miss") == tracing.loops_seen
+
+    def test_no_second_home(self):
+        from repro.core.cache import TraceCache
+        from repro.obs.profiler import PhaseProfiler
+
+        assert not hasattr(MetricsRegistry, "apply_event")
+        profiler = PhaseProfiler(TracingVM())
+        for name in (
+            "opt_cse_removed", "opt_guards_eliminated", "opt_hoisted",
+            "transfers_direct", "transfers_stitched", "pycompile_count",
+            "pycompile_tree_builds", "firewall_trips", "record_opt",
+            "note_firewall_trip",
+        ):
+            assert not hasattr(profiler, name), name
+        cache = TraceCache(VMConfig(), None)
+        assert not hasattr(cache, "flush_count")
 
 
 class TestRegistry:

@@ -103,19 +103,17 @@ class TestBudgetFlush:
     def test_flush_clears_hotness_counters(self):
         config = VMConfig(code_cache_budget=300)
         _r, vm = run_tracing(TWO_LOOP_DRIVER, config)
-        # After the last flush, counters restarted from zero; whatever
-        # remains is bounded by what post-flush interpretation re-counted.
+        assert vm.stats.tracing.cache_flushes >= 1
+        assert list(vm.events.tally[eventkind.FLUSH]) == [("budget-overflow",)]
+        # Every flush restarts the hotness counters from zero.
         cache = vm.monitor.cache
-        assert cache.flush_count == vm.stats.tracing.cache_flushes
+        cache.flush("explicit")
+        assert cache._hot_counters == {}
 
     def test_unlimited_budget_never_flushes(self):
         _r, vm = run_tracing(TWO_LOOP_DRIVER, VMConfig(code_cache_budget=0))
         assert vm.stats.tracing.cache_flushes == 0
-
-    def test_flush_disabled_overflows_without_flushing(self):
-        config = VMConfig(code_cache_budget=300, enable_cache_flush=False)
-        result, vm = run_tracing(TWO_LOOP_DRIVER, config)
-        assert vm.stats.tracing.cache_flushes == 0
+        # The same code overflows the 300-byte budget the tests above use.
         assert vm.monitor.cache.code_size_used > 300
 
     def test_retired_stitch_target_not_entered(self):
