@@ -24,11 +24,12 @@ Emission strategy (see docs/INTERNALS.md section 12):
 * a root fragment's ``loopjmp`` becomes ``continue`` on a ``while``
   loop around the body; ``jtree`` returns a transfer request.
 
-**Direct fragment linking**: once a tree has stitched branch fragments, the whole tree is compiled again
-as one "megafunction" (:class:`_TreeEmitter`) with every LINKED branch
-body inlined at its guard site, so hot trunk<->branch transitions stay
-inside a single Python frame instead of surfacing an exit tuple to the
-driver on every transfer.  The megafunction is cached on the tree and
+**Direct fragment linking**: once a tree has stitched branch fragments,
+the whole tree is compiled again as one "megafunction"
+(:class:`_TreeEmitter`) with every LINKED branch body inlined at its
+guard site, so hot trunk<->branch transitions stay inside a single
+Python frame instead of surfacing an exit tuple to the driver on every
+transfer.  The megafunction is cached on the tree and
 rebuilt only once the tree's link count (``link_version``) has at
 least doubled since the last build, so a tree that grows n links is
 compiled O(log n) times.  A megafunction that lacks the newest links

@@ -734,7 +734,9 @@ def attach_fleet_views(registry: MetricsRegistry, stream,
                        ) -> None:
     """Fill a fleet registry: every family but the fleet's own gauges is
     the fleet stream's event view plus the series of every worker
-    registry — live and replaced — summed per label set."""
+    registry — live and replaced — summed per label set.  Read it
+    between batches: worker threads update their VMs without the fleet
+    lock."""
 
     def _merge(reg: MetricsRegistry, kinds, refresh) -> None:
         workers = worker_registries()

@@ -439,7 +439,6 @@ class PhaseProfiler:
         """Wall seconds of every Python compilation (per-loop sum)."""
         return sum(loop.compile_wall for loop in self._loop_order)
 
-
     # -- results -----------------------------------------------------------------
 
     @property
