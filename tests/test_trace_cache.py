@@ -113,7 +113,14 @@ class TestBudgetFlush:
     def test_unlimited_budget_never_flushes(self):
         _r, vm = run_tracing(TWO_LOOP_DRIVER, VMConfig(code_cache_budget=0))
         assert vm.stats.tracing.cache_flushes == 0
-        # The same code overflows the 300-byte budget the tests above use.
+
+    def test_flush_disabled_overflows_without_flushing(self):
+        # A budget of 0 disables flushing: the same code outgrows the
+        # 300-byte budget the tests above use, and still runs correctly.
+        base_result, _bvm = run_baseline(TWO_LOOP_DRIVER)
+        result, vm = run_tracing(TWO_LOOP_DRIVER, VMConfig(code_cache_budget=0))
+        assert repr(result) == repr(base_result)
+        assert vm.stats.tracing.cache_flushes == 0
         assert vm.monitor.cache.code_size_used > 300
 
     def test_retired_stitch_target_not_entered(self):
