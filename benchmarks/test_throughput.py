@@ -132,14 +132,14 @@ def measure(workers: int) -> dict:
     for _ in range(RUNS_PER_POINT):
         jobs = build_jobs()
         config = VMConfig(code_cache_budget=CODE_CACHE_BUDGET)
-        with Fleet(workers=workers, config=config) as fleet:
-            start = time.perf_counter()
-            results = fleet.run(jobs)
-            wall = time.perf_counter() - start
-            flushes = sum(
-                worker.supervisor.vm.stats.tracing.cache_flushes
-                for worker in fleet.workers
-            )
+        fleet = Fleet(workers=workers, config=config)
+        start = time.perf_counter()
+        results = fleet.run(jobs)
+        wall = time.perf_counter() - start
+        flushes = sum(
+            worker.supervisor.vm.stats.tracing.cache_flushes
+            for worker in fleet.workers
+        )
         jobs_run = len(results)
         observed = canonical(results)
         if best_wall is None or wall < best_wall:

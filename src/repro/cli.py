@@ -34,18 +34,11 @@ import argparse
 import sys
 from typing import Optional
 
-from repro.baselines.method_jit import MethodJITVM
 from repro.bytecode.disasm import disassemble
 from repro.errors import GuestFault, JSLiteSyntaxError, JSThrow, ReproError
 from repro.runtime.conversions import to_string
-from repro.vm import BaselineVM, ThreadedVM, TracingVM
-
-ENGINES = {
-    "tracing": TracingVM,
-    "baseline": BaselineVM,
-    "threaded": ThreadedVM,
-    "methodjit": MethodJITVM,
-}
+from repro.suite.runner import ENGINES
+from repro.vm import TracingVM
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -232,17 +225,23 @@ def add_store_arguments(parser) -> None:
 
 
 def telemetry_of(vm) -> tuple:
-    """A VM's (metrics, span recorder, profiler); None where absent."""
-    return tuple(getattr(vm, name, None)
-                 for name in ("metrics", "span_recorder", "profiler"))
+    """A VM's metrics registry and a function that makes its Chrome trace
+    document from a program name; None where absent."""
+    metrics = getattr(vm, "metrics", None)
+    spans = getattr(vm, "span_recorder", None)
+    if spans is None:
+        return metrics, None
+    return metrics, lambda program: spans.to_chrome_trace(
+        profiler=vm.profiler, program=program)
 
 
-def write_telemetry(args, program: str, metrics, spans, profiler=None) -> int:
+def write_telemetry(args, program: str, metrics, chrome_trace) -> int:
     """Write the telemetry artifacts the flags asked for; 0 on success.
 
-    Shared by single-run mode, ``batch`` and the fleet, and also called
-    on the guest-fault path — a terminated run's metrics and spans are
-    exactly the interesting ones.
+    ``chrome_trace(program)`` builds the ``--trace-export`` document.
+    Shared by single-run mode and ``batch``, and also called on the
+    guest-fault path — a terminated run's metrics and spans are exactly
+    the interesting ones.
     """
     if not (args.metrics_json or args.metrics_prom or args.trace_export):
         return 0
@@ -255,8 +254,7 @@ def write_telemetry(args, program: str, metrics, spans, profiler=None) -> int:
         (args.metrics_prom, "metrics",
          lambda path: write_metrics_prom(metrics, path)),
         (args.trace_export, "trace",
-         lambda path: write_chrome_trace(spans, path, profiler=profiler,
-                                         program=program)),
+         lambda path: write_chrome_trace(chrome_trace(program), path)),
     ):
         if not path:
             continue
@@ -436,16 +434,18 @@ def dump_traces(vm: TracingVM, out) -> None:
 
 
 def run_batch(argv: list, out) -> int:
-    """The ``batch`` subcommand: a supervisor over a queue of jobs."""
-    from repro.exec import Supervisor
+    """The ``batch`` subcommand: a fleet of supervised VMs over a queue
+    of jobs (one worker unless ``--workers`` says otherwise)."""
+    from repro.exec import Fleet, Job
     from repro.suite.programs import PROGRAMS
 
     parser = argparse.ArgumentParser(
         prog="repro batch",
         description=(
-            "Run a queue of programs on one shared VM under the execution "
-            "supervisor: per-job isolation, resource limits, retry, and "
-            "per-tenant degradation.  Guest faults are contained (exit 0)."
+            "Run a queue of programs on a fleet of supervised VMs (one by "
+            "default): per-job isolation, resource limits, retry, "
+            "per-tenant degradation, admission control.  Guest faults are "
+            "contained (exit 0)."
         ),
     )
     parser.add_argument("files", nargs="*", help="JSLite source files (jobs)")
@@ -498,8 +498,8 @@ def run_batch(argv: list, out) -> int:
         "--dump-events",
         metavar="FILE",
         help=(
-            "write the event stream as JSONL to FILE (the shared VM's "
-            "stream, or the fleet's scheduler stream with --workers)"
+            "write the events as JSONL to FILE: the fleet's scheduler "
+            "stream, then every worker VM's stream"
         ),
     )
     parser.add_argument(
@@ -512,16 +512,17 @@ def run_batch(argv: list, out) -> int:
         ),
     )
     fleet_group = parser.add_argument_group(
-        "fleet (see docs/INTERNALS.md, The serving fleet)"
+        "fleet (see docs/INTERNALS.md, The fleet: the one batch loop)"
     )
     fleet_group.add_argument(
         "--workers",
         type=int,
+        default=1,
         metavar="N",
         help=(
-            "run the batch on a fleet of N worker VMs behind the async "
-            "scheduler (admission control, work stealing, respawn); "
-            "without this flag the batch runs on the single shared VM"
+            "worker VMs, driven round-robin on one thread; each keeps its "
+            "own trace cache, and tenants route to the worker that holds "
+            "their compiled loops (default: 1)"
         ),
     )
     fleet_group.add_argument(
@@ -530,7 +531,7 @@ def run_batch(argv: list, out) -> int:
         metavar="TENANT=R",
         help=(
             "token-bucket admission limit: at most R jobs/second for "
-            "TENANT (burst max(1,R)); repeatable, fleet mode only"
+            "TENANT (burst max(1,R)); repeatable"
         ),
     )
     fleet_group.add_argument(
@@ -540,16 +541,6 @@ def run_batch(argv: list, out) -> int:
         help=(
             "bound the fleet ingress queue: admitting a job while Q are "
             "already queued sheds it (status 'shed', reason queue-full)"
-        ),
-    )
-    fleet_group.add_argument(
-        "--hang-timeout",
-        type=float,
-        default=1.0,
-        metavar="S",
-        help=(
-            "wall-clock seconds before the watchdog declares a wedged "
-            "worker hung and replaces it (default: 1.0)"
         ),
     )
     fleet_group.add_argument(
@@ -569,15 +560,38 @@ def run_batch(argv: list, out) -> int:
         help=(
             "inject a fleet-level fault (fleet.worker_crash, "
             "fleet.worker_hang, fleet.steal_race) on its Nth hit; "
-            "repeatable, fleet mode only"
+            "repeatable"
         ),
     )
     add_telemetry_arguments(parser)
     add_store_arguments(parser)
     add_limit_arguments(parser)
     args = parser.parse_args(argv)
+    if args.workers < 1:
+        raise SystemExit(
+            f"repro: bad --workers {args.workers}: N must be at least 1"
+        )
+    rates = {}
+    for spec in args.rate or ():
+        tenant, sep, rate = spec.partition("=")
+        if not sep:
+            raise SystemExit(f"repro: bad --rate {spec!r}: expected TENANT=R")
+        try:
+            rates[tenant] = float(rate)
+        except ValueError:
+            raise SystemExit(
+                f"repro: bad --rate {spec!r}: R must be a number"
+            ) from None
+        if not rates[tenant] > 0:
+            raise SystemExit(f"repro: bad --rate {spec!r}: R must be positive")
+    fault_plan = None
+    if args.inject_fleet_fault:
+        from repro.hardening import FaultPlan
 
-    from repro.exec import Job
+        try:
+            fault_plan = FaultPlan.parse(args.inject_fleet_fault)
+        except ValueError as error:
+            raise SystemExit(f"repro: {error}") from error
 
     jobs = []
     for path in args.files:
@@ -601,14 +615,6 @@ def run_batch(argv: list, out) -> int:
     if not jobs:
         raise SystemExit("repro: batch needs files and/or --suite")
 
-    if args.workers is None and (args.rate or args.shed_after is not None
-                                 or args.inject_fleet_fault):
-        raise SystemExit(
-            "repro: --rate/--shed-after/--inject-fleet-fault need --workers"
-        )
-
-    limits = build_limits(args)
-    capture_metrics = bool(args.metrics_json or args.metrics_prom)
     batch_config = None
     if args.trace_store:
         from repro.vm import VMConfig
@@ -616,70 +622,25 @@ def run_batch(argv: list, out) -> int:
         batch_config = VMConfig()
         batch_config.trace_store = args.trace_store
         batch_config.trace_store_budget = args.trace_store_budget
-    fleet = None
-    if args.workers is not None:
-        from repro.exec import Fleet
-
-        rates = {}
-        for spec in args.rate or ():
-            tenant, sep, rate = spec.partition("=")
-            if not sep:
-                raise SystemExit(
-                    f"repro: bad --rate {spec!r}: expected TENANT=R"
-                )
-            try:
-                rates[tenant] = float(rate)
-            except ValueError:
-                raise SystemExit(
-                    f"repro: bad --rate {spec!r}: R must be a number"
-                ) from None
-        fault_plan = None
-        if args.inject_fleet_fault:
-            from repro.hardening import FaultPlan
-
-            try:
-                fault_plan = FaultPlan.parse(args.inject_fleet_fault)
-            except ValueError as error:
-                raise SystemExit(f"repro: {error}") from error
-        fleet = Fleet(
-            workers=args.workers,
-            engine=args.engine,
-            config=batch_config,
-            limits=limits,
-            max_retries=args.max_retries,
-            degrade_after=args.degrade_after,
-            probation_after=args.probation_after,
-            backoff_seed=args.backoff_seed,
-            rates=rates,
-            shed_after=args.shed_after,
-            hang_timeout=args.hang_timeout,
-            max_requeues=args.max_requeues,
-            fault_plan=fault_plan,
-            capture_events=args.dump_events is not None,
-            capture_metrics=capture_metrics,
-            capture_spans=args.trace_export is not None,
-        )
-        with fleet:
-            results = fleet.run(jobs)
-        tenants = fleet.tenant_summary()
-        degraded = fleet.degraded_tenants
-        supervisor = None
-    else:
-        supervisor = Supervisor(
-            engine=args.engine,
-            config=batch_config,
-            limits=limits,
-            max_retries=args.max_retries,
-            degrade_after=args.degrade_after,
-            probation_after=args.probation_after,
-            backoff_seed=args.backoff_seed,
-            capture_events=args.dump_events is not None,
-            capture_metrics=capture_metrics,
-            capture_spans=args.trace_export is not None,
-        )
-        results = supervisor.run(jobs)
-        tenants = supervisor.tenant_summary()
-        degraded = supervisor.degraded_tenants
+    fleet = Fleet(
+        workers=args.workers,
+        engine=args.engine,
+        config=batch_config,
+        limits=build_limits(args),
+        max_retries=args.max_retries,
+        degrade_after=args.degrade_after,
+        probation_after=args.probation_after,
+        backoff_seed=args.backoff_seed,
+        rates=rates,
+        shed_after=args.shed_after,
+        max_requeues=args.max_requeues,
+        fault_plan=fault_plan,
+        capture_events=args.dump_events is not None,
+        capture_metrics=bool(args.metrics_json or args.metrics_prom),
+        capture_spans=args.trace_export is not None,
+    )
+    results = fleet.run(jobs)
+    tenants = fleet.tenant_summary()
 
     print(
         f"{'job':28} {'tenant':12} {'status':14} {'try':>3} "
@@ -704,18 +665,17 @@ def run_batch(argv: list, out) -> int:
     )
     print("-" * 90, file=out)
     print(f"{len(results)} jobs: {summary}", file=out)
-    if fleet is not None:
-        counts = fleet.counts()
-        fleet_line = ", ".join(
-            f"{counts.get(kind, 0)} {label}"
-            for kind, label in (
-                ("job-shed", "shed"),
-                ("work-stolen", "stolen"),
-                ("worker-respawn", "respawned"),
-                ("job-retried", "retried"),
-            )
+    counts = fleet.counts()
+    fleet_line = ", ".join(
+        f"{counts.get(kind, 0)} {label}"
+        for kind, label in (
+            ("job-shed", "shed"),
+            ("work-stolen", "stolen"),
+            ("worker-respawn", "respawned"),
+            ("job-retried", "retried"),
         )
-        print(f"fleet ({args.workers} workers): {fleet_line}", file=out)
+    )
+    print(f"fleet ({args.workers} workers): {fleet_line}", file=out)
     if tenants:
         print(file=out)
         print(
@@ -732,20 +692,15 @@ def run_batch(argv: list, out) -> int:
                 f"{usage.output_bytes:>8,}",
                 file=out,
             )
+    degraded = fleet.degraded_tenants
     if degraded:
         names = ", ".join(sorted(degraded))
         print(f"degraded tenants (interp-only): {names}", file=out)
-    if fleet is not None:
-        if write_telemetry(args, "batch-fleet", fleet.metrics, fleet.spans):
-            return 1
-        event_stream = fleet.events
-    else:
-        if write_telemetry(args, "batch", *telemetry_of(supervisor.vm)):
-            return 1
-        event_stream = supervisor.vm.events
+    if write_telemetry(args, "batch", fleet.metrics, fleet.chrome_trace):
+        return 1
     if args.dump_events:
         try:
-            count = event_stream.write_jsonl(args.dump_events)
+            count = fleet.write_events(args.dump_events)
         except OSError as error:
             print(f"repro: cannot write {args.dump_events}: {error}",
                   file=sys.stderr)

@@ -2,7 +2,7 @@
 
 Hot traces are expensive to discover and cheap to reuse; without this
 module every fresh VM — a cold fleet start, and worst of all every
-watchdog respawn in :mod:`repro.exec.fleet` — re-records, re-compiles,
+worker respawn in :mod:`repro.exec.fleet` — re-records, re-compiles,
 and re-pycompiles the same loops.  :class:`TraceStore` persists LINKED
 trace trees to disk and lets a fresh VM preload them, re-``compile()``\\
 ing cached pycompile source instead of re-tracing.

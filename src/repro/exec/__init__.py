@@ -3,8 +3,10 @@
 This package hosts everything between the host and a guest script's
 right to keep running: :class:`ResourceLimits` declares a budget,
 :class:`ScriptMeter` bills a running VM against it (delivering typed
-guest faults through the preemption flag), and :class:`Supervisor`
-runs multi-tenant job queues with isolation, retry, and degradation.
+guest faults through the preemption flag), :class:`Supervisor` runs
+job attempts on one VM with isolation, a retry policy, degradation and
+billing, and :class:`Fleet` — the only batch loop — queues, admits and
+schedules jobs over one or more supervised VMs on the caller's thread.
 
 Import order matters: :mod:`repro.interp.interpreter` (and friends)
 import :mod:`repro.exec.limits` at module top, which executes this

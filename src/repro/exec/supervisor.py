@@ -1,8 +1,8 @@
-"""The multi-tenant batch supervisor.
+"""The per-VM job executor.
 
-Runs a queue of :class:`Job`\\ s on **one long-lived VM** — the
-ROADMAP's "heavy traffic from millions of users" scenario in
-miniature.  Per job it provides:
+A :class:`Supervisor` owns **one long-lived VM** and runs job attempts
+on it; the :class:`~repro.exec.fleet.Fleet` owns every queue and calls
+it once per attempt.  Per job it provides:
 
 * **isolation** — fresh globals / output / frames via
   :meth:`repro.core.preempt.PreemptionMixin.reset_guest_state`, while
@@ -12,26 +12,28 @@ miniature.  Per job it provides:
 * **enforcement** — a :class:`repro.exec.limits.ScriptMeter` bills the
   job from ledger/allocation/output deltas and terminates it with a
   typed guest fault on breach;
-* **retry with backoff** — a job whose compile-quota (or deadline)
+* **the retry policy** — a job whose compile-quota (or deadline)
   breach coincided with trace-cache flushes may have been *deopted by
   cache pressure* from other tenants rather than misbehaving itself;
-  it is re-queued a bounded number of times, deterministically backed
-  off behind other jobs, with a ``job-retried`` event;
+  :meth:`Supervisor._should_retry` says whether to re-queue it, and the
+  seeded backoff says how many queue slots behind other jobs;
 * **graceful degradation** — a tenant that repeatedly blows the
   compile quota is demoted to interpreter-only mode (the monitor is
   disabled for its jobs), the same lever as the firewall's safe mode
-  but scoped per tenant.
+  but scoped per tenant;
+* **billing** — per-tenant :class:`TenantUsage` and, with metrics on,
+  the job and billing counters of the VM's registry.
 
 The supervisor never lets a guest fault escape as a raw traceback:
-every job produces a :class:`JobResult` whose ``status`` reflects how
-it ended.
+every attempt produces a :class:`JobResult` whose ``status`` reflects
+how it ended.
 """
 
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Set, Tuple
+from dataclasses import dataclass, field, fields
+from typing import Dict, Optional, Set, Tuple
 
 from repro.core import events as eventkind
 from repro.errors import (
@@ -66,10 +68,9 @@ class Job:
     name: Optional[str] = None
     #: Per-job override; falls back to the supervisor's default limits.
     limits: Optional[ResourceLimits] = None
-    #: Fleet-level deadline on the *fleet's wall clock* (absolute, in
-    #: seconds): a job that would only start past this instant is shed,
-    #: never run.  Ignored by the single-VM supervisor, whose queue has
-    #: no admission layer.
+    #: Deadline on the *fleet's wall clock* (absolute, in seconds): a
+    #: job that would only start past this instant is shed, at
+    #: admission or at dequeue, and never run.
     not_after: Optional[float] = None
 
 
@@ -129,10 +130,16 @@ class TenantUsage:
             self.ok += 1
         else:
             self.faulted += 1
-        self.retries += result.attempts - 1
+        # A shed job never ran (attempts 0): it was not retried either.
+        self.retries += max(result.attempts - 1, 0)
         self.cycles += result.usage.cycles
         self.heap_cells += result.usage.heap_cells
         self.output_bytes += result.usage.output_bytes
+
+    def merge(self, other: "TenantUsage") -> None:
+        """Fold ``other``'s totals into this one."""
+        for f in fields(self):
+            setattr(self, f.name, getattr(self, f.name) + getattr(other, f.name))
 
 
 def status_of_fault(fault: GuestFault) -> str:
@@ -162,7 +169,7 @@ def backoff_slots(rng: random.Random, attempt: int) -> int:
 
 
 class Supervisor:
-    """Runs job queues on one reusable VM under resource limits."""
+    """Runs job attempts on one reusable VM under resource limits."""
 
     def __init__(
         self,
@@ -209,85 +216,23 @@ class Supervisor:
 
     @staticmethod
     def _make_vm(engine: str, config, capture_events: bool):
-        from repro.baselines.method_jit import MethodJITVM
-        from repro.vm import BaselineVM, ThreadedVM, TracingVM, VMConfig
+        from repro.suite.runner import ENGINES
+        from repro.vm import VMConfig
 
-        engines = {
-            "tracing": TracingVM,
-            "baseline": BaselineVM,
-            "threaded": ThreadedVM,
-            "methodjit": MethodJITVM,
-        }
-        if engine not in engines:
+        if engine not in ENGINES:
             raise ValueError(f"unknown engine {engine!r}")
         if capture_events:
             if config is None:
                 config = VMConfig()
             config.capture_events = True
-        return engines[engine](config)
+        return ENGINES[engine](config)
 
-    # -- the queue ----------------------------------------------------------
-
-    def run(self, jobs: List[Job]) -> List[JobResult]:
-        """Run ``jobs`` to completion; returns one result per job, in
-        completion order (retries re-queue behind other jobs).
-
-        Queue entries carry their enqueue-time cycle stamp so the span
-        recorder (when attached) can emit the queue-wait interval of
-        every attempt — jobs share one VM, so simulated cycles are a
-        faithful sequential clock for time spent waiting behind other
-        tenants' work.
-        """
-        vm = self.vm
-        metrics = getattr(vm, "metrics", None)
-        spans = getattr(vm, "span_recorder", None)
-        now = vm.stats.ledger.total
-        queue: List[Tuple[Job, int, int]] = [(job, 1, now) for job in jobs]
-        results: List[JobResult] = []
-        while queue:
-            job, attempt, enqueued_at = queue.pop(0)
-            if metrics is not None:
-                metrics.queue_depth.set(len(queue))
-            if spans is not None:
-                waited = spans.now()
-                wait_id = spans.open(
-                    f"queue-wait {job.job_id}", cat="queue", at=enqueued_at,
-                    tenant=job.tenant, attempt=attempt,
-                )
-                spans.close(wait_id, at=waited)
-            result = self._run_attempt(job, attempt)
-            if self._should_retry(result, attempt):
-                # Backoff in *queue slots*, not a raw insertion index:
-                # exponential with seeded jitter, clamped to the tail
-                # (an index past the end would otherwise collapse every
-                # deep backoff to front-of-queue via list.insert).
-                backoff = backoff_slots(self._backoff_rng, attempt)
-                vm.events.emit(
-                    eventkind.JOB_RETRIED,
-                    job=job.job_id,
-                    tenant=job.tenant,
-                    attempt=attempt,
-                    backoff=backoff,
-                    status=result.status,
-                )
-                position = min(len(queue), backoff)
-                queue.insert(
-                    position, (job, attempt + 1, vm.stats.ledger.total)
-                )
-                continue
-            self._note_outcome(job, result)
-            results.append(result)
-        if metrics is not None:
-            metrics.queue_depth.set(0)
-        return results
-
-    def run_source(
-        self, source: str, job_id: str = "job-0", tenant: str = "default"
-    ) -> JobResult:
-        """Convenience: run one source string as a single job."""
-        return self.run([Job(job_id=job_id, source=source, tenant=tenant)])[0]
+    # -- the retry policy and outcomes -------------------------------------
 
     def _should_retry(self, result: JobResult, attempt: int) -> bool:
+        """Whether the cache-pressure retry heuristic re-queues this
+        attempt (the fleet then backs it off by :func:`backoff_slots`
+        drawn from this supervisor's seeded jitter source)."""
         if attempt > self.max_retries:
             return False
         if result.status not in (STATUS_QUOTA, STATUS_TIMEOUT):
@@ -298,6 +243,8 @@ class Supervisor:
         return result.cache_flushes > 0
 
     def _note_outcome(self, job: Job, result: JobResult) -> None:
+        """Record ``result`` as ``job``'s final outcome: billing,
+        degradation/probation transitions, and per-job metrics."""
         tenant = job.tenant
         compile_breach = result.status == STATUS_QUOTA and result.fault and (
             "compile-cycles" in result.fault
@@ -368,35 +315,7 @@ class Supervisor:
             )
             metrics.degraded_tenants.set(len(self.degraded_tenants))
 
-    def tenant_summary(self) -> Dict[str, TenantUsage]:
-        """Per-tenant aggregated billing, sorted by tenant name."""
-        return dict(sorted(self.tenant_usage.items()))
-
-    # -- fleet-facing API ---------------------------------------------------
-    #
-    # The fleet scheduler owns queueing, retry placement, and shedding;
-    # each worker's supervisor only runs attempts and keeps its local
-    # per-tenant policy state.  These wrappers expose exactly that.
-
-    def run_attempt(self, job: Job, attempt: int) -> JobResult:
-        """Run one attempt of ``job`` (no queueing, no retry, no
-        outcome bookkeeping) — the fleet worker's entry point."""
-        return self._run_attempt(job, attempt)
-
-    def note_outcome(self, job: Job, result: JobResult) -> None:
-        """Record ``result`` as ``job``'s final outcome: billing,
-        degradation/probation transitions, and per-job metrics."""
-        self._note_outcome(job, result)
-
-    def should_retry(self, result: JobResult, attempt: int) -> bool:
-        """Whether the cache-pressure retry heuristic would re-queue
-        this attempt (the fleet applies the same discipline)."""
-        return self._should_retry(result, attempt)
-
-    def retry_backoff(self, attempt: int) -> int:
-        """Seeded-jitter backoff (in queue slots) for retrying after
-        ``attempt`` — same discipline as the single-VM queue."""
-        return backoff_slots(self._backoff_rng, attempt)
+    # -- trace-cache warmth -------------------------------------------------
 
     def warm_source(self, source: str) -> bool:
         """Whether this VM's trace cache holds compiled loops for ``source``.
@@ -457,6 +376,8 @@ class Supervisor:
         return code
 
     def _run_attempt(self, job: Job, attempt: int) -> JobResult:
+        """Run one attempt of ``job`` (no queueing, no retry, no outcome
+        bookkeeping): the fleet calls this once per attempt."""
         vm = self.vm
         vm.reset_guest_state()
         limits = job.limits if job.limits is not None else self.limits

@@ -65,8 +65,9 @@ PYCOMPILE_LINK = "pycompile.link"
 #: Fleet scheduling: a worker dies abruptly at the moment it begins a
 #: job attempt (the fleet must respawn it and resubmit the job).
 FLEET_WORKER_CRASH = "fleet.worker_crash"
-#: Fleet scheduling: a worker wedges (stops heartbeating) at the moment
-#: it begins a job attempt; the watchdog must abandon and replace it.
+#: Fleet scheduling: a worker wedges at the moment it begins a job
+#: attempt; the fleet replaces it at once (reason ``hang``) and
+#: resubmits the job.
 FLEET_WORKER_HANG = "fleet.worker_hang"
 #: Fleet scheduling: a steal attempt loses the claim race — the victim
 #: keeps the job and the thief must pick other work.

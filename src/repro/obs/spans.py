@@ -275,26 +275,24 @@ TRACK_WORKER_BASE = 10
 
 
 class FleetSpanRecorder(SpanRecorder):
-    """Span recorder for :class:`repro.exec.fleet.Fleet`.
+    """Span recorder for :class:`repro.exec.fleet.Fleet`'s own lanes.
 
     The fleet has no single simulated-cycle ledger — workers each bill
     their own VM — so its canonical timebase is **host wall-clock
     microseconds since the recorder was created** (the fleet is the one
     layer of the system that legitimately lives on host time).  Tracks
-    are one lane per worker plus the shared admission/events lanes, and
-    the recorder is thread-safe: worker threads open and close their
-    job spans concurrently.
+    are one lane per worker, holding its job attempts, plus the shared
+    admission/events lanes.  Each worker VM's queue-wait, job and phase
+    spans stay on that VM's own :class:`SpanRecorder`;
+    :meth:`repro.exec.fleet.Fleet.chrome_trace` joins them.
     """
 
     def __init__(self, clock=None, max_spans: int = 100_000,
                  max_instants: int = 100_000):
-        import threading
-
         super().__init__(vm=None, max_spans=max_spans,
                          max_instants=max_instants)
         self._clock = clock if clock is not None else time.perf_counter
         self._t0 = self._clock()
-        self._lock = threading.Lock()
         self.track_names = {
             TRACK_JOBS: "admission",
             TRACK_EVENTS: "events",
@@ -307,31 +305,12 @@ class FleetSpanRecorder(SpanRecorder):
     def add_worker_track(self, worker_id: int) -> int:
         """Register (or return) the lane for one worker; returns its tid."""
         tid = TRACK_WORKER_BASE + worker_id
-        with self._lock:
-            self.track_names[tid] = f"worker-{worker_id}"
+        self.track_names[tid] = f"worker-{worker_id}"
         return tid
 
-    def open(self, name, cat="job", track=TRACK_JOBS, parent_id=None,
-             at=None, **args) -> int:
-        with self._lock:
-            return super().open(name, cat=cat, track=track,
-                                parent_id=parent_id, at=at, **args)
 
-    def close(self, span_id, at=None, **args) -> None:
-        with self._lock:
-            super().close(span_id, at=at, **args)
-
-    def instant(self, name, at=None, **args) -> None:
-        with self._lock:
-            super().instant(name, at=at, **args)
-
-
-def write_chrome_trace(recorder: SpanRecorder, path: str,
-                       profiler=None, program: Optional[str] = None) -> None:
+def write_chrome_trace(doc: dict, path: str) -> None:
+    """Write a Chrome trace document (see :meth:`SpanRecorder.to_chrome_trace`)."""
     with open(path, "w") as handle:
-        json.dump(
-            recorder.to_chrome_trace(profiler=profiler, program=program),
-            handle,
-            indent=2,
-        )
+        json.dump(doc, handle, indent=2)
         handle.write("\n")

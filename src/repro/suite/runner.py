@@ -33,7 +33,9 @@ class SuiteResult:
         return self.stats.profile
 
 
-_ENGINES = {
+#: Engine name -> VM class: the one table the CLI, the suite runner
+#: and the batch supervisor all resolve ``--engine`` names through.
+ENGINES = {
     "baseline": BaselineVM,
     "threaded": ThreadedVM,
     "methodjit": MethodJITVM,
@@ -53,7 +55,7 @@ def run_program(
     it adds no simulated cycles, and the Figure 12 table is derived
     from its phase timeline rather than from raw ledger counters.
     """
-    vm_class = _ENGINES[engine]
+    vm_class = ENGINES[engine]
     vm = vm_class(config) if config is not None else vm_class()
     if profile and engine == "tracing":
         vm.enable_profiling()

@@ -162,13 +162,15 @@ def test_injected_fault_inside_quota_limited_job_keeps_typed_fault(site):
 
 
 def test_supervisor_contains_chaos_jobs():
-    from repro.exec import Job, ResourceLimits, Supervisor
+    from repro.exec import Fleet, Job, ResourceLimits
 
     config = VMConfig(chaos_seed=3, capture_events=True)
-    sup = Supervisor(
-        config=config, limits=ResourceLimits(deadline_cycles=300_000)
+    fleet = Fleet(
+        workers=1, config=config,
+        limits=ResourceLimits(deadline_cycles=300_000),
     )
-    results = sup.run([
+    sup = fleet.workers[0].supervisor
+    results = fleet.run([
         Job("fine", PROGRAMS_BY_NAME["bitops-bitwise-and"].source),
         Job("hang", "while (true) {}"),
     ])

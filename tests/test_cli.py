@@ -117,7 +117,7 @@ class TestDiagnostics:
 
 
 class TestFleetBatch:
-    """The batch subcommand's fleet mode (--workers and friends)."""
+    """The batch subcommand's fleet flags (--workers and friends)."""
 
     JOBS = [
         "var s = 0; for (var i = 0; i < 150; i = i + 1) s = s + i; s;",
@@ -149,7 +149,7 @@ class TestFleetBatch:
         many = tmp_path / "r3.json"
         assert run_cli(["batch", "--workers", "1",
                         "--dump-results", str(one)] + paths)[0] == 0
-        assert run_cli(["batch", "--workers", "3", "--hang-timeout", "0.05",
+        assert run_cli(["batch", "--workers", "3",
                         "--inject-fleet-fault", "fleet.worker_crash",
                         "--dump-results", str(many)] + paths)[0] == 0
         assert json.loads(one.read_text()) == json.loads(many.read_text())
@@ -167,11 +167,33 @@ class TestFleetBatch:
         assert "shed" in output
         assert "`- shed: rate" in output
 
-    def test_fleet_flags_require_workers(self, tmp_path):
+    def test_fleet_flags_work_without_workers(self, tmp_path, capsys):
+        # One worker is the default fleet, so admission flags need no
+        # --workers; a shed job is billed no retries.
+        path = tmp_path / "j.js"
+        path.write_text("1 + 1;")
+        status, output = run_cli(
+            ["batch", "--rate", "j=1", str(path), str(path), str(path)]
+        )
+        assert status == 0
+        assert "fleet (1 workers): 2 shed" in output
+        tenant_row = output.splitlines()[-1]
+        # tenant, jobs, ok, fault, retry
+        assert tenant_row.split()[:5] == ["j", "3", "1", "2", "0"]
+
+    @pytest.mark.parametrize("spec", ["j=0", "j=-2", "j=nan"])
+    def test_nonpositive_rate_rejected(self, tmp_path, spec):
         path = tmp_path / "j.js"
         path.write_text("1;")
-        with pytest.raises(SystemExit, match="--workers"):
-            run_cli(["batch", "--rate", "a=1", str(path)])
+        with pytest.raises(SystemExit, match="R must be positive"):
+            run_cli(["batch", "--rate", spec, str(path)])
+
+    @pytest.mark.parametrize("workers", ["0", "-1"])
+    def test_workers_below_one_rejected(self, tmp_path, workers):
+        path = tmp_path / "j.js"
+        path.write_text("1;")
+        with pytest.raises(SystemExit, match="N must be at least 1"):
+            run_cli(["batch", "--workers", workers, str(path)])
 
     def test_bad_rate_spec(self, tmp_path):
         path = tmp_path / "j.js"

@@ -75,48 +75,45 @@ class TestTokenBucket:
 class TestFleetBasics:
     def test_runs_batch_in_submission_order(self):
         jobs = mixed_jobs(9)
-        with Fleet(workers=3) as fleet:
-            results = fleet.run(jobs)
+        fleet = Fleet(workers=3)
+        results = fleet.run(jobs)
         assert [r.job_id for r in results] == [j.job_id for j in jobs]
         assert all(r.status == "ok" for r in results)
 
     def test_matches_single_vm_supervisor(self):
         jobs = mixed_jobs(8)
-        sup = Supervisor()
-        expected = sorted(canonical(sup.run(mixed_jobs(8))))
-        with Fleet(workers=2) as fleet:
-            got = sorted(canonical(fleet.run(jobs)))
+        expected = sorted(canonical(Fleet(workers=1).run(mixed_jobs(8))))
+        fleet = Fleet(workers=2)
+        got = sorted(canonical(fleet.run(jobs)))
         assert got == expected
 
     def test_reusable_across_batches(self):
-        with Fleet(workers=2) as fleet:
-            first = fleet.run(mixed_jobs(4))
-            second = fleet.run(mixed_jobs(4))
+        fleet = Fleet(workers=2)
+        first = fleet.run(mixed_jobs(4))
+        second = fleet.run(mixed_jobs(4))
         assert canonical(first) == canonical(second)
 
     def test_routing_affinity(self):
-        with Fleet(workers=3) as fleet:
-            fleet.start()
-            with fleet._cond:
-                # Tenant affinity is sticky...
-                first = fleet._route_locked(Job("a", "src1", tenant="t1"))
-                again = fleet._route_locked(Job("b", "src1", tenant="t1"))
-                assert first is again
-                # ...new tenants balance onto other workers...
-                other = fleet._route_locked(Job("c", "src2", tenant="t2"))
-                assert other is not first
-                # ...and a worker holding the compiled source wins even
-                # over another tenant's stickiness (its trace cache has
-                # the loops).
-                first.supervisor._codes["src3"] = object()
-                winner = fleet._route_locked(Job("d", "src3", tenant="t2"))
-                assert winner is first
+        fleet = Fleet(workers=3)
+        # Tenant affinity is sticky...
+        first = fleet._route(Job("a", "src1", tenant="t1"))
+        again = fleet._route(Job("b", "src1", tenant="t1"))
+        assert first is again
+        # ...new tenants balance onto other workers...
+        other = fleet._route(Job("c", "src2", tenant="t2"))
+        assert other is not first
+        # ...and a worker holding the compiled source wins even
+        # over another tenant's stickiness (its trace cache has
+        # the loops).
+        first.supervisor._codes["src3"] = object()
+        winner = fleet._route(Job("d", "src3", tenant="t2"))
+        assert winner is first
 
     def test_fleet_wide_tenant_summary(self):
         jobs = mixed_jobs(9)
-        with Fleet(workers=3) as fleet:
-            fleet.run(jobs)
-            summary = fleet.tenant_summary()
+        fleet = Fleet(workers=3)
+        fleet.run(jobs)
+        summary = fleet.tenant_summary()
         assert sorted(summary) == ["tenant-0", "tenant-1", "tenant-2"]
         assert all(usage.jobs == 3 and usage.ok == 3
                    for usage in summary.values())
@@ -125,8 +122,8 @@ class TestFleetBasics:
         from repro.vm import VMConfig
 
         config = VMConfig()
-        with Fleet(workers=3, config=config) as fleet:
-            configs = {id(w.supervisor.vm.config) for w in fleet.workers}
+        fleet = Fleet(workers=3, config=config)
+        configs = {id(w.supervisor.vm.config) for w in fleet.workers}
         assert len(configs) == 3
 
 
@@ -134,9 +131,9 @@ class TestAdmission:
     def test_rate_limit_sheds_typed_result(self):
         now = [100.0]
         jobs = [Job(f"s{i}", "1 + 1;", tenant="spammy") for i in range(5)]
-        with Fleet(workers=2, rates={"spammy": 2.0},
-                   clock=lambda: now[0], capture_events=True) as fleet:
-            results = fleet.run(jobs)
+        fleet = Fleet(workers=2, rates={"spammy": 2.0},
+                      clock=lambda: now[0], capture_events=True)
+        results = fleet.run(jobs)
         shed = [r for r in results if r.status == STATUS_SHED]
         assert len(shed) == 3  # burst of 2 admitted, frozen clock: no refill
         for result in shed:
@@ -151,15 +148,15 @@ class TestAdmission:
         jobs = [Job("a", "1;", tenant="limited"),
                 Job("b", "2;", tenant="limited"),
                 Job("c", "3;", tenant="free")]
-        with Fleet(workers=1, rates={"limited": 1.0},
-                   clock=lambda: now[0]) as fleet:
-            results = fleet.run(jobs)
+        fleet = Fleet(workers=1, rates={"limited": 1.0},
+                      clock=lambda: now[0])
+        results = fleet.run(jobs)
         assert [r.status for r in results] == ["ok", STATUS_SHED, "ok"]
 
     def test_bounded_queue_sheds_overflow(self):
         jobs = [Job(f"q{i}", HOT_LOOP + f" s + {i};") for i in range(8)]
-        with Fleet(workers=1, shed_after=3, capture_events=True) as fleet:
-            results = fleet.run(jobs)
+        fleet = Fleet(workers=1, shed_after=3, capture_events=True)
+        results = fleet.run(jobs)
         reasons = [getattr(r, "reason", None) for r in results]
         assert reasons.count(SHED_QUEUE_FULL) == len(jobs) - 3
         # Shedding produced typed results, not tracebacks, and the
@@ -170,8 +167,8 @@ class TestAdmission:
         now = [50.0]
         jobs = [Job("late", "1;", not_after=49.0),
                 Job("fine", "2;", not_after=51.0)]
-        with Fleet(workers=1, clock=lambda: now[0]) as fleet:
-            results = fleet.run(jobs)
+        fleet = Fleet(workers=1, clock=lambda: now[0])
+        results = fleet.run(jobs)
         assert results[0].status == STATUS_SHED
         assert results[0].reason == SHED_DEADLINE
         assert results[1].status == "ok"
@@ -188,9 +185,9 @@ class TestAdmission:
 
         jobs = [Job("long", HOT_LOOP),
                 Job("stale", "1;", not_after=0.5)]
-        with Fleet(workers=1, clock=TickingClock(),
-                   capture_events=True) as fleet:
-            results = fleet.run(jobs)
+        fleet = Fleet(workers=1, clock=TickingClock(),
+                      capture_events=True)
+        results = fleet.run(jobs)
         assert results[0].status == "ok"
         assert results[1].status == STATUS_SHED
         assert results[1].reason == SHED_DEADLINE
@@ -198,10 +195,10 @@ class TestAdmission:
     def test_sheds_never_reach_a_worker(self):
         now = [100.0]
         jobs = [Job(f"s{i}", "1 + 1;", tenant="spammy") for i in range(4)]
-        with Fleet(workers=1, rates={"spammy": 1.0},
-                   clock=lambda: now[0]) as fleet:
-            fleet.run(jobs)
-            summary = fleet.tenant_summary()
+        fleet = Fleet(workers=1, rates={"spammy": 1.0},
+                      clock=lambda: now[0])
+        fleet.run(jobs)
+        summary = fleet.tenant_summary()
         usage = summary["spammy"]
         assert usage.jobs == 4 and usage.ok == 1 and usage.faulted == 3
         assert usage.cycles > 0  # only the admitted job billed cycles
@@ -213,8 +210,8 @@ class TestWorkStealing:
         # other workers steal the backlog.
         jobs = [Job(f"h{i}", HOT_LOOP + f" s + {i};", tenant="hot")
                 for i in range(8)]
-        with Fleet(workers=3, capture_events=True) as fleet:
-            results = fleet.run(jobs)
+        fleet = Fleet(workers=3, capture_events=True)
+        results = fleet.run(jobs)
         assert all(r.status == "ok" for r in results)
         assert fleet.counts().get("work-stolen", 0) > 0
 
@@ -232,8 +229,8 @@ class TestWorkStealing:
         jobs = ([Job("warm-thief", HOT_LOOP, tenant="mine")]
                 + [Job(f"backlog{i}", HOT_LOOP + f" s + {i};", tenant="hot")
                    for i in range(8)])
-        with Fleet(workers=2, config=config, capture_events=True) as fleet:
-            results = fleet.run(jobs)
+        fleet = Fleet(workers=2, config=config, capture_events=True)
+        results = fleet.run(jobs)
         assert all(r.status == "ok" for r in results)
         assert fleet.counts().get("work-stolen", 0) == 0
 
@@ -242,7 +239,7 @@ class TestWorkStealing:
 
         sup = Supervisor(config=VMConfig())
         assert not sup.warm_source(HOT_LOOP)
-        sup.run_attempt(Job("a", HOT_LOOP), 1)
+        sup._run_attempt(Job("a", HOT_LOOP), 1)
         assert sup.warm_source(HOT_LOOP)
         sup.vm.monitor.cache.flush("test")
         assert HOT_LOOP in sup._codes      # parse cache survives...
@@ -252,9 +249,9 @@ class TestWorkStealing:
         jobs = [Job(f"h{i}", HOT_LOOP + f" s + {i};", tenant="hot")
                 for i in range(6)]
         plan = FaultPlan({"fleet.steal_race": "*"})
-        with Fleet(workers=3, fault_plan=plan,
-                   capture_events=True) as fleet:
-            results = fleet.run(jobs)
+        fleet = Fleet(workers=3, fault_plan=plan,
+                      capture_events=True)
+        results = fleet.run(jobs)
         assert all(r.status == "ok" for r in results)
         # Every steal attempt lost its race: no work-stolen events.
         assert fleet.counts().get("work-stolen", 0) == 0
@@ -265,11 +262,11 @@ class TestWorkerFaultTolerance:
     def test_crash_respawns_and_resubmits(self):
         jobs = mixed_jobs(6)
         plan = FaultPlan({"fleet.worker_crash": 1})
-        with Fleet(workers=2, fault_plan=plan,
-                   capture_events=True) as fleet:
-            results = fleet.run(jobs)
-            counts = fleet.counts()
-            live = fleet.workers
+        fleet = Fleet(workers=2, fault_plan=plan,
+                      capture_events=True)
+        results = fleet.run(jobs)
+        counts = fleet.counts()
+        live = fleet.workers
         assert all(r.status == "ok" for r in results)
         assert counts["worker-respawn"] == 1
         assert counts["worker-online"] == 3  # 2 spawns + 1 respawn
@@ -280,10 +277,10 @@ class TestWorkerFaultTolerance:
     def test_hang_watchdog_replaces_wedged_worker(self):
         jobs = mixed_jobs(6)
         plan = FaultPlan({"fleet.worker_hang": 1})
-        with Fleet(workers=2, hang_timeout=0.05, fault_plan=plan,
-                   capture_events=True) as fleet:
-            results = fleet.run(jobs)
-            counts = fleet.counts()
+        fleet = Fleet(workers=2, fault_plan=plan,
+                      capture_events=True)
+        results = fleet.run(jobs)
+        counts = fleet.counts()
         assert all(r.status == "ok" for r in results)
         assert counts["worker-respawn"] == 1
         respawns = fleet.events.of_kind("worker-respawn")
@@ -294,10 +291,10 @@ class TestWorkerFaultTolerance:
         # and after max_requeues resubmissions it is reported lost —
         # a typed result, not a hang or a traceback.
         plan = FaultPlan({"fleet.worker_crash": "*"})
-        with Fleet(workers=1, max_requeues=2, fault_plan=plan,
-                   capture_events=True) as fleet:
-            results = fleet.run([Job("doomed", "1 + 1;")])
-            counts = fleet.counts()
+        fleet = Fleet(workers=1, max_requeues=2, fault_plan=plan,
+                      capture_events=True)
+        results = fleet.run([Job("doomed", "1 + 1;")])
+        counts = fleet.counts()
         assert results[0].status == STATUS_WORKER_LOST
         assert "max_requeues=2" in results[0].fault
         assert counts["worker-respawn"] == 3  # initial + 2 resubmits
@@ -307,20 +304,19 @@ class TestWorkerFaultTolerance:
     def test_real_exception_in_attempt_is_a_crash(self):
         # A non-injected internal error escaping an attempt must also
         # respawn the worker and resubmit, not deadlock the batch.
-        with Fleet(workers=1, capture_events=True) as fleet:
-            fleet.start()
-            worker = fleet.workers[0]
-            real = worker.supervisor.run_attempt
-            calls = {"n": 0}
+        fleet = Fleet(workers=1, capture_events=True)
+        worker = fleet.workers[0]
+        real = worker.supervisor._run_attempt
+        calls = {"n": 0}
 
-            def flaky_attempt(job, attempt):
-                calls["n"] += 1
-                if calls["n"] == 1:
-                    raise RuntimeError("host bug")
-                return real(job, attempt)
+        def flaky_attempt(job, attempt):
+            calls["n"] += 1
+            if calls["n"] == 1:
+                raise RuntimeError("host bug")
+            return real(job, attempt)
 
-            worker.supervisor.run_attempt = flaky_attempt
-            results = fleet.run([Job("survivor", "6 * 7;")])
+        worker.supervisor._run_attempt = flaky_attempt
+        results = fleet.run([Job("survivor", "6 * 7;")])
         assert results[0].status == "ok"
         assert results[0].result == "42"
         assert fleet.counts()["worker-respawn"] == 1
@@ -332,14 +328,13 @@ class TestFleetChaosConvergence:
 
     @pytest.fixture(scope="class")
     def baseline(self):
-        with Fleet(workers=1) as fleet:
-            return canonical(fleet.run(mixed_jobs()))
+        fleet = Fleet(workers=1)
+        return canonical(fleet.run(mixed_jobs()))
 
     @pytest.mark.parametrize("site", FLEET_FAULT_SITES)
     def test_single_fault_converges(self, site, baseline):
-        with Fleet(workers=3, hang_timeout=0.05,
-                   fault_plan=FaultPlan({site: 1})) as fleet:
-            got = canonical(fleet.run(mixed_jobs()))
+        fleet = Fleet(workers=3, fault_plan=FaultPlan({site: 1}))
+        got = canonical(fleet.run(mixed_jobs()))
         assert got == baseline
 
     def test_combined_chaos_converges(self, baseline):
@@ -348,16 +343,16 @@ class TestFleetChaosConvergence:
             "fleet.worker_hang": 2,
             "fleet.steal_race": 1,
         })
-        with Fleet(workers=4, hang_timeout=0.05, fault_plan=plan,
-                   capture_events=True) as fleet:
-            got = canonical(fleet.run(mixed_jobs()))
+        fleet = Fleet(workers=4, fault_plan=plan,
+                      capture_events=True)
+        got = canonical(fleet.run(mixed_jobs()))
         assert got == baseline
         assert fleet.counts()["worker-respawn"] >= 2
 
     @pytest.mark.parametrize("workers", [2, 3, 4])
     def test_worker_counts_converge(self, workers, baseline):
-        with Fleet(workers=workers) as fleet:
-            got = canonical(fleet.run(mixed_jobs()))
+        fleet = Fleet(workers=workers)
+        got = canonical(fleet.run(mixed_jobs()))
         assert got == baseline
 
 
@@ -366,11 +361,11 @@ class TestFleetObservability:
         now = [100.0]
         jobs = [Job(f"s{i}", "1 + 1;", tenant="spammy") for i in range(4)]
         plan = FaultPlan({"fleet.worker_crash": 1})
-        with Fleet(workers=2, rates={"spammy": 1.0}, clock=lambda: now[0],
-                   fault_plan=plan, capture_metrics=True,
-                   capture_events=True) as fleet:
-            fleet.run(jobs)
-            metrics = fleet.metrics
+        fleet = Fleet(workers=2, rates={"spammy": 1.0}, clock=lambda: now[0],
+                      fault_plan=plan, capture_metrics=True,
+                      capture_events=True)
+        fleet.run(jobs)
+        metrics = fleet.metrics
         assert metrics.fleet_sheds.value(tenant="spammy", reason="rate") == 3
         assert metrics.fleet_respawns.value(reason="crash") == 1
         assert metrics.fleet_workers.value() == 2
@@ -380,9 +375,9 @@ class TestFleetObservability:
         job totals at 2 workers equal a 1-worker run of the same jobs."""
 
         def jobs_series(workers):
-            with Fleet(workers=workers, capture_metrics=True) as fleet:
-                fleet.run(mixed_jobs(9))
-                doc = fleet.metrics.snapshot(program="fleet")
+            fleet = Fleet(workers=workers, capture_metrics=True)
+            fleet.run(mixed_jobs(9))
+            doc = fleet.metrics.snapshot(program="fleet")
             family = next(
                 f for f in doc["counters"] if f["name"] == "repro_jobs_total"
             )
@@ -399,9 +394,9 @@ class TestFleetObservability:
     def test_span_recorder_exports_worker_lanes(self):
         from repro.obs.validate import validate_chrome_trace
 
-        with Fleet(workers=2, capture_spans=True) as fleet:
-            fleet.run(mixed_jobs(4))
-            doc = fleet.spans.to_chrome_trace(program="test-fleet")
+        fleet = Fleet(workers=2, capture_spans=True)
+        fleet.run(mixed_jobs(4))
+        doc = fleet.spans.to_chrome_trace(program="test-fleet")
         validate_chrome_trace(doc)
         lanes = {
             entry["args"]["name"]
@@ -416,20 +411,20 @@ class TestFleetObservability:
         from repro.obs.validate import validate_events_jsonl
 
         plan = FaultPlan({"fleet.worker_crash": 1})
-        with Fleet(workers=2, fault_plan=plan,
-                   capture_events=True) as fleet:
-            fleet.run(mixed_jobs(4))
-            path = tmp_path / "fleet-events.jsonl"
-            fleet.events.write_jsonl(str(path))
+        fleet = Fleet(workers=2, fault_plan=plan,
+                      capture_events=True)
+        fleet.run(mixed_jobs(4))
+        path = tmp_path / "fleet-events.jsonl"
+        fleet.events.write_jsonl(str(path))
         count = validate_events_jsonl(path.read_text())
         assert count >= 4  # worker-onlines + fault + respawn at minimum
 
     def test_clean_run_still_emits_events(self):
         # worker-online per spawn guarantees the fleet JSONL artifact is
         # never empty, which validate_events_jsonl requires.
-        with Fleet(workers=2, capture_events=True) as fleet:
-            fleet.run(mixed_jobs(2))
-            assert len(fleet.events) >= 2
+        fleet = Fleet(workers=2, capture_events=True)
+        fleet.run(mixed_jobs(2))
+        assert len(fleet.events) >= 2
 
 
 class TestFleetRetryDiscipline:
@@ -446,9 +441,9 @@ class TestFleetRetryDiscipline:
             "}"
             "total;"
         )
-        with Fleet(workers=1, config=config, limits=limits, max_retries=2,
-                   capture_events=True) as fleet:
-            result = fleet.run([Job("pressured", nested)])[0]
+        fleet = Fleet(workers=1, config=config, limits=limits, max_retries=2,
+                      capture_events=True)
+        result = fleet.run([Job("pressured", nested)])[0]
         if result.attempts > 1:
             retried = fleet.events.of_kind("job-retried")
             assert retried and retried[0].payload["job"] == "pressured"

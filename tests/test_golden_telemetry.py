@@ -17,9 +17,13 @@ Runs:
   and pycompile fault plans (safe mode, invalidation, pycompile
   failures), and a trace-store cold run, warm preload and
   truncated-manifest fallback;
-* one supervised batch (retry under cache pressure, a degraded tenant
-  on probation, deadline, heap and cancellation faults);
-* one single-worker fleet batch, pinning the fleet's own families.
+* one supervised batch on a single-worker fleet (retry under cache
+  pressure, a degraded tenant on probation, deadline, heap and
+  cancellation faults);
+* one single-worker fleet batch, pinning the fleet's own families;
+* one two-worker fleet batch whose second worker steals the first
+  one's backlog, pinning its statuses, event counts, fleet families
+  and tenant summary.
 
 Wall-clock values are not pinned: the profile's wall fields and the
 bucket counts and sums of ``repro_pycompile_wall_seconds`` are blanked.
@@ -44,7 +48,9 @@ import pathlib
 import re
 import tempfile
 
-from repro.exec import Fleet, Job, ResourceLimits, Supervisor
+from dataclasses import asdict
+
+from repro.exec import Fleet, Job, ResourceLimits
 from repro.hardening import FaultPlan
 from repro.suite.programs import PROGRAMS
 from repro.vm import TracingVM, VMConfig
@@ -268,9 +274,10 @@ def _batch_jobs():
 
 
 def observe_batch() -> dict:
-    """One supervised batch: the job table, per-job metrics deltas and
-    the supervisor VM's exports."""
-    supervisor = Supervisor(
+    """One supervised batch on a single-worker fleet: the job table,
+    per-job metrics deltas and the worker VM's exports."""
+    fleet = Fleet(
+        workers=1,
         config=VMConfig(code_cache_budget=400),
         limits=ResourceLimits(deadline_cycles=150_000),
         max_retries=2,
@@ -278,9 +285,10 @@ def observe_batch() -> dict:
         probation_after=1,
         capture_metrics=True,
     )
-    supervisor.vm.enable_profiling()
-    results = supervisor.run(_batch_jobs())
-    view = _vm_view(supervisor.vm, "batch")
+    vm = fleet.workers[0].supervisor.vm
+    vm.enable_profiling()
+    results = fleet.run(_batch_jobs())
+    view = _vm_view(vm, "batch")
     view["table"] = [
         {
             "job": result.job_id,
@@ -302,16 +310,8 @@ def observe_batch() -> dict:
     return view
 
 
-def observe_fleet() -> dict:
-    """A single-worker fleet batch: rate sheds on a frozen clock and one
-    injected worker crash.  Only the fleet's own families are pinned."""
-    now = [100.0]
-    jobs = [Job(f"s{i}", "1 + 1;", tenant="spammy") for i in range(4)]
-    with Fleet(workers=1, rates={"spammy": 1.0}, clock=lambda: now[0],
-               fault_plan=FaultPlan({"fleet.worker_crash": 1}),
-               capture_metrics=True) as fleet:
-        results = fleet.run(jobs)
-        snapshot = _snapshot_view(fleet.metrics, "fleet")
+def _fleet_view(fleet, results) -> dict:
+    snapshot = _snapshot_view(fleet.metrics, "fleet")
     return {
         "statuses": [result.status for result in results],
         "counts": dict(sorted(fleet.counts().items())),
@@ -322,6 +322,38 @@ def observe_fleet() -> dict:
             if family["name"].startswith("repro_fleet_")
         },
     }
+
+
+def observe_fleet() -> dict:
+    """A single-worker fleet batch: rate sheds on a frozen clock and one
+    injected worker crash.  Only the fleet's own families are pinned."""
+    now = [100.0]
+    jobs = [Job(f"s{i}", "1 + 1;", tenant="spammy") for i in range(4)]
+    fleet = Fleet(workers=1, rates={"spammy": 1.0}, clock=lambda: now[0],
+                  fault_plan=FaultPlan({"fleet.worker_crash": 1}),
+                  capture_metrics=True)
+    return _fleet_view(fleet, fleet.run(jobs))
+
+
+def observe_fleet_steals() -> dict:
+    """A two-worker fleet batch: the "hot" tenant's backlog lands on one
+    worker and the other steals from it, around one lost steal race and
+    one injected worker crash."""
+    jobs = [Job(f"h{i}", LOOPY + f" s + {i};", tenant="hot")
+            for i in range(6)]
+    jobs.append(Job("c0", "6 * 7;", tenant="cold"))
+    fleet = Fleet(
+        workers=2,
+        fault_plan=FaultPlan({"fleet.steal_race": 1,
+                              "fleet.worker_crash": 3}),
+        capture_metrics=True,
+    )
+    view = _fleet_view(fleet, fleet.run(jobs))
+    view["tenants"] = {
+        tenant: asdict(usage)
+        for tenant, usage in fleet.tenant_summary().items()
+    }
+    return view
 
 
 def build_table() -> dict:
@@ -337,6 +369,7 @@ def build_table() -> dict:
     table.update(observe_store_runs(sources["sieve"]))
     table["batch"] = observe_batch()
     table["fleet"] = observe_fleet()
+    table["fleet-steals"] = observe_fleet_steals()
     return table
 
 
@@ -393,7 +426,7 @@ def test_every_fed_family_is_exercised():
     golden = json.loads(GOLDEN_PATH.read_text())
     seen = set()
     for key, run in golden.items():
-        if key == "fleet":
+        if key.startswith("fleet"):
             continue
         for name, series in run["metrics"]["series"].items():
             if _nonzero(series):
@@ -401,6 +434,8 @@ def test_every_fed_family_is_exercised():
     fleet = golden["fleet"]["fleet_series"]
     assert _nonzero(fleet["repro_fleet_sheds_total"])
     assert _nonzero(fleet["repro_fleet_respawns_total"])
+    steals = golden["fleet-steals"]["fleet_series"]
+    assert _nonzero(steals["repro_fleet_steals_total"])
     missing = [name for name in FED_FAMILIES if name not in seen]
     assert not missing, f"no pinned run reaches {missing}"
 

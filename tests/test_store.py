@@ -488,18 +488,18 @@ def _canonical(results):
 
 
 def test_supervisor_warm_start_from_store(tmp_path):
-    from repro.exec import Supervisor
+    from repro.exec import Fleet
 
     config = _config(tmp_path)
-    cold = Supervisor(config=_config(tmp_path))
-    cold_results = cold.run(_jobs())
+    cold_results = Fleet(workers=1, config=_config(tmp_path)).run(_jobs())
 
-    warm = Supervisor(config=_config(tmp_path))
+    fleet = Fleet(workers=1, config=_config(tmp_path))
+    warm = fleet.workers[0].supervisor
     sources, fragments = warm.warm_start_from_store()
     assert sources == len({p.source for p in PROGRAMS[:4]})
     assert fragments > 0
     assert warm.vm.monitor.cache.fragment_count > 0
-    warm_results = warm.run(_jobs())
+    warm_results = fleet.run(_jobs())
     assert _canonical(warm_results) == _canonical(cold_results)
 
 
@@ -521,8 +521,7 @@ def test_fleet_respawn_warm_starts_from_store(tmp_path):
     def run_fleet(config, fleet_plan):
         fleet = Fleet(workers=2, config=config, fault_plan=fleet_plan,
                       capture_events=True)
-        with fleet:
-            results = fleet.run(jobs)
+        results = fleet.run(jobs)
         return fleet, _canonical(results)
 
     _fleet, baseline = run_fleet(_config(tmp_path), None)  # populates store
@@ -545,8 +544,7 @@ def test_fleet_initial_spawn_does_not_warm_start(tmp_path):
 
     TracingVM(_config(tmp_path)).run(LOOP_SOURCE, name="loop")
     fleet = Fleet(workers=2, config=_config(tmp_path), capture_events=True)
-    with fleet:
-        fleet.run(_jobs(2))
+    fleet.run(_jobs(2))
     assert not fleet.events.of_kind(eventkind.WORKER_WARM_START)
 
 
