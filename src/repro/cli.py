@@ -21,8 +21,8 @@ Usage::
     python -m repro --metrics-prom m.prom prog.js    # Prometheus text
     python -m repro --trace-export t.json prog.js    # Chrome trace spans
     python -m repro batch --suite --metrics-json m.json --trace-export t.json
-    python -m repro batch --suite --workers 4 --rate spam=2 --shed-after 64
-    python -m repro batch --suite --workers 3 \
+    python -m repro batch --suite --rate spam=2 --shed-after 64
+    python -m repro batch --suite \
         --inject-fleet-fault fleet.worker_crash --dump-results r.json
     python -m repro --trace-store store/ prog.js  # persist + warm-start traces
     python -m repro batch --suite --trace-store store/   # warm the whole suite
@@ -434,18 +434,17 @@ def dump_traces(vm: TracingVM, out) -> None:
 
 
 def run_batch(argv: list, out) -> int:
-    """The ``batch`` subcommand: a fleet of supervised VMs over a queue
-    of jobs (one worker unless ``--workers`` says otherwise)."""
+    """The ``batch`` subcommand: one supervised VM over an
+    admission-controlled queue of jobs."""
     from repro.exec import Fleet, Job
     from repro.suite.programs import PROGRAMS
 
     parser = argparse.ArgumentParser(
         prog="repro batch",
         description=(
-            "Run a queue of programs on a fleet of supervised VMs (one by "
-            "default): per-job isolation, resource limits, retry, "
-            "per-tenant degradation, admission control.  Guest faults are "
-            "contained (exit 0)."
+            "Run a queue of programs on one supervised VM: per-job "
+            "isolation, resource limits, retry, per-tenant degradation, "
+            "admission control.  Guest faults are contained (exit 0)."
         ),
     )
     parser.add_argument("files", nargs="*", help="JSLite source files (jobs)")
@@ -499,7 +498,7 @@ def run_batch(argv: list, out) -> int:
         metavar="FILE",
         help=(
             "write the events as JSONL to FILE: the fleet's scheduler "
-            "stream, then every worker VM's stream"
+            "stream, then every VM's stream (a respawn adds one)"
         ),
     )
     parser.add_argument(
@@ -508,22 +507,12 @@ def run_batch(argv: list, out) -> int:
         help=(
             "write the canonical per-job results as JSON to FILE "
             "(job/tenant/status/result/output, sorted by job id — the "
-            "document the fleet chaos CI diffs across worker counts)"
+            "document the fleet chaos CI diffs against a run under "
+            "injected VM crashes and hangs)"
         ),
     )
     fleet_group = parser.add_argument_group(
-        "fleet (see docs/INTERNALS.md, The fleet: the one batch loop)"
-    )
-    fleet_group.add_argument(
-        "--workers",
-        type=int,
-        default=1,
-        metavar="N",
-        help=(
-            "worker VMs, driven round-robin on one thread; each keeps its "
-            "own trace cache, and tenants route to the worker that holds "
-            "their compiled loops (default: 1)"
-        ),
+        "fleet (see docs/INTERNALS.md, The fleet: one VM per batch)"
     )
     fleet_group.add_argument(
         "--rate",
@@ -539,8 +528,9 @@ def run_batch(argv: list, out) -> int:
         type=int,
         metavar="Q",
         help=(
-            "bound the fleet ingress queue: admitting a job while Q are "
-            "already queued sheds it (status 'shed', reason queue-full)"
+            "bound the fleet ingress queue: admitting a job while Q "
+            "(at least 1) are already queued sheds it (status 'shed', "
+            "reason queue-full)"
         ),
     )
     fleet_group.add_argument(
@@ -559,18 +549,22 @@ def run_batch(argv: list, out) -> int:
         metavar="SITE[:N]",
         help=(
             "inject a fleet-level fault (fleet.worker_crash, "
-            "fleet.worker_hang, fleet.steal_race) on its Nth hit; "
-            "repeatable"
+            "fleet.worker_hang) on its Nth hit; repeatable"
         ),
     )
     add_telemetry_arguments(parser)
     add_store_arguments(parser)
     add_limit_arguments(parser)
     args = parser.parse_args(argv)
-    if args.workers < 1:
-        raise SystemExit(
-            f"repro: bad --workers {args.workers}: N must be at least 1"
-        )
+    for flag, value, least in (
+        ("--shed-after", args.shed_after, 1),
+        ("--max-retries", args.max_retries, 0),
+        ("--max-requeues", args.max_requeues, 0),
+    ):
+        if value is not None and value < least:
+            raise SystemExit(
+                f"repro: bad {flag} {value}: must be at least {least}"
+            )
     rates = {}
     for spec in args.rate or ():
         tenant, sep, rate = spec.partition("=")
@@ -623,7 +617,6 @@ def run_batch(argv: list, out) -> int:
         batch_config.trace_store = args.trace_store
         batch_config.trace_store_budget = args.trace_store_budget
     fleet = Fleet(
-        workers=args.workers,
         engine=args.engine,
         config=batch_config,
         limits=build_limits(args),
@@ -670,12 +663,11 @@ def run_batch(argv: list, out) -> int:
         f"{counts.get(kind, 0)} {label}"
         for kind, label in (
             ("job-shed", "shed"),
-            ("work-stolen", "stolen"),
             ("worker-respawn", "respawned"),
             ("job-retried", "retried"),
         )
     )
-    print(f"fleet ({args.workers} workers): {fleet_line}", file=out)
+    print(f"fleet: {fleet_line}", file=out)
     if tenants:
         print(file=out)
         print(

@@ -106,17 +106,6 @@ class TraceCache:
     def all_trees(self) -> List[object]:
         return [tree for peers in self._trees.values() for tree in peers]
 
-    def holds_code(self, code) -> bool:
-        """Whether any linked tree was compiled from ``code``.
-
-        The fleet's locality-aware work stealing asks this about a
-        prospective steal: an entry whose loops are warm in the thief's
-        cache moves for free, while one the thief would have to compile
-        fresh can cost a budget-overflow flush of its whole warm set.
-        """
-        target = id(code)
-        return any(key[0] == target for key in self._trees)
-
     def items(self):
         """Iterate ``(key, peer_list)`` pairs (for dumps and tests)."""
         return self._trees.items()

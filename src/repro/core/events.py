@@ -34,11 +34,11 @@ from typing import Callable, Dict, Iterator, List, Optional, Tuple
 #: the supervisor kinds (script-deadline, quota-exceeded,
 #: script-cancelled, job-retried); 5 = compile records carry the
 #: whole-trace optimizer's removal counters (cse, guards_elim,
-#: hoisted); 6 = adds the fleet kinds (job-shed, work-stolen,
-#: worker-online, worker-respawn) and the supervisor's
-#: tenant-probation kind; 7 = adds the persistent trace-store kinds
-#: (store-save, store-load, store-fallback) and the fleet's
-#: worker-warm-start kind.
+#: hoisted); 6 = adds the fleet kinds (job-shed, worker-online,
+#: worker-respawn, and a work-stealing kind that one-VM batches no
+#: longer emit) and the supervisor's tenant-probation kind; 7 = adds
+#: the persistent trace-store kinds (store-save, store-load,
+#: store-fallback) and the fleet's worker-warm-start kind.
 EVENT_SCHEMA_VERSION = 7
 
 # -- event kinds -----------------------------------------------------------------
@@ -90,14 +90,11 @@ TENANT_PROBATION = "tenant-probation"
 #: The fleet refused a job without running it (payload: job, tenant,
 #: reason = rate / queue-full / deadline).
 JOB_SHED = "job-shed"
-#: An idle worker stole a queued job from another worker's backlog
-#: (payload: job, tenant, thief, victim).
-WORK_STOLEN = "work-stolen"
-#: A fleet worker came online (payload: worker, replaces=None for the
-#: initial spawn, or the dead worker's id on a respawn).
+#: A batch VM came online (payload: worker = its id, replaces=None for
+#: the first VM, or the dead VM's id on a respawn).
 WORKER_ONLINE = "worker-online"
-#: A fleet worker was declared dead and replaced (payload: worker,
-#: reason = crash / hang, job = the in-flight job id or None).
+#: The batch VM was declared dead and replaced (payload: worker = its
+#: id, reason = crash / hang, job = the in-flight job id or None).
 WORKER_RESPAWN = "worker-respawn"
 #: The persistent trace store wrote one entry (payload: source,
 #: trees, fragments, bytes, evicted = entries evicted by the budget).
@@ -109,8 +106,8 @@ STORE_LOAD = "store-load"
 #: store.load / store.save, reason, source) — always paired with a
 #: ``jit-internal-failure`` record carrying the contained error.
 STORE_FALLBACK = "store-fallback"
-#: A respawned fleet worker warm-started from the trace store
-#: (payload: worker, sources, fragments).
+#: A replacement batch VM warm-started from the trace store (payload:
+#: worker, sources, fragments).
 WORKER_WARM_START = "worker-warm-start"
 
 #: Event kind -> the payload fields its tally is broken down by, in the
@@ -130,7 +127,6 @@ TALLY_LABELS = {
     JOB_RETRIED: ("tenant",),
     TENANT_PROBATION: ("tenant", "phase"),
     JOB_SHED: ("tenant", "reason"),
-    WORK_STOLEN: ("thief",),
     WORKER_RESPAWN: ("reason",),
     STORE_LOAD: ("result",),
     STORE_FALLBACK: ("boundary", "reason"),

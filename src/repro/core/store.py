@@ -1346,13 +1346,13 @@ class TraceStore:
     def preload(self, vm, source: str, code) -> bool:
         """Link this source's persisted traces into a live VM.
 
-        Returns True on a hit.  Misses emit ``store-load`` with
+        ``code`` is freshly compiled, so no tree of ``vm`` is keyed on
+        it yet; every caller preloads a source right after compiling
+        it.  Returns True on a hit.  Misses emit ``store-load`` with
         ``result=miss``; refusals/corruption emit ``store-fallback``
         and leave the VM fully cold (transactional rollback)."""
         if vm.monitor is None:
             return False
-        if vm.monitor.cache.holds_code(code):
-            return False  # already warm in this VM; nothing to do
         try:
             fragments = self._load(vm, source, code)
         except Exception as error:

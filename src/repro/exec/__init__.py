@@ -5,8 +5,9 @@ right to keep running: :class:`ResourceLimits` declares a budget,
 :class:`ScriptMeter` bills a running VM against it (delivering typed
 guest faults through the preemption flag), :class:`Supervisor` runs
 job attempts on one VM with isolation, a retry policy, degradation and
-billing, and :class:`Fleet` — the only batch loop — queues, admits and
-schedules jobs over one or more supervised VMs on the caller's thread.
+billing, and :class:`Fleet` — the only batch loop — admits and queues
+jobs for one supervised VM on the caller's thread, replacing the VM
+when it crashes or hangs.
 
 Import order matters: :mod:`repro.interp.interpreter` (and friends)
 import :mod:`repro.exec.limits` at module top, which executes this
@@ -39,7 +40,6 @@ from repro.exec.fleet import (
     Fleet,
     JobShed,
     TokenBucket,
-    Worker,
 )
 
 __all__ = [
@@ -58,7 +58,6 @@ __all__ = [
     "Supervisor",
     "TenantUsage",
     "TokenBucket",
-    "Worker",
     "backoff_slots",
     "status_of_fault",
     "string_cells",

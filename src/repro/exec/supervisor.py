@@ -1,8 +1,9 @@
 """The per-VM job executor.
 
 A :class:`Supervisor` owns **one long-lived VM** and runs job attempts
-on it; the :class:`~repro.exec.fleet.Fleet` owns every queue and calls
-it once per attempt.  Per job it provides:
+on it; the :class:`~repro.exec.fleet.Fleet` owns the queue and calls
+it once per attempt, and replaces the VM (:meth:`Supervisor.replace_vm`)
+when it crashes or hangs.  Per job it provides:
 
 * **isolation** — fresh globals / output / frames via
   :meth:`repro.core.preempt.PreemptionMixin.reset_guest_state`, while
@@ -24,6 +25,10 @@ it once per attempt.  Per job it provides:
 * **billing** — per-tenant :class:`TenantUsage` and, with metrics on,
   the job and billing counters of the VM's registry.
 
+Tenant policy (degradation, probation, breach counts), billing and the
+backoff jitter source belong to the supervisor, not to its VM, so they
+outlive a VM replacement.
+
 The supervisor never lets a guest fault escape as a raw traceback:
 every attempt produces a :class:`JobResult` whose ``status`` reflects
 how it ended.
@@ -31,8 +36,9 @@ how it ended.
 
 from __future__ import annotations
 
+import copy
 import random
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, field
 from typing import Dict, Optional, Set, Tuple
 
 from repro.core import events as eventkind
@@ -103,8 +109,7 @@ class JobResult:
     cache_flushes: int = 0
     #: Counter series that changed while the final attempt ran
     #: (``{series-name: delta}``), when the supervisor VM has metrics
-    #: attached; None otherwise.  This is the per-job telemetry the
-    #: future sharded tier's admission control consumes.
+    #: attached; None otherwise.
     metrics: Optional[Dict[str, float]] = None
 
     @property
@@ -135,11 +140,6 @@ class TenantUsage:
         self.cycles += result.usage.cycles
         self.heap_cells += result.usage.heap_cells
         self.output_bytes += result.usage.output_bytes
-
-    def merge(self, other: "TenantUsage") -> None:
-        """Fold ``other``'s totals into this one."""
-        for f in fields(self):
-            setattr(self, f.name, getattr(self, f.name) + getattr(other, f.name))
 
 
 def status_of_fault(fault: GuestFault) -> str:
@@ -189,19 +189,13 @@ class Supervisor:
         self.max_retries = max_retries
         self.degrade_after = degrade_after
         self.probation_after = probation_after
+        self._config = config
+        self._capture = (capture_events, capture_metrics, capture_spans)
         #: Seeded jitter source for retry backoff: deterministic for a
         #: fixed seed, decorrelated between colliding retriers.
         self._backoff_rng = random.Random(backoff_seed)
-        self.vm = self._make_vm(engine, config, capture_events)
-        if capture_metrics:
-            self.vm.enable_metrics()
-        if capture_spans:
-            self.vm.enable_span_tracing()
         #: tenant -> aggregated billing, filled as results complete.
         self.tenant_usage: Dict[str, TenantUsage] = {}
-        #: source -> compiled Code; shared across jobs and tenants so
-        #: identical programs hit the same loop headers (and traces).
-        self._codes: Dict[str, object] = {}
         #: tenant -> compile-quota breach count (degradation trigger).
         self._compile_breaches: Dict[str, int] = {}
         #: Tenants demoted to interpreter-only mode.
@@ -213,6 +207,30 @@ class Supervisor:
         #: more compile breach re-degrades them immediately, one clean
         #: JIT job restores them fully.
         self.probation_tenants: Set[str] = set()
+        self.replace_vm()
+
+    def replace_vm(self) -> None:
+        """Build a fresh VM and forget the source→Code cache (its Code
+        objects key the old VM's traces).
+
+        The VM gets its own copy of the batch config: safe mode mutates
+        ``config.enable_tracing`` in place, which must not leak from a
+        dead VM into its replacement.  Tenant policy, billing and the
+        backoff jitter source stay.
+        """
+        capture_events, capture_metrics, capture_spans = self._capture
+        config = copy.copy(self._config) if self._config is not None else None
+        self.vm = self._make_vm(self.engine, config, capture_events)
+        if capture_metrics:
+            self.vm.enable_metrics()
+            # The level belongs to the tenant policy, which outlives
+            # the VM that reports it.
+            self.vm.metrics.degraded_tenants.set(len(self.degraded_tenants))
+        if capture_spans:
+            self.vm.enable_span_tracing()
+        #: source -> compiled Code; shared across jobs and tenants so
+        #: identical programs hit the same loop headers (and traces).
+        self._codes: Dict[str, object] = {}
 
     @staticmethod
     def _make_vm(engine: str, config, capture_events: bool):
@@ -315,30 +333,14 @@ class Supervisor:
             )
             metrics.degraded_tenants.set(len(self.degraded_tenants))
 
-    # -- trace-cache warmth -------------------------------------------------
-
-    def warm_source(self, source: str) -> bool:
-        """Whether this VM's trace cache holds compiled loops for ``source``.
-
-        Distinct from mere *parse* caching (``_codes`` keeps the Code
-        object even after a cache flush): a source is warm only while
-        its trace trees are linked.  The fleet's locality-aware work
-        stealing routes on this.
-        """
-        code = self._codes.get(source)
-        if code is None:
-            return False
-        cache = getattr(self.vm, "monitor", None)
-        if cache is None:  # baseline/interp engines never compile traces
-            return False
-        return cache.cache.holds_code(code)
+    # -- the trace store ----------------------------------------------------
 
     def warm_start_from_store(self) -> tuple:
         """Preload every live trace-store entry into this VM.
 
         Compiles each persisted source, primes the shared source→Code
-        cache, and links the persisted traces — the respawned fleet
-        worker's reload-and-verify path.  Returns ``(sources_loaded,
+        cache, and links the persisted traces — the reload-and-verify
+        path of a VM the fleet just replaced.  Returns ``(sources_loaded,
         fragments_linked)``; every failure is contained per entry (a
         broken entry costs only its own warm start).
         """

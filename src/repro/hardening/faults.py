@@ -62,16 +62,13 @@ PYCOMPILE_EMIT = "pycompile.emit"
 #: exists, so the tree simply runs on per-fragment dispatch).
 PYCOMPILE_LINK = "pycompile.link"
 
-#: Fleet scheduling: a worker dies abruptly at the moment it begins a
-#: job attempt (the fleet must respawn it and resubmit the job).
+#: Fleet scheduling: the batch VM dies abruptly at the moment it begins
+#: a job attempt (the fleet must respawn it and resubmit the job).
 FLEET_WORKER_CRASH = "fleet.worker_crash"
-#: Fleet scheduling: a worker wedges at the moment it begins a job
+#: Fleet scheduling: the batch VM wedges at the moment it begins a job
 #: attempt; the fleet replaces it at once (reason ``hang``) and
 #: resubmits the job.
 FLEET_WORKER_HANG = "fleet.worker_hang"
-#: Fleet scheduling: a steal attempt loses the claim race — the victim
-#: keeps the job and the thief must pick other work.
-FLEET_STEAL_RACE = "fleet.steal_race"
 
 #: Trace store: an entry decodes but is corrupt mid-link (simulated
 #: bit-flip past the checksum); the loader must roll back and re-trace.
@@ -105,7 +102,6 @@ FAULT_SITES = (
 FLEET_FAULT_SITES = (
     FLEET_WORKER_CRASH,
     FLEET_WORKER_HANG,
-    FLEET_STEAL_RACE,
 )
 
 #: Trace-store injection sites: they fire inside the persistent trace
@@ -148,7 +144,6 @@ SITE_HELP = {
     PYCOMPILE_LINK: "python-backend megafunction emission, once per tree",
     FLEET_WORKER_CRASH: "fleet worker, dies at a job-attempt start",
     FLEET_WORKER_HANG: "fleet worker, wedges at a job-attempt start",
-    FLEET_STEAL_RACE: "fleet work stealing, thief loses the claim race",
     STORE_CORRUPT_ENTRY: "trace store, entry corrupt mid-link at load",
     STORE_PARTIAL_WRITE: "trace store, writer dies before the rename",
     STORE_LOAD_RACE: "trace store, concurrent writer races the load",

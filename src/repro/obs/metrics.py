@@ -23,8 +23,8 @@ attached after the VM has run reports counts since VM start.  Levels
 (ledger cycles, cache residency, store size) are sampled by
 **collectors** at snapshot time.  Direct instruments remain only for
 facts with no other home: the pycompile wall histogram, the
-supervisor's jobs, billing, queue depth and meter polls, and the fleet
-gauges.  The registry charges **zero simulated cycles**.
+supervisor's jobs, billing, queue depth and meter polls.  The registry
+charges **zero simulated cycles**.
 
 Exports: :meth:`MetricsRegistry.snapshot` (JSON document, schema v1,
 CLI ``--metrics-json``) and :meth:`MetricsRegistry.to_prometheus`
@@ -427,25 +427,11 @@ class MetricsRegistry:
         )
 
         # -- the fleet ---------------------------------------------------------
-        self.fleet_workers = self.gauge(
-            "repro_fleet_workers",
-            "Fleet workers currently alive (spawned minus dead).",
-        )
-        self.fleet_worker_queue_depth = self.gauge(
-            "repro_fleet_worker_queue_depth",
-            "Jobs queued on one fleet worker, by worker id.",
-            ("worker",),
-        )
         self.fleet_sheds = self.counter(
             "repro_fleet_sheds_total",
             "Jobs refused by fleet admission control, by tenant and "
             "reason (rate, queue-full, deadline).",
             ("tenant", "reason"),
-        )
-        self.fleet_steals = self.counter(
-            "repro_fleet_steals_total",
-            "Queued jobs stolen by an idle worker, by thief worker id.",
-            ("thief",),
         )
         self.fleet_respawns = self.counter(
             "repro_fleet_respawns_total",
@@ -643,18 +629,12 @@ EVENT_VIEWS = (
     ("repro_job_retries_total", eventkind.JOB_RETRIED, None),
     ("repro_tenant_probations_total", eventkind.TENANT_PROBATION, None),
     ("repro_fleet_sheds_total", eventkind.JOB_SHED, None),
-    ("repro_fleet_steals_total", eventkind.WORK_STOLEN, None),
     ("repro_fleet_respawns_total", eventkind.WORKER_RESPAWN, None),
     ("repro_store_loads_total", eventkind.STORE_LOAD, None),
     ("repro_store_load_failures_total", eventkind.STORE_FALLBACK,
      lambda key: key[1:] if key[0] == "store.load" else None),
     ("repro_store_saves_total", eventkind.STORE_SAVE, None),
 )
-
-#: Gauges the fleet sets itself, and gauges of a resource its workers
-#: share (one trace-store directory, sampled from one worker).
-FLEET_GAUGES = ("repro_fleet_workers", "repro_fleet_worker_queue_depth")
-SHARED_GAUGES = ("repro_store_entries", "repro_store_bytes")
 
 
 def stream_series(stream) -> Dict[str, dict]:
@@ -730,24 +710,25 @@ def attach_vm_collector(registry: MetricsRegistry, vm) -> None:
 
 
 def attach_fleet_views(registry: MetricsRegistry, stream,
-                       worker_registries: Callable[[], List[MetricsRegistry]]
+                       vm_registries: Callable[[], List[MetricsRegistry]]
                        ) -> None:
-    """Fill a fleet registry: every family but the fleet's own gauges is
-    the fleet stream's event view plus the series of every worker
-    registry — live and replaced — summed per label set, computed
-    whenever the registry is read."""
+    """Fill a fleet registry whenever it is read.  Counters and
+    histograms are the fleet stream's event view plus the series of
+    every VM registry — live and replaced, oldest first — summed per
+    label set.  Gauges are levels, so they are the live VM's (the last
+    registry)."""
 
-    def _merge(reg: MetricsRegistry, kinds, refresh) -> None:
-        workers = worker_registries()
-        for worker in workers:
-            refresh(worker)
-        series = stream_series(stream) if "counter" in kinds else {}
+    def _totals(reg: MetricsRegistry) -> None:
+        sources = vm_registries()
+        for source in sources:
+            source.refresh()
+        series = stream_series(stream)
         for name, instrument in reg._instruments.items():
-            if instrument.kind not in kinds or name in FLEET_GAUGES:
+            if instrument.kind == "gauge":
                 continue
             values = dict(series.get(name, {}))
-            for worker in workers[:1] if name in SHARED_GAUGES else workers:
-                for key, value in worker._instruments[name].values.items():
+            for source in sources:
+                for key, value in source._instruments[name].values.items():
                     if isinstance(value, list):  # histogram cells
                         old = values.get(key, [0] * len(value))
                         values[key] = [a + b for a, b in zip(old, value)]
@@ -755,10 +736,15 @@ def attach_fleet_views(registry: MetricsRegistry, stream,
                         values[key] = values.get(key, 0) + value
             instrument.values = values
 
-    registry.add_view(lambda reg: _merge(
-        reg, ("counter", "histogram"), MetricsRegistry.refresh))
-    registry.add_collector(lambda reg: _merge(
-        reg, ("gauge",), MetricsRegistry.collect))
+    def _levels(reg: MetricsRegistry) -> None:
+        live = vm_registries()[-1]
+        live.collect()
+        for name, instrument in reg._instruments.items():
+            if instrument.kind == "gauge":
+                instrument.values = dict(live._instruments[name].values)
+
+    registry.add_view(_totals)
+    registry.add_collector(_levels)
 
 
 def write_metrics_json(registry: MetricsRegistry, path: str,

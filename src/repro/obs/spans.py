@@ -69,7 +69,6 @@ _INSTANT_KINDS = {
     eventkind.JOB_RETRIED: ("job-retried", ("job", "tenant", "attempt")),
     eventkind.TENANT_PROBATION: ("tenant-probation", ("tenant", "phase")),
     eventkind.JOB_SHED: ("job-shed", ("job", "tenant", "reason")),
-    eventkind.WORK_STOLEN: ("work-stolen", ("job", "thief", "victim")),
     eventkind.WORKER_ONLINE: ("worker-online", ("worker", "replaces")),
     eventkind.WORKER_RESPAWN: ("worker-respawn", ("worker", "reason", "job")),
 }
@@ -121,8 +120,7 @@ class SpanRecorder:
         self.truncated = False
         self._next_id = 1
         self._wall = time.perf_counter
-        #: tid -> lane name for the exported trace; instances may add
-        #: tracks (the fleet recorder adds one lane per worker).
+        #: tid -> lane name for the exported trace.
         self.track_names = dict(_TRACK_NAMES)
 
     # -- clock -------------------------------------------------------------------
@@ -268,23 +266,17 @@ class SpanRecorder:
         }
 
 
-#: First Chrome-trace thread id used for fleet worker lanes (the fleet
-#: recorder keeps TRACK_JOBS for admission/queue spans and TRACK_EVENTS
-#: for instants; each worker gets ``TRACK_WORKER_BASE + worker_id``).
-TRACK_WORKER_BASE = 10
-
-
 class FleetSpanRecorder(SpanRecorder):
     """Span recorder for :class:`repro.exec.fleet.Fleet`'s own lanes.
 
-    The fleet has no single simulated-cycle ledger — workers each bill
-    their own VM — so its canonical timebase is **host wall-clock
+    The fleet outlives any one simulated-cycle ledger — a respawn
+    starts a fresh VM — so its canonical timebase is **host wall-clock
     microseconds since the recorder was created** (the fleet is the one
-    layer of the system that legitimately lives on host time).  Tracks
-    are one lane per worker, holding its job attempts, plus the shared
-    admission/events lanes.  Each worker VM's queue-wait, job and phase
-    spans stay on that VM's own :class:`SpanRecorder`;
-    :meth:`repro.exec.fleet.Fleet.chrome_trace` joins them.
+    layer of the system that legitimately lives on host time).  Its
+    lanes are the job attempts and the fleet's instants.  Each VM's
+    queue-wait, job and phase spans stay on that VM's own
+    :class:`SpanRecorder`; :meth:`repro.exec.fleet.Fleet.chrome_trace`
+    joins them.
     """
 
     def __init__(self, clock=None, max_spans: int = 100_000,
@@ -294,19 +286,13 @@ class FleetSpanRecorder(SpanRecorder):
         self._clock = clock if clock is not None else time.perf_counter
         self._t0 = self._clock()
         self.track_names = {
-            TRACK_JOBS: "admission",
+            TRACK_JOBS: "jobs",
             TRACK_EVENTS: "events",
         }
 
     def now(self) -> int:
         """Wall-clock microseconds since the recorder was created."""
         return max(0, int((self._clock() - self._t0) * 1_000_000))
-
-    def add_worker_track(self, worker_id: int) -> int:
-        """Register (or return) the lane for one worker; returns its tid."""
-        tid = TRACK_WORKER_BASE + worker_id
-        self.track_names[tid] = f"worker-{worker_id}"
-        return tid
 
 
 def write_chrome_trace(doc: dict, path: str) -> None:

@@ -18,7 +18,7 @@ container deliberately does not ship.
 Current versions: events v7 (:data:`repro.core.events
 .EVENT_SCHEMA_VERSION`), profile v5 (:data:`repro.obs.profiler
 .PROFILE_SCHEMA_VERSION`), metrics v1, spans v1, BENCH_wallclock v3,
-BENCH_throughput v1, BENCH_warmstart v1, trace-store manifest v1
+BENCH_warmstart v1, trace-store manifest v1
 (:data:`repro.core.store.STORE_SCHEMA`).
 """
 
@@ -35,7 +35,6 @@ from repro.obs.profiler import PROFILE_SCHEMA_VERSION
 from repro.obs.spans import SPANS_SCHEMA_VERSION
 
 BENCH_SCHEMA_VERSION = 3
-THROUGHPUT_SCHEMA_VERSION = 1
 WARMSTART_SCHEMA_VERSION = 1
 
 
@@ -259,57 +258,6 @@ def validate_bench_wallclock(doc: dict) -> int:
     return len(programs)
 
 
-def validate_bench_throughput(doc: dict) -> int:
-    """BENCH_throughput v1: jobs/sec vs worker count, monotone scaling.
-
-    The monotonicity requirement is the ISSUE's acceptance criterion:
-    the recorded points must show jobs/sec non-decreasing from the
-    1-worker configuration up — a file that records a regression is
-    invalid by definition, which is what lets CI gate on the artifact.
-    """
-    _require(
-        doc.get("schema") == THROUGHPUT_SCHEMA_VERSION,
-        f"THROUGHPUT schema {doc.get('schema')} != {THROUGHPUT_SCHEMA_VERSION}",
-    )
-    workload = doc.get("workload")
-    _require(isinstance(workload, dict), "THROUGHPUT missing workload block")
-    for key in ("jobs", "hot", "adversarial", "cold"):
-        _require(
-            isinstance(workload.get(key), int) and workload[key] >= 0,
-            f"workload: bad {key}",
-        )
-    points = doc.get("points")
-    _require(isinstance(points, list) and len(points) >= 2,
-             "THROUGHPUT needs at least two worker-count points")
-    last_workers = 0
-    last_rate = 0.0
-    for point in points:
-        workers = point.get("workers")
-        _require(isinstance(workers, int) and workers > last_workers,
-                 "points must have strictly increasing worker counts")
-        last_workers = workers
-        _require(
-            point.get("jobs") == workload["jobs"],
-            f"workers={workers}: ran {point.get('jobs')} jobs, "
-            f"workload declares {workload['jobs']}",
-        )
-        rate = point.get("jobs_per_sec")
-        _require(isinstance(rate, (int, float)) and rate > 0,
-                 f"workers={workers}: bad jobs_per_sec")
-        _require(
-            rate >= last_rate,
-            f"workers={workers}: jobs/sec {rate:.2f} regressed below "
-            f"{last_rate:.2f} — scaling must be monotonic",
-        )
-        last_rate = rate
-        wall = point.get("wall_seconds")
-        _require(isinstance(wall, (int, float)) and wall > 0,
-                 f"workers={workers}: bad wall_seconds")
-    _require(points[0]["workers"] == 1,
-             "THROUGHPUT must include the 1-worker reference point")
-    return len(points)
-
-
 def validate_bench_warmstart(doc: dict) -> int:
     """BENCH_warmstart v1: cold-vs-warm wall clock, speedup machine-gated.
 
@@ -473,10 +421,6 @@ def detect_and_validate(path: str) -> str:
     if "programs" in doc or "geomean_ratio" in doc:
         count = validate_bench_wallclock(doc)
         return f"{path}: BENCH_wallclock v{BENCH_SCHEMA_VERSION}, {count} programs"
-    if "points" in doc and "workload" in doc:
-        count = validate_bench_throughput(doc)
-        return (f"{path}: BENCH_throughput v{THROUGHPUT_SCHEMA_VERSION}, "
-                f"{count} worker-count points")
     raise ValidationError(f"{path}: unrecognized artifact shape")
 
 

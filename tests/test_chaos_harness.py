@@ -166,10 +166,10 @@ def test_supervisor_contains_chaos_jobs():
 
     config = VMConfig(chaos_seed=3, capture_events=True)
     fleet = Fleet(
-        workers=1, config=config,
+        config=config,
         limits=ResourceLimits(deadline_cycles=300_000),
     )
-    sup = fleet.workers[0].supervisor
+    sup = fleet.supervisor
     results = fleet.run([
         Job("fine", PROGRAMS_BY_NAME["bitops-bitwise-and"].source),
         Job("hang", "while (true) {}"),

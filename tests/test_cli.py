@@ -117,7 +117,7 @@ class TestDiagnostics:
 
 
 class TestFleetBatch:
-    """The batch subcommand's fleet flags (--workers and friends)."""
+    """The batch subcommand's fleet flags (admission, chaos, exports)."""
 
     JOBS = [
         "var s = 0; for (var i = 0; i < 150; i = i + 1) s = s + i; s;",
@@ -133,26 +133,23 @@ class TestFleetBatch:
             paths.append(str(path))
         return paths
 
-    def test_workers_flag_runs_fleet(self, tmp_path, capsys):
-        paths = self._write_jobs(tmp_path)
-        status, output = run_cli(["batch", "--workers", "2"] + paths)
-        assert status == 0
-        assert "fleet (2 workers):" in output
-        assert "3 jobs: 3 ok" in output
-
     def test_dump_results_converges_across_worker_counts(self, tmp_path,
                                                          capsys):
+        # The same results whether or not the batch VM crashes and
+        # hangs along the way.
         import json
 
         paths = self._write_jobs(tmp_path)
-        one = tmp_path / "r1.json"
-        many = tmp_path / "r3.json"
-        assert run_cli(["batch", "--workers", "1",
-                        "--dump-results", str(one)] + paths)[0] == 0
-        assert run_cli(["batch", "--workers", "3",
-                        "--inject-fleet-fault", "fleet.worker_crash",
-                        "--dump-results", str(many)] + paths)[0] == 0
-        assert json.loads(one.read_text()) == json.loads(many.read_text())
+        clean = tmp_path / "clean.json"
+        chaos = tmp_path / "chaos.json"
+        assert run_cli(["batch", "--dump-results", str(clean)] + paths)[0] == 0
+        status, output = run_cli(
+            ["batch", "--inject-fleet-fault", "fleet.worker_crash",
+             "--inject-fleet-fault", "fleet.worker_hang:2",
+             "--dump-results", str(chaos)] + paths)
+        assert status == 0
+        assert "fleet: 0 shed, 2 respawned, 0 retried" in output
+        assert json.loads(clean.read_text()) == json.loads(chaos.read_text())
 
     def test_rate_flag_sheds(self, tmp_path, capsys):
         path = tmp_path / "j.js"
@@ -160,23 +157,21 @@ class TestFleetBatch:
         # All three jobs share the tenant (the file stem): rate 1/sec
         # admits the burst of one and sheds the rest.
         status, output = run_cli(
-            ["batch", "--workers", "1", "--rate", "j=1",
-             str(path), str(path), str(path)]
+            ["batch", "--rate", "j=1", str(path), str(path), str(path)]
         )
         assert status == 0
         assert "shed" in output
         assert "`- shed: rate" in output
 
     def test_fleet_flags_work_without_workers(self, tmp_path, capsys):
-        # One worker is the default fleet, so admission flags need no
-        # --workers; a shed job is billed no retries.
+        # A shed job is billed no retries.
         path = tmp_path / "j.js"
         path.write_text("1 + 1;")
         status, output = run_cli(
             ["batch", "--rate", "j=1", str(path), str(path), str(path)]
         )
         assert status == 0
-        assert "fleet (1 workers): 2 shed" in output
+        assert "fleet: 2 shed" in output
         tenant_row = output.splitlines()[-1]
         # tenant, jobs, ok, fault, retry
         assert tenant_row.split()[:5] == ["j", "3", "1", "2", "0"]
@@ -188,24 +183,32 @@ class TestFleetBatch:
         with pytest.raises(SystemExit, match="R must be positive"):
             run_cli(["batch", "--rate", spec, str(path)])
 
-    @pytest.mark.parametrize("workers", ["0", "-1"])
-    def test_workers_below_one_rejected(self, tmp_path, workers):
+    @pytest.mark.parametrize("flag, value, least", [
+        ("--shed-after", "0", 1),
+        ("--shed-after", "-1", 1),
+        ("--max-retries", "-1", 0),
+        ("--max-requeues", "-1", 0),
+    ])
+    def test_out_of_range_batch_flag_rejected(self, tmp_path, flag, value,
+                                              least):
+        # A queue bound below 1 would shed every job; negative retry and
+        # requeue budgets mean nothing.
         path = tmp_path / "j.js"
         path.write_text("1;")
-        with pytest.raises(SystemExit, match="N must be at least 1"):
-            run_cli(["batch", "--workers", workers, str(path)])
+        with pytest.raises(SystemExit, match=(
+                f"repro: bad {flag} {value}: must be at least {least}")):
+            run_cli(["batch", flag, value, str(path)])
 
     def test_bad_rate_spec(self, tmp_path):
         path = tmp_path / "j.js"
         path.write_text("1;")
         with pytest.raises(SystemExit, match="TENANT=R"):
-            run_cli(["batch", "--workers", "1", "--rate", "oops", str(path)])
+            run_cli(["batch", "--rate", "oops", str(path)])
 
     def test_fault_sites_lists_fleet_sites(self):
         status, output = run_cli(["--fault-sites"])
         assert status == 0
-        for site in ("fleet.worker_crash", "fleet.worker_hang",
-                     "fleet.steal_race"):
+        for site in ("fleet.worker_crash", "fleet.worker_hang"):
             assert site in output
 
     def test_fleet_events_and_telemetry_artifacts(self, tmp_path, capsys):
@@ -216,7 +219,7 @@ class TestFleetBatch:
         metrics = tmp_path / "fleet-metrics.json"
         trace = tmp_path / "fleet-trace.json"
         status, _output = run_cli(
-            ["batch", "--workers", "2",
+            ["batch", "--inject-fleet-fault", "fleet.worker_crash:2",
              "--dump-events", str(events),
              "--metrics-json", str(metrics),
              "--trace-export", str(trace)] + paths

@@ -17,13 +17,10 @@ Runs:
   and pycompile fault plans (safe mode, invalidation, pycompile
   failures), and a trace-store cold run, warm preload and
   truncated-manifest fallback;
-* one supervised batch on a single-worker fleet (retry under cache
-  pressure, a degraded tenant on probation, deadline, heap and
-  cancellation faults);
-* one single-worker fleet batch, pinning the fleet's own families;
-* one two-worker fleet batch whose second worker steals the first
-  one's backlog, pinning its statuses, event counts, fleet families
-  and tenant summary.
+* one supervised batch (retry under cache pressure, a degraded tenant
+  on probation, deadline, heap and cancellation faults);
+* one fleet batch with rate sheds and a VM respawn, pinning the
+  fleet's own families.
 
 Wall-clock values are not pinned: the profile's wall fields and the
 bucket counts and sums of ``repro_pycompile_wall_seconds`` are blanked.
@@ -47,8 +44,6 @@ import os
 import pathlib
 import re
 import tempfile
-
-from dataclasses import asdict
 
 from repro.exec import Fleet, Job, ResourceLimits
 from repro.hardening import FaultPlan
@@ -274,10 +269,9 @@ def _batch_jobs():
 
 
 def observe_batch() -> dict:
-    """One supervised batch on a single-worker fleet: the job table,
-    per-job metrics deltas and the worker VM's exports."""
+    """One supervised batch: the job table, per-job metrics deltas and
+    the VM's exports."""
     fleet = Fleet(
-        workers=1,
         config=VMConfig(code_cache_budget=400),
         limits=ResourceLimits(deadline_cycles=150_000),
         max_retries=2,
@@ -285,7 +279,7 @@ def observe_batch() -> dict:
         probation_after=1,
         capture_metrics=True,
     )
-    vm = fleet.workers[0].supervisor.vm
+    vm = fleet.supervisor.vm
     vm.enable_profiling()
     results = fleet.run(_batch_jobs())
     view = _vm_view(vm, "batch")
@@ -310,7 +304,15 @@ def observe_batch() -> dict:
     return view
 
 
-def _fleet_view(fleet, results) -> dict:
+def observe_fleet() -> dict:
+    """A fleet batch: rate sheds on a frozen clock and one injected VM
+    crash.  Only the fleet's own families are pinned."""
+    now = [100.0]
+    jobs = [Job(f"s{i}", "1 + 1;", tenant="spammy") for i in range(4)]
+    fleet = Fleet(rates={"spammy": 1.0}, clock=lambda: now[0],
+                  fault_plan=FaultPlan({"fleet.worker_crash": 1}),
+                  capture_metrics=True)
+    results = fleet.run(jobs)
     snapshot = _snapshot_view(fleet.metrics, "fleet")
     return {
         "statuses": [result.status for result in results],
@@ -322,38 +324,6 @@ def _fleet_view(fleet, results) -> dict:
             if family["name"].startswith("repro_fleet_")
         },
     }
-
-
-def observe_fleet() -> dict:
-    """A single-worker fleet batch: rate sheds on a frozen clock and one
-    injected worker crash.  Only the fleet's own families are pinned."""
-    now = [100.0]
-    jobs = [Job(f"s{i}", "1 + 1;", tenant="spammy") for i in range(4)]
-    fleet = Fleet(workers=1, rates={"spammy": 1.0}, clock=lambda: now[0],
-                  fault_plan=FaultPlan({"fleet.worker_crash": 1}),
-                  capture_metrics=True)
-    return _fleet_view(fleet, fleet.run(jobs))
-
-
-def observe_fleet_steals() -> dict:
-    """A two-worker fleet batch: the "hot" tenant's backlog lands on one
-    worker and the other steals from it, around one lost steal race and
-    one injected worker crash."""
-    jobs = [Job(f"h{i}", LOOPY + f" s + {i};", tenant="hot")
-            for i in range(6)]
-    jobs.append(Job("c0", "6 * 7;", tenant="cold"))
-    fleet = Fleet(
-        workers=2,
-        fault_plan=FaultPlan({"fleet.steal_race": 1,
-                              "fleet.worker_crash": 3}),
-        capture_metrics=True,
-    )
-    view = _fleet_view(fleet, fleet.run(jobs))
-    view["tenants"] = {
-        tenant: asdict(usage)
-        for tenant, usage in fleet.tenant_summary().items()
-    }
-    return view
 
 
 def build_table() -> dict:
@@ -369,7 +339,6 @@ def build_table() -> dict:
     table.update(observe_store_runs(sources["sieve"]))
     table["batch"] = observe_batch()
     table["fleet"] = observe_fleet()
-    table["fleet-steals"] = observe_fleet_steals()
     return table
 
 
@@ -434,8 +403,6 @@ def test_every_fed_family_is_exercised():
     fleet = golden["fleet"]["fleet_series"]
     assert _nonzero(fleet["repro_fleet_sheds_total"])
     assert _nonzero(fleet["repro_fleet_respawns_total"])
-    steals = golden["fleet-steals"]["fleet_series"]
-    assert _nonzero(steals["repro_fleet_steals_total"])
     missing = [name for name in FED_FAMILIES if name not in seen]
     assert not missing, f"no pinned run reaches {missing}"
 

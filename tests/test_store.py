@@ -491,10 +491,10 @@ def test_supervisor_warm_start_from_store(tmp_path):
     from repro.exec import Fleet
 
     config = _config(tmp_path)
-    cold_results = Fleet(workers=1, config=_config(tmp_path)).run(_jobs())
+    cold_results = Fleet(config=_config(tmp_path)).run(_jobs())
 
-    fleet = Fleet(workers=1, config=_config(tmp_path))
-    warm = fleet.workers[0].supervisor
+    fleet = Fleet(config=_config(tmp_path))
+    warm = fleet.supervisor
     sources, fragments = warm.warm_start_from_store()
     assert sources == len({p.source for p in PROGRAMS[:4]})
     assert fragments > 0
@@ -511,7 +511,7 @@ def test_supervisor_without_store_warm_start_noop():
 
 
 def test_fleet_respawn_warm_starts_from_store(tmp_path):
-    """A respawned worker preloads every stored source and announces it;
+    """A replacement VM preloads every stored source and announces it;
     the batch converges byte-identically even when the store feeds it a
     corrupt entry during the warm start."""
     from repro.exec import Fleet
@@ -519,7 +519,7 @@ def test_fleet_respawn_warm_starts_from_store(tmp_path):
     jobs = _jobs(6)
 
     def run_fleet(config, fleet_plan):
-        fleet = Fleet(workers=2, config=config, fault_plan=fleet_plan,
+        fleet = Fleet(config=config, fault_plan=fleet_plan,
                       capture_events=True)
         results = fleet.run(jobs)
         return fleet, _canonical(results)
@@ -534,7 +534,7 @@ def test_fleet_respawn_warm_starts_from_store(tmp_path):
     assert chaotic == baseline
     assert fleet.events.counts.get(eventkind.WORKER_RESPAWN, 0) >= 1
     warm_starts = fleet.events.of_kind(eventkind.WORKER_WARM_START)
-    assert warm_starts, "respawned worker must warm-start from the store"
+    assert warm_starts, "a replacement VM must warm-start from the store"
     assert warm_starts[0].payload["sources"] >= 1
     assert warm_starts[0].payload["fragments"] >= 0
 
@@ -543,7 +543,7 @@ def test_fleet_initial_spawn_does_not_warm_start(tmp_path):
     from repro.exec import Fleet
 
     TracingVM(_config(tmp_path)).run(LOOP_SOURCE, name="loop")
-    fleet = Fleet(workers=2, config=_config(tmp_path), capture_events=True)
+    fleet = Fleet(config=_config(tmp_path), capture_events=True)
     fleet.run(_jobs(2))
     assert not fleet.events.of_kind(eventkind.WORKER_WARM_START)
 

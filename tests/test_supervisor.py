@@ -264,7 +264,7 @@ class TestVMReuse:
 
 class TestSupervisor:
     def test_queue_runs_all_jobs(self):
-        fleet = Fleet(workers=1, limits=ResourceLimits(deadline_cycles=500_000))
+        fleet = Fleet(limits=ResourceLimits(deadline_cycles=500_000))
         results = fleet.run([
             Job("sum", "var s = 0; for (var i = 0; i < 50; i = i + 1) s = s + i; s;"),
             Job("loop", INFINITE_LOOP),
@@ -282,7 +282,7 @@ class TestSupervisor:
         assert results[1].fault is not None
 
     def test_jobs_are_isolated(self):
-        fleet = Fleet(workers=1)
+        fleet = Fleet()
         poison = Job("writer", 'var leak = "set by writer";', tenant="a")
         probe = Job("reader", "leak;", tenant="b")
         results = fleet.run([poison, probe])
@@ -292,7 +292,7 @@ class TestSupervisor:
         assert results[1].output == ()
 
     def test_output_is_per_job(self):
-        fleet = Fleet(workers=1)
+        fleet = Fleet()
         results = fleet.run([
             Job("a", 'print("from a");'),
             Job("b", 'print("from b");'),
@@ -301,7 +301,7 @@ class TestSupervisor:
         assert results[1].output == ("from b",)
 
     def test_usage_is_per_job_billing(self):
-        fleet = Fleet(workers=1)
+        fleet = Fleet()
         heavy = "var a = []; for (var i = 0; i < 200; i = i + 1) a.push(i); a.length;"
         light = "1 + 1;"
         results = fleet.run([Job("heavy", heavy), Job("light", light)])
@@ -312,7 +312,7 @@ class TestSupervisor:
     def test_shared_trace_cache_across_jobs(self):
         # The same source re-submitted re-uses the compiled Code, so
         # the second job enters traces recorded during the first.
-        fleet = Fleet(workers=1)
+        fleet = Fleet()
         source = "var s = 0; for (var i = 0; i < 400; i = i + 1) s = s + i; s;"
         first, second = fleet.run([Job("j1", source), Job("j2", source)])
         assert first.result == second.result == str(sum(range(400)))
@@ -322,7 +322,7 @@ class TestSupervisor:
         assert second.usage.compile_cycles < first.usage.compile_cycles
 
     def test_per_job_limit_override(self):
-        fleet = Fleet(workers=1, limits=ResourceLimits(deadline_cycles=10**9))
+        fleet = Fleet(limits=ResourceLimits(deadline_cycles=10**9))
         tight = ResourceLimits(deadline_cycles=100_000)
         results = fleet.run([
             Job("tight", INFINITE_LOOP, limits=tight),
@@ -334,7 +334,7 @@ class TestSupervisor:
     def test_breach_detected_at_finish_still_counts(self):
         # The allocation breaches the quota but the program ends before
         # any safe point: the job is still marked as a quota kill.
-        fleet = Fleet(workers=1, limits=ResourceLimits(heap_quota=2))
+        fleet = Fleet(limits=ResourceLimits(heap_quota=2))
         result = fleet.run([Job("job-0", "var a = [1, 2, 3, 4, 5, 6, 7, 8];")])[0]
         assert result.status == "quota"
         assert result.result is None
@@ -345,12 +345,11 @@ class TestSupervisor:
         # job-retried event.
         config = VMConfig(code_cache_budget=400, capture_events=True)
         fleet = Fleet(
-            workers=1,
             config=config,
             limits=ResourceLimits(deadline_cycles=150_000),
             max_retries=2,
         )
-        sup = fleet.workers[0].supervisor
+        sup = fleet.supervisor
         nested = (
             "var total = 0;"
             "for (var i = 0; i < 200; i = i + 1) {"
@@ -389,7 +388,6 @@ class TestSupervisor:
     def test_tenant_degrades_to_interpreter_after_compile_breaches(self):
         loopy = "var s = 0; for (var i = 0; i < 300; i = i + 1) s = s + i; s;"
         fleet = Fleet(
-            workers=1,
             limits=ResourceLimits(compile_quota=1),
             degrade_after=2,
             max_retries=0,
@@ -411,7 +409,6 @@ class TestSupervisor:
     def test_degradation_is_per_tenant(self):
         loopy = "var s = 0; for (var i = 0; i < 300; i = i + 1) s = s + i; s;"
         fleet = Fleet(
-            workers=1,
             limits=ResourceLimits(compile_quota=1),
             degrade_after=1,
             max_retries=0,
@@ -428,7 +425,7 @@ class TestSupervisor:
     @pytest.mark.parametrize("engine", sorted(ENGINES))
     def test_supervisor_runs_on_every_engine(self, engine):
         fleet = Fleet(
-            workers=1, engine=engine,
+            engine=engine,
             limits=ResourceLimits(deadline_cycles=400_000),
         )
         ok = fleet.run([Job("job-0", "var x = 6 * 7; x;")])[0]
@@ -437,8 +434,8 @@ class TestSupervisor:
         assert hung.status == "timeout"
 
     def test_events_fold_into_stats(self):
-        fleet = Fleet(workers=1, limits=ResourceLimits(deadline_cycles=100_000))
-        sup = fleet.workers[0].supervisor
+        fleet = Fleet(limits=ResourceLimits(deadline_cycles=100_000))
+        sup = fleet.supervisor
         fleet.run([Job("job-0", INFINITE_LOOP)])
         tracing = sup.vm.stats.tracing
         assert tracing.script_deadlines == 1
@@ -456,13 +453,6 @@ class TestTenantUsage:
         usage.add(JobResult(job_id="s", tenant="t", status="shed",
                             attempts=0, engine_mode="none"))
         assert (usage.jobs, usage.faulted, usage.retries) == (1, 1, 0)
-
-    def test_merge_sums_every_field(self):
-        usage = TenantUsage(jobs=2, ok=1, faulted=1, retries=1, cycles=10,
-                            heap_cells=3, output_bytes=4)
-        usage.merge(TenantUsage(jobs=1, ok=1, cycles=5, output_bytes=2))
-        assert usage == TenantUsage(jobs=3, ok=2, faulted=1, retries=1,
-                                    cycles=15, heap_cells=3, output_bytes=6)
 
 
 class TestFaultStatusMapping:
@@ -514,8 +504,8 @@ class TestRetryBackoff:
         # Force the first attempt of the first job to "fail retryably"
         # and assert it does not run again immediately: the backoff
         # places it behind at least one other queued job.
-        fleet = Fleet(workers=1, max_retries=1, backoff_seed=0)
-        sup = fleet.workers[0].supervisor
+        fleet = Fleet(max_retries=1, backoff_seed=0)
+        sup = fleet.supervisor
         order = []
         real_attempt = sup._run_attempt
 
@@ -546,8 +536,8 @@ class TestRetryBackoff:
     def test_retry_exhaustion_reports_last_fault(self):
         # Two attempts, two different faults: the surfaced JobResult
         # must carry the *last* attempt's fault, not the first's.
-        fleet = Fleet(workers=1, max_retries=1)
-        sup = fleet.workers[0].supervisor
+        fleet = Fleet(max_retries=1)
+        sup = fleet.supervisor
         faults = {
             1: ("timeout", "script exceeded its deadline (first attempt)"),
             2: ("quota", "script exceeded its compile-cycles quota (second)"),
@@ -576,7 +566,6 @@ class TestTenantProbation:
 
     def _degraded_fleet(self, probation_after=2):
         fleet = Fleet(
-            workers=1,
             limits=ResourceLimits(compile_quota=1),
             degrade_after=1,
             max_retries=0,
@@ -586,7 +575,7 @@ class TestTenantProbation:
         breach = fleet.run([Job("b0", self.LOOPY, tenant="t")])[0]
         assert breach.status == "quota"
         assert "t" in fleet.degraded_tenants
-        return fleet, fleet.workers[0].supervisor
+        return fleet, fleet.supervisor
 
     def _clean_job(self, fleet, job_id):
         # Interpreter-only jobs never compile, so a lifted compile

@@ -320,8 +320,8 @@ class TestSupervisorTelemetry:
         ]
 
     def test_tenant_summary_aggregates_billing(self):
-        fleet = Fleet(workers=1, capture_metrics=True)
-        supervisor = fleet.workers[0].supervisor
+        fleet = Fleet(capture_metrics=True)
+        supervisor = fleet.supervisor
         results = fleet.run(self._jobs())
         tenants = fleet.tenant_summary()
         assert sorted(tenants) == ["alpha", "beta"]
@@ -338,7 +338,7 @@ class TestSupervisorTelemetry:
         assert metrics.meter_polls.total > 0
 
     def test_job_results_carry_metrics_delta(self):
-        results = Fleet(workers=1, capture_metrics=True).run(self._jobs())
+        results = Fleet(capture_metrics=True).run(self._jobs())
         hot = next(r for r in results if r.job_id == "a-1")
         assert hot.metrics is not None
         assert any("repro_" in name for name in hot.metrics)
@@ -346,12 +346,12 @@ class TestSupervisorTelemetry:
         assert any(
             name.startswith("repro_compiles_total") for name in hot.metrics
         )
-        plain = Fleet(workers=1).run(self._jobs())
+        plain = Fleet().run(self._jobs())
         assert all(r.metrics is None for r in plain)
 
     def test_batch_spans_cover_queue_and_jobs(self):
-        fleet = Fleet(workers=1, capture_spans=True)
-        supervisor = fleet.workers[0].supervisor
+        fleet = Fleet(capture_spans=True)
+        supervisor = fleet.supervisor
         results = fleet.run(self._jobs())
         doc = supervisor.vm.span_recorder.to_chrome_trace(
             profiler=supervisor.vm.profiler
