@@ -15,6 +15,8 @@ Reproduced in shape:
 * per-iteration native cost is far below the interpreter's.
 """
 
+import re
+
 from conftest import write_result
 
 from repro.core.lir import format_trace
@@ -35,6 +37,24 @@ for (var i = 2; i < 100; ++i) {
 }
 count;
 """
+
+
+def renumber_ids(text: str) -> str:
+    """Rename the ``v<id>`` and ``exit<id>`` names in ``text`` in order
+    of first appearance.  Both come from process-wide counters, so the
+    raw printout would depend on whatever else ran in the process."""
+    renamed = {}
+    counts = {"v": 0, "exit": 0}
+
+    def rename(match):
+        name = match.group(0)
+        if name not in renamed:
+            prefix = match.group(1)
+            counts[prefix] += 1
+            renamed[name] = f"{prefix}{counts[prefix]}"
+        return renamed[name]
+
+    return re.sub(r"\b(v|exit)\d+\b", rename, text)
 
 
 def run_sieve():
@@ -94,7 +114,7 @@ def test_sieve_narrative(benchmark):
         "inner-loop native code (compare Figure 4):",
         format_native(inner.fragment.native),
     ]
-    write_result("sieve_narrative.txt", "\n".join(lines))
+    write_result("sieve_narrative.txt", renumber_ids("\n".join(lines)))
     benchmark.extra_info["speedup"] = round(speedup, 2)
     benchmark.extra_info["lir"] = n_lir
     benchmark.extra_info["native"] = n_native
