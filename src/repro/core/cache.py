@@ -30,7 +30,7 @@ cache state is emitted on the VM's structured event stream
 from __future__ import annotations
 
 import enum
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Tuple
 
 from repro.core import events
 from repro.hardening import faults as fault_sites

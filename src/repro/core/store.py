@@ -73,9 +73,13 @@ from repro.runtime.builtins import STRING_METHODS
 from repro.runtime.objects import JSArray, JSFunction, NativeFunction
 from repro.runtime.values import FALSE, NULL, TRUE, UNDEFINED
 
-#: On-disk format version, checked on every load; carried in the
-#: manifest, every entry, and folded into the config fingerprint.
-STORE_SCHEMA = 1
+#: Version of what a stored entry *means*: its on-disk format or the
+#: recording rules that produced its traces.  Bump it when either
+#: changes, so that an entry written before is refused, not replayed.
+#: Checked on every load; carried in the manifest, every entry, and
+#: folded into the config fingerprint.  2: ``+ - * -x`` specialize to
+#: int only when the observed result is an int.
+STORE_SCHEMA = 2
 
 MANIFEST_NAME = "manifest.json"
 

@@ -28,7 +28,7 @@ baseline — which works because every site fires at a *committed* state:
 from __future__ import annotations
 
 import random
-from typing import Dict, Iterable, List, Optional
+from typing import Dict, Iterable, List
 
 from repro.errors import VMInternalError
 

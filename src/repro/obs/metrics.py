@@ -38,7 +38,6 @@ import json
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from repro.core import events as eventkind
-from repro.costs import Activity
 
 #: Version of the metrics snapshot JSON document (see INTERNALS §14).
 METRICS_SCHEMA_VERSION = 1

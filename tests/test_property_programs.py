@@ -5,7 +5,9 @@ This is the reproduction's equivalent of the paper's JSFUNFUZZ usage
 (Section 6.6): "we modified JSFUNFUZZ to generate loops, and also to
 test more heavily certain constructs we suspected would reveal flaws" —
 here the generator is biased toward type-unstable loops and heavily
-branching code for exactly that reason.
+branching code for exactly that reason.  Large int atoms, unary minus
+and a variable scaled up every iteration make int results leave the
+int range (and ``-0`` appear) partway through a loop.
 """
 
 from hypothesis import given, settings, strategies as st
@@ -16,7 +18,10 @@ _VARS = ["a", "b", "c"]
 
 _atoms = st.one_of(
     st.sampled_from(_VARS),
-    st.sampled_from(["i", "1", "2", "3", "7", "0.5", "2.5", "100"]),
+    st.sampled_from(
+        ["i", "1", "2", "3", "7", "0.5", "2.5", "100",
+         "65537", "1103515245", "2147483647"]
+    ),
 )
 
 _binops = st.sampled_from(["+", "-", "*", "&", "|", "^", "<<", ">>", ">>>", "%"])
@@ -27,6 +32,8 @@ _relops = st.sampled_from(["<", "<=", ">", ">=", "==", "!=", "===", "!=="])
 def expressions(draw, depth=2):
     if depth == 0 or draw(st.booleans()):
         return draw(_atoms)
+    if draw(st.integers(min_value=0, max_value=3)) == 0:
+        return f"(-{draw(expressions(depth=depth - 1))})"
     left = draw(expressions(depth=depth - 1))
     right = draw(expressions(depth=depth - 1))
     op = draw(_binops)
@@ -36,14 +43,20 @@ def expressions(draw, depth=2):
 @st.composite
 def statements(draw, depth=1):
     kind = draw(
-        st.sampled_from(["assign", "assign", "assign", "if", "compound"])
+        st.sampled_from(["assign", "assign", "assign", "if", "compound", "scale"])
         if depth > 0
-        else st.just("assign")
+        else st.sampled_from(["assign", "assign", "assign", "scale"])
     )
     if kind == "assign":
         var = draw(st.sampled_from(_VARS))
         expr = draw(expressions())
         return f"{var} = {expr};"
+    if kind == "scale":
+        # Grows every iteration, so an int product crosses 2^31
+        # partway through the loop.
+        var = draw(st.sampled_from(_VARS))
+        factor = draw(st.sampled_from(["3", "65537", "1103515245"]))
+        return f"{var} = {var} * {factor} + 1;"
     if kind == "if":
         cond_left = draw(_atoms)
         cond_right = draw(_atoms)
@@ -108,14 +121,19 @@ def heap_loop_programs(draw):
     )
 
 
+def assert_tracing_agrees_on_both_backends(source):
+    from repro import TracingVM, VMConfig
+
+    expected = repr(ALL_ENGINES["baseline"]().run(source))
+    for backend in ("step", "py"):
+        vm = TracingVM(VMConfig(native_backend=backend))
+        assert repr(vm.run(source)) == expected, (backend, source)
+
+
 @given(heap_loop_programs())
 @settings(max_examples=100, deadline=None)
 def test_random_heap_loops_agree(source):
-    results = {}
-    for name in ("baseline", "tracing"):
-        vm = ALL_ENGINES[name]()
-        results[name] = repr(vm.run(source))
-    assert results["baseline"] == results["tracing"], source
+    assert_tracing_agrees_on_both_backends(source)
 
 
 @given(heap_loop_programs())
@@ -131,11 +149,7 @@ def test_random_heap_loops_agree_methodjit(source):
 @given(loop_programs())
 @settings(max_examples=150, deadline=None)
 def test_random_loops_agree(source):
-    results = {}
-    for name in ("baseline", "tracing"):
-        vm = ALL_ENGINES[name]()
-        results[name] = repr(vm.run(source))
-    assert results["baseline"] == results["tracing"], source
+    assert_tracing_agrees_on_both_backends(source)
 
 
 @given(loop_programs())

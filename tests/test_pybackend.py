@@ -73,18 +73,22 @@ def test_emitted_source_is_python():
 
 
 def test_megafunction_rebuilds_grow_logarithmically_with_links():
-    """regexp-dna-lite's loop at pc 12 grows a 64-deep chain of branch
-    traces.  Its megafunction is rebuilt only when the link count has
-    doubled (at 1, 2, 4, ..., 64 links: 7 builds), plus 1 build for the
-    program's other tree — not once per link."""
-    from repro.suite.programs import PROGRAMS
-
-    program = next(p for p in PROGRAMS if p.name == "regexp-dna-lite")
+    """A 32-way ``if``/``else if`` chain grows one tree 31 stitched
+    links.  Its megafunction is rebuilt only when the link count has
+    doubled (at 1, 2, 4, 8 and 16 links: 5 builds), not once per link."""
+    arms = " else ".join(f"if (k == {n}) t += {n + 1};" for n in range(32))
+    source = (
+        "var t = 0;"
+        f"for (var i = 0; i < 2000; i++) {{ var k = i % 32; {arms} }} t;"
+    )
     vm = _py_vm()
     vm.enable_profiling()
-    vm.run(program.source)
+    vm.run(source)
+    (tree,) = vm.monitor.cache.all_trees()
+    links = tree.link_version
     section = vm.profiler.to_dict()["pycompile"]
-    assert 0 < section["tree_builds"] <= 8, section
+    # floor(log2 links) + 1 == links.bit_length()
+    assert 1 < section["tree_builds"] <= links.bit_length(), (links, section)
     # Megafunction builds are not fragment functions.
     assert section["fragments"] == vm.stats.tracing.pycompile_fragments
 

@@ -30,7 +30,6 @@ from repro.core import events as eventkind
 from repro.core.store import (
     MANIFEST_NAME,
     STORE_SCHEMA,
-    TraceStore,
     config_fingerprint,
     source_sha,
 )

@@ -21,7 +21,7 @@ import pytest
 
 from repro import TracingVM, VMConfig
 from repro.cli import main as cli_main
-from repro.exec import Fleet, Job, ResourceLimits
+from repro.exec import Fleet, Job
 from repro.obs.metrics import METRICS_SCHEMA_VERSION, MetricsRegistry
 from repro.obs.spans import SPANS_SCHEMA_VERSION, TRACK_PHASES
 from repro.obs.validate import ValidationError, detect_and_validate
