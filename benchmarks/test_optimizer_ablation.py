@@ -18,7 +18,7 @@ CONFIGS = [
     ("full opt", VMConfig()),
     ("no hoisting", VMConfig(enable_hoisting=False)),
     ("no tree CSE", VMConfig(enable_tree_cse=False)),
-    ("passes off", VMConfig(opt_level=0)),
+    ("passes off", VMConfig(enable_tree_cse=False, enable_hoisting=False)),
 ]
 
 

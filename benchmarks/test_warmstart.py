@@ -16,8 +16,11 @@ warm-up itself, per program, over the entire suite:
   drags those loops to their thresholds;
 * **warm** — one fresh VM pointed at a store a previous process
   populated compiles each program's bytecode and links the persisted
-  fragments (checksum + fingerprint + sanity verification included):
-  ``reload-and-verify`` instead of ``re-trace-everything``.
+  fragments (checksum + fingerprint + allowlist + sanity verification
+  included): ``reload-and-verify`` instead of ``re-trace-everything``.
+  The warm side compiles no Python: entries hold none, and the py
+  backend builds each fragment's function on its first run, as it
+  does for a cold VM.
 
 Both sides end in the same place — the assertion that the warm cache
 links exactly as many fragments as the cold VM discovered is part of

@@ -74,17 +74,6 @@ def build_parser() -> argparse.ArgumentParser:
         ),
     )
     parser.add_argument(
-        "--opt-level",
-        type=int,
-        choices=(0, 1, 2),
-        default=2,
-        help=(
-            "whole-trace optimizer level: 0 = streaming filters and "
-            "backward passes only, 1 = adds tree-wide CSE and guard "
-            "entailment, 2 = adds loop-invariant hoisting (default: 2)"
-        ),
-    )
-    parser.add_argument(
         "--compare",
         action="store_true",
         help="run on all four engines and report speedups over the baseline",
@@ -323,11 +312,10 @@ def build_config(args):
 
     if not (args.inject_fault or args.chaos_seed is not None
             or args.no_jit_firewall or args.native_backend != "py"
-            or args.opt_level != 2 or args.trace_store):
+            or args.trace_store):
         return None
     config = VMConfig()
     config.native_backend = args.native_backend
-    config.opt_level = args.opt_level
     if args.trace_store:
         config.trace_store = args.trace_store
         config.trace_store_budget = args.trace_store_budget

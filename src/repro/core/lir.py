@@ -83,10 +83,6 @@ _CONTROL_OPS = frozenset("loop jtree".split())
 _CALL_OPS = frozenset("call calltree".split())
 
 
-class SideExitRef:
-    """Placeholder protocol: exits are repro.core.exits.SideExit objects."""
-
-
 class LIns:
     """One LIR instruction (SSA value)."""
 

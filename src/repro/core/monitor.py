@@ -657,7 +657,6 @@ class TraceMonitor:
 
     def handle_exit_event(self, interp, event: ExitEvent, base_index: int) -> None:
         vm = self.vm
-        stats = vm.stats
         exit = event.exit
         self.events.emit(
             eventkind.SIDE_EXIT,
@@ -724,8 +723,6 @@ class TraceMonitor:
                     tree.code, tree.header_pc, "entry-guard"
                 )
             return
-        if kind in (exitkind.REENTRY, exitkind.STATE, exitkind.ERROR):
-            stats.tracing.deep_bails += 1
         # UNSTABLE exits are chained to complementary peers by
         # execute_tree (Figure 6); LOOP needs nothing further.
 

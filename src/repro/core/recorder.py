@@ -153,9 +153,7 @@ class Recorder:
         # guards it hoists into the trunk prologue at this exit (the
         # stack is empty and no globals have been touched yet, so the
         # snapshot is valid on every entry to the tree).
-        self.tree.entry_exit = self.make_exit(
-            exitkind.ENTRY, pc=self.tree.header_pc, count=False
-        )
+        self.tree.entry_exit = self.make_exit(exitkind.ENTRY, pc=self.tree.header_pc)
 
     def init_branch(self) -> None:
         """Start recording at a side exit, reusing the tree's AR layout."""
@@ -276,7 +274,6 @@ class Recorder:
         pops: int = 0,
         extra_types=(),
         result_loc=None,
-        count: bool = True,
     ) -> SideExit:
         """Snapshot the abstract state as a side exit.
 
@@ -284,9 +281,7 @@ class Recorder:
         the snapshot (e.g. a branch guard's exit resumes after the
         condition was consumed).  ``extra_types`` appends synthetic
         stack entries (for exits *after* an instruction whose result the
-        trace has not pushed yet).  ``count=False`` skips the
-        guards-emitted statistic (for bookkeeping snapshots that do not
-        correspond to a recorded guard, like the tree's entry exit).
+        trace has not pushed yet).
         """
         livemap = []
         for abs_frame in self.frames_abs:
@@ -332,8 +327,6 @@ class Recorder:
             result_loc=result_loc,
             anchor_resume_pc=(pc if is_anchor_top else anchor.resume_pc),
         )
-        if count:
-            self.vm.stats.tracing.guards_emitted += 1
         return exit
 
     def _live_entry(self, loc: tuple, value: LIns):

@@ -2,10 +2,11 @@
 
 Hot traces are expensive to discover and cheap to reuse; without this
 module every fresh VM — a cold fleet start, and worst of all every
-worker respawn in :mod:`repro.exec.fleet` — re-records, re-compiles,
-and re-pycompiles the same loops.  :class:`TraceStore` persists LINKED
-trace trees to disk and lets a fresh VM preload them, re-``compile()``\\
-ing cached pycompile source instead of re-tracing.
+worker respawn in :mod:`repro.exec.fleet` — re-records and re-compiles
+the same loops.  :class:`TraceStore` persists LINKED trace trees to
+disk and lets a fresh VM preload them instead of re-tracing.  The py
+backend's generated Python is not stored: a warm VM builds it on first
+run, as a cold VM does, so an entry does not depend on the backend.
 
 The robustness contract is the headline, not the serialization:
 
@@ -13,10 +14,10 @@ The robustness contract is the headline, not the serialization:
   a temp name and ``os.replace``\\ d into place, with a sha256 checksum
   and size recorded in a versioned manifest;
 * **loads distrust everything** — checksum, store schema version, the
-  config/cost-model fingerprint, and semantic sanity (code shapes, loop
-  headers, re-emitted pycompile source) are validated before anything
-  is linked, and linking itself is transactional (an undo log rolls the
-  cache/monitor back on any mid-link failure);
+  config/cost-model/class-layout fingerprint, the classes the entry
+  names, and semantic sanity (code shapes, loop headers) are validated
+  before anything is linked, and linking itself is transactional (an
+  undo log rolls the cache/monitor back on any mid-link failure);
 * **any failure degrades to cold tracing** — truncation, bit-flips,
   stale schemas, partial writes, and concurrent writers are all
   contained at the ``store.load`` / ``store.save`` firewall boundary
@@ -31,44 +32,55 @@ The **fallback ladder** on load, from benign to contained:
    (``store-load`` with ``result=miss``), no fallback event;
 2. manifest unreadable, wrong schema, wrong fingerprint — refuse the
    whole store (``store-fallback`` with the reason);
-3. entry checksum mismatch, JSON corruption, decode/sanity failure,
-   mid-link fault — roll back, refuse the entry (``store-fallback``),
-   cold-trace.
+3. entry checksum mismatch, unreadable pickle, a forbidden global,
+   decode/sanity failure, mid-link fault — roll back, refuse the entry
+   (``store-fallback``), cold-trace.
 
 Three deterministic chaos sites drive the differential harness:
 ``store.corrupt_entry`` (fires mid-link at load), ``store.partial_write``
 (fires between the temp write and the rename), and ``store.load_race``
 (fires between the manifest read and the entry read).
 
-What an entry carries, beyond the fragments' ``NativeInsn`` code:
-entry type maps, guard/exit layout (with preserved exit ids), the
-tree-wide value-numbering snapshots, the pycompile Python source text,
-the monitor's global slot table, blacklist/oracle/hotness bookkeeping —
-everything needed for a preloaded VM to be byte-identical (results,
-simulated cycles, stats, events modulo exit-id renumbering) to a VM
-that self-traced the same program once before.
+**The entry format.**  An entry file is one protocol-5 pickle of a
+plain dict, the *envelope*: schema, fingerprint, source, code sanity,
+the monitor's global slot table, blacklist/oracle/hotness bookkeeping,
+and under ``trees`` the *tree stream* as bytes.  The envelope is read
+by an unpickler that admits no global at all.  The tree stream pickles
+the trace trees themselves — fragments, ``NativeInsn`` code, entry type
+maps, side exits with their ids, livemaps and links, and then the
+tree-wide value-numbering tables — and pickle keeps the recorded
+graph's sharing by construction.  It is read by an unpickler whose
+``find_class`` admits only the trace classes (:data:`TRACE_CLASSES`);
+objects that belong to one process (code objects, const-pool functions,
+natives, helpers, box singletons, loop descriptors) travel as
+persistent ids and are looked up again in the loading VM.  Everything
+needed for a preloaded VM to be byte-identical (results, simulated
+cycles, stats, events modulo exit-id renumbering) to a VM that
+self-traced the same program once before is in one of the two.
 """
 
 from __future__ import annotations
 
+import enum
 import hashlib
+import io
 import itertools
 import json
 import os
+import pickle
 from typing import Dict, List, Optional, Tuple
 
 from repro.core import events as eventkind
 from repro.core import exits as exitmod
 from repro.core import helpers
 from repro.core.cache import FragmentState
-from repro.core.exits import ExitEvent, FrameSnapshot, SideExit
+from repro.core.exits import CallTreeSite, FrameSnapshot, SideExit
 from repro.core.tree import Fragment, TraceTree
 from repro.core.typemap import TraceType
 from repro.errors import VMInternalError
 from repro.hardening import faults as fault_sites
 from repro.jit.native import CallSpec, NativeInsn
 from repro.jit.optimizer import TreeValueState
-from repro.jit.pycompile import emit_fragment
 from repro.runtime.builtins import STRING_METHODS
 from repro.runtime.objects import JSArray, JSFunction, NativeFunction
 from repro.runtime.values import FALSE, NULL, TRUE, UNDEFINED
@@ -78,8 +90,9 @@ from repro.runtime.values import FALSE, NULL, TRUE, UNDEFINED
 #: changes, so that an entry written before is refused, not replayed.
 #: Checked on every load; carried in the manifest, every entry, and
 #: folded into the config fingerprint.  2: ``+ - * -x`` specialize to
-#: int only when the observed result is an int.
-STORE_SCHEMA = 2
+#: int only when the observed result is an int.  3: entries are
+#: pickles and hold no generated Python.
+STORE_SCHEMA = 3
 
 MANIFEST_NAME = "manifest.json"
 
@@ -87,8 +100,6 @@ MANIFEST_NAME = "manifest.json"
 #: costs, policy thresholds) and therefore key the store: an entry
 #: written under one fingerprint is never loaded under another.
 FINGERPRINT_FIELDS = (
-    "opt_level",
-    "native_backend",
     "hotness_threshold",
     "exit_hotness_threshold",
     "blacklist_backoff",
@@ -112,6 +123,30 @@ FINGERPRINT_FIELDS = (
     "dispatch_cost",
 )
 
+#: The only classes a tree stream may name.  Unpickling skips
+#: ``__init__`` (``TraceTree`` and ``Fragment`` run theirs from
+#: ``__setstate__`` for their run-time-only fields), so each class's
+#: field list is folded into the config fingerprint: every one of them
+#: declares ``__slots__`` (the slotted dataclasses list their fields
+#: there), and the enums contribute their values.
+TRACE_CLASSES = (
+    TraceTree,
+    Fragment,
+    SideExit,
+    FrameSnapshot,
+    CallTreeSite,
+    NativeInsn,
+    CallSpec,
+    TreeValueState,
+    TraceType,
+    FragmentState,
+)
+_ALLOWED = {(cls.__module__, cls.__qualname__): cls for cls in TRACE_CLASSES}
+_ALLOWED_CLASSES = frozenset(TRACE_CLASSES)
+
+#: Values pickled as themselves (containers are walked).
+_PLAIN = frozenset((type(None), bool, int, float, str, tuple, list, dict, set, frozenset))
+
 _HELPER_NAMES = (
     "ARRAY_SET",
     "ADD_PROPERTY",
@@ -124,19 +159,23 @@ _HELPER_NAMES = (
     "CHAR_AT",
     "BOOL_TO_STR",
 )
-_HELPER_SPECS = {name: getattr(helpers, name) for name in _HELPER_NAMES}
-_HELPER_NAME_OF = {id(spec): name for name, spec in _HELPER_SPECS.items()}
 
-_STRMETHOD_NAME_OF = {id(fn): name for name, fn in STRING_METHODS.items()}
-_STRMETHOD_FN_NAME_OF = {id(fn.fn): name for name, fn in STRING_METHODS.items()}
-
-_BOX_SINGLETONS = {
-    "UNDEFINED": UNDEFINED,
-    "NULL": NULL,
-    "TRUE": TRUE,
-    "FALSE": FALSE,
+#: Process-wide objects a trace can hold, by persistent id: runtime
+#: helpers, string methods and their callables, the box singletons and
+#: the one class a guard immediate holds.  The loader looks each up by
+#: name in its own process.
+_PROCESS_OBJECTS = {
+    **{("helper", name): getattr(helpers, name) for name in _HELPER_NAMES},
+    **{("strm", name): method for name, method in STRING_METHODS.items()},
+    **{("strmfn", name): method.fn for name, method in STRING_METHODS.items()},
+    ("singleton", "UNDEFINED"): UNDEFINED,
+    ("singleton", "NULL"): NULL,
+    ("singleton", "TRUE"): TRUE,
+    ("singleton", "FALSE"): FALSE,
+    ("singleton", "JSArray"): JSArray,
 }
-_BOX_SINGLETON_NAME_OF = {id(box): name for name, box in _BOX_SINGLETONS.items()}
+_PROCESS_PIDS = {id(obj): pid for pid, obj in _PROCESS_OBJECTS.items()}
+_OPT_VN = ("opt_vn",)
 
 
 class StoreError(Exception):
@@ -165,12 +204,28 @@ def _costs_fingerprint() -> str:
     return hashlib.sha256(json.dumps(items).encode("utf-8")).hexdigest()[:16]
 
 
+def _layout_fingerprint() -> str:
+    """Hash of the field lists of the classes a tree stream holds: an
+    entry pickled before a field changed would load without it."""
+    layout = [
+        [
+            f"{cls.__module__}.{cls.__qualname__}",
+            [member.value for member in cls]
+            if issubclass(cls, enum.Enum)
+            else list(cls.__slots__),
+        ]
+        for cls in TRACE_CLASSES
+    ]
+    return hashlib.sha256(json.dumps(layout).encode("utf-8")).hexdigest()[:16]
+
+
 def config_fingerprint(config) -> str:
     """The store key for one VM configuration: schema + the trace-shaping
-    config fields + the cost model."""
+    config fields + the cost model + the trace classes' layout."""
     record: Dict[str, object] = {
         "store_schema": STORE_SCHEMA,
         "costs": _costs_fingerprint(),
+        "layout": _layout_fingerprint(),
     }
     for name in FINGERPRINT_FIELDS:
         record[name] = getattr(config, name)
@@ -227,7 +282,7 @@ def _native_sentinel(name: str) -> NativeFunction:
 
     It only ever feeds an ``eqp`` callee guard, which *fails* against
     the warm VM's fresh native — the same miss a warm second run in one
-    process observes — so the sentinel's body is unreachable; if a decode
+    process observes — so the sentinel's body is unreachable; if a load
     bug ever invoked it anyway, the firewall contains the error."""
 
     def _stale(vm, this_box, args):
@@ -236,476 +291,182 @@ def _native_sentinel(name: str) -> NativeFunction:
     return NativeFunction(name, _stale)
 
 
-def _typed_sentinel(name: str):
+def _callable_sentinel(name: str):
+    """Stand-in for a per-VM native's Python callable (a ``CallSpec``
+    target), reached only behind a failing callee guard like
+    :func:`_native_sentinel`; takes either FFI calling convention."""
+
     def _stale(*args):
-        raise VMInternalError(f"stale persisted typed native {name!r} invoked")
+        raise VMInternalError(f"stale persisted native {name!r} invoked")
 
     return _stale
 
 
-def _boxed_sentinel(name: str):
-    def _stale(vm, this_box, args):
-        raise VMInternalError(f"stale persisted boxed native {name!r} invoked")
-
-    return _stale
-
-
-# -- value encoding ----------------------------------------------------------------
-#
-# JSON-scalar values pass through; everything else is a tagged dict.
-# ``in_key`` marks opt_vn snapshot keys, where an unencodable identity
-# becomes a dead key (always-miss) instead of a refusal.
-#
-# Identity is part of the format: pycompile's constant pool dedupes by
-# ``id()``, so two insns sharing one object must decode to two insns
-# sharing one object or the re-emitted source (and hence the decode-
-# fidelity check) diverges.  Every non-scalar value is therefore
-# memoized — its first occurrence carries a serial (``"i"``), repeats
-# encode as ``{"k": "ref", "v": serial}`` — which reproduces the
-# writer's exact sharing graph in the loaded fragments.
+_SENTINELS = {
+    "native": _native_sentinel,
+    "callable": _callable_sentinel,
+    "dead": lambda _name: _DeadKey(),
+}
 
 
-class _Encoder:
-    def __init__(self, codes: List[object], trees: List[object]):
-        self.code_idx = {id(code): index for index, code in enumerate(codes)}
-        self.tree_idx = {id(tree): index for index, tree in enumerate(trees)}
-        self.fn_const: Dict[int, Tuple[int, int]] = {}
+# -- the tree stream ---------------------------------------------------------------
+
+
+class _TreePickler(pickle.Pickler):
+    """Pickles trace trees.  ``persistent_id`` names every object that
+    belongs to this process the way the loader finds it again, and
+    refuses any object that is neither a trace class nor a plain value.
+
+    The trees are dumped first; the opt_vn tables follow as a second
+    object on the same pickler with ``in_key`` set, because inside a
+    snapshot key an identity that cannot be named becomes a dead key
+    (an always-miss) instead of a refusal."""
+
+    def __init__(self, file, codes: List[object]):
+        super().__init__(file, protocol=5)
+        #: id -> persistent id: the process-wide objects, then this
+        #: program's code objects, loops and const-pool functions.
+        self.pids = dict(_PROCESS_PIDS)
         for ci, code in enumerate(codes):
+            self.pids[id(code)] = ("code", ci)
+            for loop in code.loops:
+                self.pids[id(loop)] = ("loop", ci, loop.header_pc)
             for ki, box in enumerate(code.consts):
                 payload = getattr(box, "payload", None)
                 if isinstance(payload, JSFunction):
-                    self.fn_const.setdefault(id(payload), (ci, ki))
-        self._memo: Dict[int, int] = {}
-        self._memo_keep: List[object] = []  # pin ids against reuse
-        self._serial = itertools.count()
+                    self.pids.setdefault(id(payload), ("fn", ci, ki))
+        self.in_key = False
+        self.max_exit_id = 0
+        #: (kind, id) -> persistent id of a sentinel or dead key, so
+        #: that sharing survives (``_keep`` pins the ids against reuse).
+        self._shared_pids: Dict[tuple, tuple] = {}
+        self._keep: List[object] = []
 
-    def _memoize(self, value, record: dict) -> dict:
-        serial = next(self._serial)
-        record["i"] = serial
-        self._memo[id(value)] = serial
-        self._memo_keep.append(value)
-        return record
-
-    def value(self, value, in_key: bool = False):
-        if value is None or value is True or value is False:
-            return value
-        if isinstance(value, int):
-            return value
-        serial = self._memo.get(id(value))
-        if serial is not None:
-            return {"k": "ref", "v": serial}
-        if isinstance(value, str):
-            return self._memoize(value, {"k": "s", "v": value})
-        if isinstance(value, float):
-            return self._memoize(value, {"k": "f", "v": repr(value)})
-        if isinstance(value, tuple):
-            return self._memoize(
-                value, {"k": "t", "v": [self.value(item, in_key) for item in value]}
+    def persistent_id(self, obj):
+        cls = type(obj)
+        if cls in _PLAIN:
+            return None
+        pid = self.pids.get(id(obj))
+        if pid is not None:
+            return pid
+        if cls in _ALLOWED_CLASSES:
+            if cls is SideExit:
+                self.max_exit_id = max(self.max_exit_id, obj.exit_id)
+            elif cls is TreeValueState and not self.in_key:
+                return _OPT_VN  # pickled in the second dump
+            return None
+        if isinstance(obj, type) and obj in _ALLOWED_CLASSES:
+            return None  # the class of a trace object being pickled
+        if self.in_key:
+            return self._shared("dead", obj, None)
+        if isinstance(obj, JSFunction):
+            raise StoreError(
+                "unencodable-const", f"JSFunction {obj.name!r} is not in a const pool"
             )
-        if isinstance(value, TraceType):
-            return {"k": "ty", "v": value.name}
-        if value is JSArray:
-            return {"k": "cls", "v": "JSArray"}
-        name = _BOX_SINGLETON_NAME_OF.get(id(value))
-        if name is not None:
-            return {"k": "box", "v": name}
-        if isinstance(value, JSFunction):
-            ref = self.fn_const.get(id(value))
-            if ref is None:
-                if in_key:
-                    return self._memoize(value, {"k": "dead"})
-                raise StoreError(
-                    "unencodable-const",
-                    f"JSFunction {value.name!r} is not in a const pool",
-                )
-            return {"k": "fn", "v": [ref[0], ref[1]]}
-        if isinstance(value, NativeFunction):
-            name = _STRMETHOD_NAME_OF.get(id(value))
-            if name is not None:
-                return {"k": "strm", "v": name}
-            if in_key:
-                return self._memoize(value, {"k": "dead"})
+        if isinstance(obj, NativeFunction):
             # A per-VM native (Math.*, globals): only its *identity*
             # matters on trace (eqp callee guards), and that identity
             # does not survive the process boundary — persist a sentinel
             # that fails the guard, like a warm second run would.
-            return self._memoize(value, {"k": "nsent", "v": value.name})
-        if isinstance(value, CallSpec):
-            return self.spec(value)
-        from repro.core.exits import CallTreeSite
+            return self._shared("native", obj, obj.name)
+        if callable(obj) and not isinstance(obj, type):
+            return self._shared("callable", obj, getattr(obj, "__name__", "?"))
+        raise StoreError("unencodable-const", f"cannot persist {cls.__name__}")
 
-        if isinstance(value, CallTreeSite):
-            return self.site(value)
-        if in_key:
-            return self._memoize(value, {"k": "dead"})
-        raise StoreError(
-            "unencodable-const", f"cannot persist {type(value).__name__}"
-        )
-
-    def spec(self, spec: CallSpec):
-        helper = _HELPER_NAME_OF.get(id(spec))
-        if helper is not None:
-            return {"k": "spec", "helper": helper}
-        # The callable is memoized separately from the spec: distinct
-        # specs can share one fn, and that sharing reaches the pool.
-        fn_serial = self._memo.get(id(spec.fn))
-        if fn_serial is not None:
-            fn = {"k": "ref", "v": fn_serial}
-        elif spec.kind == "boxed" and id(spec.fn) in _STRMETHOD_FN_NAME_OF:
-            fn = ["strm", _STRMETHOD_FN_NAME_OF[id(spec.fn)]]
-        else:
-            fn = self._memoize(
-                spec.fn, {"k": "sentfn", "v": spec.name, "kind": spec.kind}
-            )
-        return self._memoize(
-            spec,
-            {
-                "k": "spec",
-                "kind": spec.kind,
-                "name": spec.name,
-                "fn": fn,
-                "arg_types": [self.value(t) for t in spec.arg_types],
-                "this_type": self.value(spec.this_type),
-                "result_type": spec.result_type,
-                "cost": spec.cost,
-                "pure": spec.pure,
-                "accesses_state": spec.accesses_state,
-            },
-        )
-
-    def site(self, site):
-        index = self.tree_idx.get(id(site.tree))
-        if index is None:
-            raise StoreError(
-                "unencodable-aux", "calltree target tree is not persisted"
-            )
-        return self._memoize(
-            site,
-            {
-                "k": "site",
-                "tree": index,
-                "depth": site.depth,
-                "map": [[inner, outer] for inner, outer in site.local_mapping],
-                "expected": site.expected_exit_id,
-            },
-        )
+    def _shared(self, kind: str, obj, name) -> tuple:
+        key = (kind, id(obj))
+        pid = self._shared_pids.get(key)
+        if pid is None:
+            pid = self._shared_pids[key] = (kind, len(self._shared_pids), name)
+            self._keep.append(obj)
+        return pid
 
 
-class _Decoder:
-    def __init__(self, codes: List[object], trees: List[object]):
+class _EnvelopeUnpickler(pickle.Unpickler):
+    """Reads an entry's envelope, which holds plain values only."""
+
+    def find_class(self, module, name):
+        raise StoreError("forbidden-global", f"{module}.{name}")
+
+
+class _TreeUnpickler(pickle.Unpickler):
+    """Reads a tree stream: admits the trace classes and resolves each
+    persistent id in the loading VM."""
+
+    def __init__(self, data: bytes, codes: List[object]):
+        super().__init__(io.BytesIO(data))
         self.codes = codes
-        self.trees = trees
-        #: serial -> decoded object (reproduces the writer's sharing).
-        self.table: Dict[int, object] = {}
+        self._shared: Dict[tuple, object] = {}
 
-    def value(self, rec, in_key: bool = False):
-        if rec is None or isinstance(rec, (bool, int, str)):
-            return rec
-        if not isinstance(rec, dict):
-            raise StoreError("decode-error", f"bad value record {rec!r}")
-        kind = rec.get("k")
-        if kind == "ref":
-            try:
-                return self.table[rec["v"]]
-            except KeyError:
-                raise StoreError("decode-error", f"dangling ref {rec['v']!r}")
-        obj = self._fresh(rec, kind, in_key)
-        serial = rec.get("i")
-        if serial is not None:
-            self.table[serial] = obj
-        return obj
+    def find_class(self, module, name):
+        cls = _ALLOWED.get((module, name))
+        if cls is None:
+            raise StoreError("forbidden-global", f"{module}.{name}")
+        return cls
 
-    def _fresh(self, rec, kind, in_key: bool):
-        if kind == "s":
-            return str(rec["v"])
-        if kind == "f":
-            return float(rec["v"])
-        if kind == "t":
-            return tuple(self.value(item, in_key) for item in rec["v"])
-        if kind == "ty":
-            return TraceType[rec["v"]]
-        if kind == "cls":
-            if rec["v"] != "JSArray":
-                raise StoreError("decode-error", f"unknown class {rec['v']!r}")
-            return JSArray
-        if kind == "box":
-            return _BOX_SINGLETONS[rec["v"]]
+    def persistent_load(self, pid):
+        try:
+            return self._resolve(pid)
+        except (LookupError, TypeError, ValueError, AttributeError) as error:
+            raise StoreError("decode-error", f"bad persistent id {pid!r}: {error}")
+
+    def _resolve(self, pid):
+        obj = _PROCESS_OBJECTS.get(pid)
+        if obj is not None:
+            return obj
+        kind = pid[0]
+        if kind == "code":
+            return self.codes[pid[1]]
+        if kind == "loop":
+            loop = self.codes[pid[1]].loop_at_header(pid[2])
+            if loop is None:
+                raise StoreError("decode-error", "tree header has no loop")
+            return loop
         if kind == "fn":
-            ci, ki = rec["v"]
-            try:
-                payload = self.codes[ci].consts[ki].payload
-            except (IndexError, TypeError) as error:
-                raise StoreError("decode-error", f"bad const ref: {error}")
+            payload = self.codes[pid[1]].consts[pid[2]].payload
             if not isinstance(payload, JSFunction):
                 raise StoreError("decode-error", "const ref is not a function")
             return payload
-        if kind == "strm":
-            method = STRING_METHODS.get(rec["v"])
-            if method is None:
-                raise StoreError(
-                    "decode-error", f"unknown string method {rec['v']!r}"
-                )
-            return method
-        if kind == "nsent":
-            return _native_sentinel(rec["v"])
-        if kind == "sentfn":
-            if rec["kind"] == "typed":
-                return _typed_sentinel(rec["v"])
-            return _boxed_sentinel(rec["v"])
-        if kind == "dead":
-            return _DeadKey()
-        if kind == "spec":
-            return self.spec(rec)
-        if kind == "site":
-            return self.site(rec)
-        raise StoreError("decode-error", f"unknown value tag {kind!r}")
-
-    def spec(self, rec):
-        helper = rec.get("helper")
-        if helper is not None:
-            spec = _HELPER_SPECS.get(helper)
-            if spec is None:
-                raise StoreError("decode-error", f"unknown helper {helper!r}")
-            return spec
-        fn_rec = rec["fn"]
-        if isinstance(fn_rec, dict):
-            fn = self.value(fn_rec)
-        else:
-            fn_kind, fn_name = fn_rec
-            if fn_kind != "strm":
-                raise StoreError("decode-error", f"bad fn record {fn_rec!r}")
-            method = STRING_METHODS.get(fn_name)
-            if method is None:
-                raise StoreError(
-                    "decode-error", f"unknown string method {fn_name!r}"
-                )
-            fn = method.fn
-        return CallSpec(
-            kind=rec["kind"],
-            name=rec["name"],
-            fn=fn,
-            arg_types=tuple(self.value(t) for t in rec["arg_types"]),
-            this_type=self.value(rec["this_type"]),
-            result_type=rec["result_type"],
-            cost=rec["cost"],
-            pure=rec["pure"],
-            accesses_state=rec["accesses_state"],
-        )
-
-    def site(self, rec):
-        from repro.core.exits import CallTreeSite
-
-        try:
-            tree = self.trees[rec["tree"]]
-        except IndexError:
-            raise StoreError("decode-error", "bad calltree tree index")
-        return CallTreeSite(
-            tree=tree,
-            depth=rec["depth"],
-            local_mapping=tuple(
-                (inner, outer) for inner, outer in rec["map"]
-            ),
-            expected_exit_id=rec["expected"],
-        )
+        if kind == "opt_vn":
+            return None
+        if kind in _SENTINELS:
+            shared = self._shared.get(pid)
+            if shared is None:
+                shared = self._shared[pid] = _SENTINELS[kind](pid[2])
+            return shared
+        raise StoreError("decode-error", f"unknown persistent id {kind!r}")
 
 
-# -- entry encoding ----------------------------------------------------------------
-
-
-def _enc_insn(enc: _Encoder, ins: NativeInsn) -> dict:
-    rec: Dict[str, object] = {"op": ins.op}
-    if ins.dst is not None:
-        rec["dst"] = ins.dst
-    if ins.a is not None:
-        rec["a"] = ins.a
-    if ins.b is not None:
-        rec["b"] = ins.b
-    if ins.c is not None:
-        rec["c"] = ins.c
-    if ins.imm is not None:
-        rec["imm"] = enc.value(ins.imm)
-    if ins.exit is not None:
-        rec["exit"] = ins.exit.exit_id
-    if ins.aux is not None and ins.op != "jtree":
-        # jtree's aux is a debugging breadcrumb the machine never reads;
-        # its identity (a LIns) is not portable.
-        rec["aux"] = enc.value(ins.aux)
-    if ins.srcs is not None:
-        rec["srcs"] = list(ins.srcs)
-    return rec
-
-
-def _enc_exit(enc: _Encoder, exit: SideExit, frag_idx: Dict[int, int], indexed: bool) -> dict:
-    frames = []
-    for frame in exit.frames:
-        ci = enc.code_idx.get(id(frame.code))
-        if ci is None:
-            raise StoreError("unencodable-const", "frame code outside program")
-        frames.append([ci, frame.resume_pc, frame.stack_depth])
-    rec: Dict[str, object] = {
-        "id": exit.exit_id,
-        "kind": exit.kind,
-        "pc": exit.pc,
-        "frames": frames,
-        "sd0": exit.stack_depth0,
-        "arpc": exit.anchor_resume_pc,
-        "live": [
-            [enc.value(loc), trace_type.name, slot]
-            for loc, trace_type, slot in exit.livemap
-        ],
-        "progress": exit.bytecode_progress,
-        "hits": exit.hit_count,
-        "blocked": exit.recording_blocked,
-        "indexed": indexed,
-    }
-    if exit.result_loc is not None:
-        rec["result_loc"] = enc.value(tuple(exit.result_loc))
-    if exit.branch_result_type is not None:
-        rec["brt"] = exit.branch_result_type.name
-    if exit.fragment is not None and id(exit.fragment) in frag_idx:
-        rec["frag"] = frag_idx[id(exit.fragment)]
-    if exit.target is not None:
-        target = frag_idx.get(id(exit.target))
-        if target is None:
-            raise StoreError("unencodable-aux", "exit target outside its tree")
-        rec["target"] = target
-    return rec
-
-
-def _enc_key(enc: _Encoder, key) -> object:
-    return enc.value(key, in_key=True)
-
-
-def _enc_opt_vn(enc: _Encoder, tvs: TreeValueState) -> dict:
-    # Peeking at the counter consumes one number from the *writer's*
-    # state only; the reference for warm-start equivalence is a VM that
-    # never saved, whose counter sits exactly at this value.
-    counter = next(tvs.counter)
-    snapshots = []
-    for exit_id, snap in tvs.snapshots.items():
-        snapshots.append(
-            [
-                exit_id,
-                {
-                    "pure": [[_enc_key(enc, k), v] for k, v in snap["pure"].items()],
-                    "load": [[_enc_key(enc, k), v] for k, v in snap["load"].items()],
-                    "guard": [_enc_key(enc, k) for k in snap["guard"]],
-                    "true": sorted(snap["true"]),
-                    "false": sorted(snap["false"]),
-                    "slots": [
-                        [slot, vn, tchar]
-                        for slot, (vn, tchar) in snap["slots"].items()
-                    ],
-                },
-            ]
-        )
-    return {"counter": counter, "snapshots": snapshots}
-
-
-def _enc_fragment(enc: _Encoder, fragment: Fragment) -> dict:
-    try:
-        py_source, _consts = emit_fragment(fragment)
-    except Exception:
-        # Emission fails identically at runtime; the warm VM will latch
-        # py_failed through the pycompile boundary, same as a cold one.
-        py_source = None
-    anchor = fragment.anchor_exit
-    return {
-        "kind": fragment.kind,
-        "state": fragment.state.value,
-        "anchor": anchor.exit_id if anchor is not None else None,
-        "native": [_enc_insn(enc, ins) for ins in fragment.native],
-        "bytecount": fragment.bytecount,
-        "code_size": fragment.code_size,
-        "spill_base": fragment.spill_base,
-        "n_spills": fragment.n_spills,
-        "loop_start": fragment.loop_start,
-        "lir_loop_start": fragment.lir_loop_start,
-        "py_failed": fragment.py_failed,
-        "py_compiled": fragment.py_func is not None,
-        "py_source": py_source,
-    }
-
-
-def _enc_tree(enc: _Encoder, tree: TraceTree, resident: bool) -> dict:
-    # The identity memo makes encode order part of the format: encode
-    # the tree's pieces in exactly the order the loader decodes them
-    # (typemap, imports, slot layout, exits, root, branches, opt_vn) so
-    # every ref points backwards.
-    ci = enc.code_idx.get(id(tree.code))
-    if ci is None:
-        raise StoreError("unencodable-const", "tree code outside program")
-    entry_typemap = [
-        [enc.value(loc), trace_type.name]
-        for loc, trace_type in tree.entry_typemap
-    ]
-    global_imports = [
-        [name, gslot, trace_type.name]
-        for name, gslot, trace_type in tree.global_imports
-    ]
-    slot_of_loc = [
-        [enc.value(loc), slot] for loc, slot in tree.slot_of_loc.items()
-    ]
-    fragments = [tree.fragment] + list(tree.branches)
-    frag_idx = {id(fragment): index for index, fragment in enumerate(fragments)}
-    exit_records = []
-    seen = set()
-    for exit in tree.exits_by_id.values():
-        exit_records.append(_enc_exit(enc, exit, frag_idx, indexed=True))
-        seen.add(id(exit))
-    extras = [tree.entry_exit] + [f.anchor_exit for f in fragments]
-    extras.extend(tree.unstable_exits)
-    for fragment in fragments:
-        extras.extend(ins.exit for ins in fragment.native if ins.exit is not None)
-    for exit in extras:
-        if exit is not None and id(exit) not in seen:
-            exit_records.append(_enc_exit(enc, exit, frag_idx, indexed=False))
-            seen.add(id(exit))
-    root = _enc_fragment(enc, tree.fragment)
-    branches = [_enc_fragment(enc, branch) for branch in tree.branches]
-    return {
-        "code": ci,
-        "header_pc": tree.header_pc,
-        "resident": resident,
-        "entry_typemap": entry_typemap,
-        "global_imports": global_imports,
-        "written_globals": sorted(tree.written_globals),
-        "slot_of_loc": slot_of_loc,
-        "n_location_slots": tree.n_location_slots,
-        "ar_size": tree.ar_size,
-        "iterations": tree.iterations,
-        "entry_exit": tree.entry_exit.exit_id if tree.entry_exit is not None else None,
-        "unstable_exits": [exit.exit_id for exit in tree.unstable_exits],
-        "exits": exit_records,
-        "root": root,
-        "branches": branches,
-        "opt_vn": _enc_opt_vn(enc, tree.opt_vn) if tree.opt_vn is not None else None,
-    }
+def _dump_trees(codes: List[object], trees: List[TraceTree]) -> Tuple[bytes, int]:
+    """The tree stream for ``trees``, and the largest exit id in it."""
+    stream = io.BytesIO()
+    pickler = _TreePickler(stream, codes)
+    pickler.dump(trees)
+    pickler.in_key = True
+    pickler.dump([tree.opt_vn for tree in trees])
+    return stream.getvalue(), pickler.max_exit_id
 
 
 def build_entry(vm, source: str, code, fingerprint: str) -> Tuple[dict, int, int]:
-    """Serialize everything warm-start needs for ``source``; returns
-    ``(entry, resident_tree_count, resident_fragment_count)``."""
+    """Everything warm-start needs for ``source``, as the envelope dict;
+    returns ``(entry, resident_tree_count, resident_fragment_count)``."""
     monitor = vm.monitor
     cache = monitor.cache
     codes = enumerate_codes(code)
-    code_ids = {id(c) for c in codes}
     code_idx = {id(c): i for i, c in enumerate(codes)}
 
-    resident: List[object] = []
-    for _key, peers in cache.items():
-        for tree in peers:
-            if id(tree.code) in code_ids:
-                resident.append(tree)
-    resident_ids = {id(tree) for tree in resident}
-
+    trees: List[TraceTree] = [
+        tree
+        for _key, peers in cache.items()
+        for tree in peers
+        if id(tree.code) in code_idx
+    ]
+    resident = len(trees)
     # Transitive closure over calltree references: an outer trace may
     # still call a tree that was individually invalidated; persist it
-    # (non-resident) so the warm machine behaves like the warm process.
-    from repro.core.exits import CallTreeSite
-
-    trees = list(resident)
-    tree_ids = set(resident_ids)
+    # (non-resident, after the resident trees) so the warm machine
+    # behaves like the warm process.
+    tree_ids = {id(tree) for tree in trees}
     queue = list(trees)
     while queue:
         tree = queue.pop(0)
@@ -715,7 +476,7 @@ def build_entry(vm, source: str, code, fingerprint: str) -> Tuple[dict, int, int
                     inner = ins.aux.tree
                     if id(inner) in tree_ids:
                         continue
-                    if id(inner.code) not in code_ids:
+                    if id(inner.code) not in code_idx:
                         raise StoreError(
                             "unencodable-aux", "calltree crosses programs"
                         )
@@ -723,15 +484,7 @@ def build_entry(vm, source: str, code, fingerprint: str) -> Tuple[dict, int, int
                     trees.append(inner)
                     queue.append(inner)
 
-    enc = _Encoder(codes, trees)
-    tree_records = [
-        _enc_tree(enc, tree, id(tree) in resident_ids) for tree in trees
-    ]
-
-    max_exit_id = 0
-    for record in tree_records:
-        for exit_record in record["exits"]:
-            max_exit_id = max(max_exit_id, exit_record["id"])
+    tree_stream, max_exit_id = _dump_trees(codes, trees)
 
     blacklist = monitor.blacklist
     blacklist_records = []
@@ -790,24 +543,31 @@ def build_entry(vm, source: str, code, fingerprint: str) -> Tuple[dict, int, int
             "marks": oracle.marks,
         },
         "hotness": hotness,
-        "trees": tree_records,
+        "resident": resident,
+        "trees": tree_stream,
     }
-    fragments = sum(
-        1 + len(record["branches"])
-        for record in tree_records
-        if record["resident"]
-    )
-    return entry, len(resident), fragments
+    fragments = sum(1 + len(tree.branches) for tree in trees[:resident])
+    return entry, resident, fragments
 
 
-# -- entry decoding + transactional linking ---------------------------------------
+def _load_envelope(raw: bytes):
+    """An entry file's envelope; an unreadable pickle is ``corrupt-entry``."""
+    try:
+        return _EnvelopeUnpickler(io.BytesIO(raw)).load()
+    except StoreError:
+        raise
+    except Exception as error:
+        raise StoreError("corrupt-entry", str(error))
+
+
+# -- entry loading + transactional linking ----------------------------------------
 
 
 class _EntryLoader:
-    """Decodes one entry and links it into a live VM, transactionally:
-    every VM/cache mutation is journaled and undone on any failure, so
-    a corrupt entry (or an injected mid-link fault) leaves the VM
-    exactly as cold as it started."""
+    """Loads one entry's trees and links them into a live VM,
+    transactionally: every VM/cache mutation is journaled and undone on
+    any failure, so a corrupt entry (or an injected mid-link fault)
+    leaves the VM exactly as cold as it started."""
 
     def __init__(self, vm, source: str, code, entry: dict, fingerprint: str):
         self.vm = vm
@@ -817,7 +577,6 @@ class _EntryLoader:
         self.fingerprint = fingerprint
         self.codes: List[object] = []
         self.trees: List[TraceTree] = []
-        self.dec: Optional[_Decoder] = None
         # Undo journal.
         self._added_globals = 0
         self._linked: List[Tuple[tuple, TraceTree]] = []
@@ -836,8 +595,7 @@ class _EntryLoader:
         self._validate()
         try:
             self._replay_globals()
-            self._decode_trees()
-            self._restore_pycompile()
+            self._load_trees()
             fragments = self._link()
             self._replay_bookkeeping()
         except BaseException:
@@ -883,216 +641,27 @@ class _EntryLoader:
             elif existing != index:
                 raise StoreError("global-table-conflict", name)
 
-    # -- tree reconstruction --------------------------------------------------------
+    # -- the tree stream ------------------------------------------------------------
 
-    def _decode_trees(self) -> None:
-        records = self.entry["trees"]
-        # Pass 1: shells, so calltree sites can reference any tree.
-        for record in records:
-            code = self.codes[record["code"]]
-            loop_info = code.loop_at_header(record["header_pc"])
-            if loop_info is None:
-                raise StoreError("decode-error", "tree header has no loop")
-            self.trees.append(TraceTree(code, record["header_pc"], loop_info))
-        self.dec = _Decoder(self.codes, self.trees)
-        # Pass 2: fill each tree (exits, fragments, layout, opt_vn).
-        for tree, record in zip(self.trees, records):
-            self._fill_tree(tree, record)
-        # Pass 3: cross-fragment exit references within each tree.
-        for tree, record in zip(self.trees, records):
-            fragments = [tree.fragment] + tree.branches
-            all_exits = tree._store_all_exits
-            for exit_record in record["exits"]:
-                exit = all_exits[exit_record["id"]]
-                frag = exit_record.get("frag")
-                if frag is not None:
-                    exit.fragment = fragments[frag]
-                target = exit_record.get("target")
-                if target is not None:
-                    exit.target = fragments[target]
-                    # Count the restored link, as the monitor counts an
-                    # attached one (see TraceTree.link_version).
-                    tree.link_version += 1
-            del tree._store_all_exits
-
-    def _fill_tree(self, tree: TraceTree, record: dict) -> None:
-        dec = self.dec
-        tree.entry_typemap = [
-            (dec.value(loc), TraceType[name])
-            for loc, name in record["entry_typemap"]
-        ]
-        tree.global_imports = [
-            (name, gslot, TraceType[tname])
-            for name, gslot, tname in record["global_imports"]
-        ]
-        tree._global_types = {
-            name: trace_type for name, _gslot, trace_type in tree.global_imports
-        }
-        tree.written_globals = set(record["written_globals"])
-        tree.slot_of_loc = {
-            dec.value(loc): slot for loc, slot in record["slot_of_loc"]
-        }
-        tree.loc_of_slot = {slot: loc for loc, slot in tree.slot_of_loc.items()}
-        tree.n_location_slots = record["n_location_slots"]
-        tree.ar_size = record["ar_size"]
-        tree.iterations = record["iterations"]
-
-        all_exits: Dict[int, SideExit] = {}
-        for exit_record in record["exits"]:
-            exit = self._decode_exit(tree, exit_record)
-            if exit.exit_id in all_exits:
-                raise StoreError("decode-error", "duplicate exit id")
-            all_exits[exit.exit_id] = exit
-            if exit_record["indexed"]:
-                tree.exits_by_id[exit.exit_id] = exit
-
-        self._fill_fragment(tree.fragment, record["root"], all_exits)
-        for branch_record in record["branches"]:
-            branch = Fragment(tree, "branch")
-            self._fill_fragment(branch, branch_record, all_exits)
-            tree.branches.append(branch)
-
-        entry_exit = record["entry_exit"]
-        if entry_exit is not None:
-            tree.entry_exit = all_exits[entry_exit]
-        tree.unstable_exits = [
-            all_exits[exit_id] for exit_id in record["unstable_exits"]
-        ]
-        if record["opt_vn"] is not None:
-            tree.opt_vn = self._decode_opt_vn(record["opt_vn"])
-        # Stashed for pass 3 (insn/anchor exits may be non-indexed).
-        tree._store_all_exits = all_exits
-
-    def _decode_exit(self, tree: TraceTree, record: dict) -> SideExit:
-        dec = self.dec
-        frames = tuple(
-            FrameSnapshot(self.codes[ci], resume_pc, stack_depth)
-            for ci, resume_pc, stack_depth in record["frames"]
-        )
-        livemap = tuple(
-            (dec.value(loc), TraceType[tname], slot)
-            for loc, tname, slot in record["live"]
-        )
-        result_loc = record.get("result_loc")
-        exit = SideExit(
-            kind=record["kind"],
-            pc=record["pc"],
-            frames=frames,
-            stack_depth0=record["sd0"],
-            livemap=livemap,
-            bytecode_progress=record["progress"],
-            result_loc=dec.value(result_loc) if result_loc is not None else None,
-            anchor_resume_pc=record["arpc"],
-        )
-        exit.exit_id = record["id"]
-        exit.hit_count = record["hits"]
-        exit.recording_blocked = record["blocked"]
-        brt = record.get("brt")
-        if brt is not None:
-            exit.branch_result_type = TraceType[brt]
-        exit.tree = tree
-        return exit
-
-    def _fill_fragment(
-        self, fragment: Fragment, record: dict, all_exits: Dict[int, SideExit]
-    ) -> None:
-        fragment.state = FragmentState(record["state"])
-        fragment.native = [
-            self._decode_insn(rec, all_exits) for rec in record["native"]
-        ]
-        fragment.bytecount = record["bytecount"]
-        fragment.code_size = record["code_size"]
-        fragment.spill_base = record["spill_base"]
-        fragment.n_spills = record["n_spills"]
-        fragment.loop_start = record["loop_start"]
-        fragment.lir_loop_start = record["lir_loop_start"]
-        fragment.py_failed = record["py_failed"]
-        anchor = record["anchor"]
-        if anchor is not None:
-            if anchor not in all_exits:
-                raise StoreError("decode-error", "unknown anchor exit")
-            fragment.anchor_exit = all_exits[anchor]
-
-    def _decode_insn(self, record: dict, all_exits: Dict[int, SideExit]) -> NativeInsn:
-        exit = None
-        exit_id = record.get("exit")
-        if exit_id is not None:
-            exit = all_exits.get(exit_id)
-            if exit is None:
-                raise StoreError("decode-error", f"unknown exit {exit_id}")
-        aux = record.get("aux")
-        srcs = record.get("srcs")
-        return NativeInsn(
-            op=record["op"],
-            dst=record.get("dst"),
-            a=record.get("a"),
-            b=record.get("b"),
-            c=record.get("c"),
-            imm=self.dec.value(record["imm"]) if "imm" in record else None,
-            exit=exit,
-            aux=self.dec.value(aux) if aux is not None else None,
-            srcs=list(srcs) if srcs is not None else None,
-        )
-
-    def _decode_opt_vn(self, record: dict) -> TreeValueState:
-        dec = self.dec
-        tvs = TreeValueState()
-        tvs.counter = itertools.count(record["counter"])
-        for exit_id, snap in record["snapshots"]:
-            tvs.snapshots[exit_id] = {
-                "pure": {dec.value(k, True): v for k, v in snap["pure"]},
-                "load": {dec.value(k, True): v for k, v in snap["load"]},
-                "guard": {dec.value(k, True) for k in snap["guard"]},
-                "true": set(snap["true"]),
-                "false": set(snap["false"]),
-                "slots": {
-                    slot: (vn, tchar) for slot, vn, tchar in snap["slots"]
-                },
-            }
-        return tvs
-
-    # -- pycompile ------------------------------------------------------------------
-
-    def _restore_pycompile(self) -> None:
-        """Verify decode fidelity by re-emission, then re-``compile()``
-        the cached source (no re-tracing, no pycompile events — matching
-        a warm process whose fragments already hold their callables)."""
-        backend_py = self.vm.config.native_backend == "py"
-        for tree, record in zip(self.trees, self.entry["trees"]):
-            fragments = [tree.fragment] + tree.branches
-            records = [record["root"]] + record["branches"]
-            for fragment, frec in zip(fragments, records):
-                stored = frec["py_source"]
-                if stored is None:
-                    continue
-                try:
-                    emitted, consts = emit_fragment(fragment)
-                except Exception as error:
-                    raise StoreError(
-                        "decode-error", f"pycompile re-emission failed: {error}"
-                    )
-                if emitted != stored:
-                    raise StoreError(
-                        "decode-error", "pycompile source mismatch"
-                    )
-                if (
-                    backend_py
-                    and frec["py_compiled"]
-                    and not fragment.py_failed
-                    and fragment.state is not FragmentState.RETIRED
-                ):
-                    namespace = {"_consts": consts, "ExitEvent": ExitEvent}
-                    try:
-                        code_obj = compile(
-                            stored, f"<store:{tree.code.name}>", "exec"
-                        )
-                        exec(code_obj, namespace)
-                        fragment.py_func = namespace["_fragment_fn"]
-                        fragment.py_consts = consts
-                    except Exception as error:
-                        raise StoreError(
-                            "decode-error", f"pycompile exec failed: {error}"
-                        )
+    def _load_trees(self) -> None:
+        unpickler = _TreeUnpickler(self.entry["trees"], self.codes)
+        try:
+            trees = unpickler.load()
+            opt_vns = unpickler.load()
+        except StoreError:
+            raise
+        except Exception as error:
+            raise StoreError("corrupt-entry", f"tree stream: {error}")
+        if (
+            not isinstance(trees, list)
+            or not isinstance(opt_vns, list)
+            or len(opt_vns) != len(trees)
+            or not all(type(tree) is TraceTree for tree in trees)
+        ):
+            raise StoreError("decode-error", "tree stream is not a tree list")
+        for tree, opt_vn in zip(trees, opt_vns):
+            tree.opt_vn = opt_vn
+        self.trees = trees
 
     # -- linking + bookkeeping -------------------------------------------------------
 
@@ -1102,9 +671,7 @@ class _EntryLoader:
         self._high_water = cache.code_size_high_water
         fragments = 0
         fired = False
-        for tree, record in zip(self.trees, self.entry["trees"]):
-            if not record["resident"]:
-                continue
+        for tree in self.trees[: self.entry["resident"]]:
             key = cache.key(tree.code, tree.header_pc)
             cache._trees.setdefault(key, []).append(tree)
             cache._code_refs.append(tree.code)
@@ -1239,7 +806,7 @@ class TraceStore:
         return os.path.join(self.root, MANIFEST_NAME)
 
     def _entry_name(self, sha: str) -> str:
-        return f"e-{sha}.json"
+        return f"e-{sha}.pickle"
 
     def _atomic_write(self, path: str, data: bytes, vm=None, site=None) -> None:
         temp = f"{path}.tmp.{os.getpid()}.{next(self._temp_seq)}"
@@ -1301,7 +868,7 @@ class TraceStore:
         except OSError:
             return
         for name in names:
-            if name.startswith("e-") and name.endswith(".json"):
+            if name.startswith("e-"):
                 try:
                     os.remove(os.path.join(self.root, name))
                 except OSError:
@@ -1315,35 +882,15 @@ class TraceStore:
         safe-mode strike — emit the typed events, record the trip,
         re-raise only when the firewall is disabled."""
         firewall = vm.firewall
-        if firewall is not None and not firewall.enabled:
+        if not firewall.enabled:
             raise error
-        faults = vm.faults
-        if faults is not None:
-            faults.suspended += 1
-        try:
-            site = getattr(error, "site", None)
-            reason = getattr(error, "reason", None) or type(error).__name__
-            if firewall is not None:
-                firewall.trips.append(("store", type(error).__name__, site))
-            vm.events.emit(
-                eventkind.JIT_INTERNAL_FAILURE,
-                boundary=boundary,
-                error=type(error).__name__,
-                detail=str(error)[:200],
-                code=source_name,
-                pc=None,
-                injected=site is not None,
-                site=site,
-            )
-            vm.events.emit(
-                eventkind.STORE_FALLBACK,
-                boundary=boundary,
-                reason=reason,
-                source=source_name,
-            )
-        finally:
-            if faults is not None:
-                faults.suspended -= 1
+        firewall.report(boundary, error, source_name, None, trip="store")
+        vm.events.emit(
+            eventkind.STORE_FALLBACK,
+            boundary=boundary,
+            reason=getattr(error, "reason", None) or type(error).__name__,
+            source=source_name,
+        )
 
     # -- load -----------------------------------------------------------------------
 
@@ -1397,10 +944,7 @@ class TraceStore:
             raw
         ).hexdigest() != record.get("sha256"):
             raise StoreError("checksum-mismatch", os.path.basename(path))
-        try:
-            entry = json.loads(raw.decode("utf-8"))
-        except Exception as error:
-            raise StoreError("corrupt-entry", str(error))
+        entry = _load_envelope(raw)
         fragments = _EntryLoader(vm, source, code, entry, self.fingerprint).load()
         self._bind(code, sha)
         return fragments
@@ -1434,7 +978,7 @@ class TraceStore:
     def _save(self, vm, source: str, code):
         sha = source_sha(source)
         entry, trees, fragments = build_entry(vm, source, code, self.fingerprint)
-        data = json.dumps(entry, separators=(",", ":")).encode("utf-8")
+        data = pickle.dumps(entry, protocol=5)
         digest = hashlib.sha256(data).hexdigest()
         os.makedirs(self.root, exist_ok=True)
         manifest = self._read_manifest_for_save()
@@ -1570,7 +1114,7 @@ class TraceStore:
                     raw = handle.read()
                 if hashlib.sha256(raw).hexdigest() != record.get("sha256"):
                     continue
-                entry = json.loads(raw.decode("utf-8"))
+                entry = _load_envelope(raw)
                 source = entry["source"]
                 name = entry.get("name", "<program>")
             except Exception:

@@ -84,6 +84,25 @@ class Fragment:
         #: not retry a broken fragment on every invocation.
         self.py_failed = False
 
+    #: Fields that exist only at run time: the trace store does not
+    #: pickle them, and a loaded fragment gets their constructor defaults.
+    RUNTIME_FIELDS = frozenset(
+        ("lir", "pre_lir", "backward_stats", "opt_stats", "py_func",
+         "py_consts", "py_failed")
+    )
+
+    def __getstate__(self) -> dict:
+        return {
+            name: getattr(self, name)
+            for name in self.__slots__
+            if name not in self.RUNTIME_FIELDS
+        }
+
+    def __setstate__(self, state: dict) -> None:
+        self.__init__(state["tree"], state["kind"])
+        for name, value in state.items():
+            setattr(self, name, value)
+
     def retire(self) -> None:
         self.state = FragmentState.RETIRED
         self.py_func = None
@@ -99,6 +118,22 @@ class Fragment:
 
 class TraceTree:
     """One trace tree: root trace + branch traces, one entry type map."""
+
+    __slots__ = (
+        "code", "header_pc", "loop_info", "entry_typemap", "global_imports",
+        "_global_types", "slot_of_loc", "loc_of_slot", "n_location_slots",
+        "ar_size", "fragment", "branches", "exits_by_id", "iterations",
+        "profile", "unstable_exits", "written_globals", "entry_exit",
+        "opt_vn", "link_version", "direct_fn", "direct_consts",
+        "direct_link_version", "direct_failed",
+    )
+
+    #: Fields that exist only at run time (see :attr:`Fragment
+    #: .RUNTIME_FIELDS`).
+    RUNTIME_FIELDS = frozenset(
+        ("profile", "direct_fn", "direct_consts", "direct_link_version",
+         "direct_failed")
+    )
 
     def __init__(self, code, header_pc: int, loop_info):
         self.code = code
@@ -148,6 +183,13 @@ class TraceTree:
         #: Latched when megafunction emission failed (firewall-contained)
         #: so the backend falls back to per-fragment dispatch for good.
         self.direct_failed = False
+
+    __getstate__ = Fragment.__getstate__
+
+    def __setstate__(self, state: dict) -> None:
+        self.__init__(state["code"], state["header_pc"], state["loop_info"])
+        for name, value in state.items():
+            setattr(self, name, value)
 
     # -- AR layout ---------------------------------------------------------------
 

@@ -43,6 +43,39 @@ class JITFirewall:
         #: (boundary, exception type name, injected site or None) per trip.
         self.trips = []
 
+    def report(
+        self,
+        boundary: str,
+        error: BaseException,
+        code_name: Optional[str],
+        pc: Optional[int],
+        trip: Optional[str] = None,
+    ) -> None:
+        """Record one trip and emit its ``jit-internal-failure`` event,
+        with fault injection suspended.  The report step of every
+        containment: :meth:`contain` here, and the lighter ``pycompile``
+        and ``store.*`` boundaries that only report.  ``trip`` names the
+        trip when it differs from the event's ``boundary``."""
+        faults = self.vm.faults
+        if faults is not None:
+            faults.suspended += 1
+        try:
+            site = getattr(error, "site", None)
+            self.trips.append((trip or boundary, type(error).__name__, site))
+            self.vm.events.emit(
+                eventkind.JIT_INTERNAL_FAILURE,
+                boundary=boundary,
+                error=type(error).__name__,
+                detail=str(error)[:200],
+                code=code_name,
+                pc=pc,
+                injected=site is not None,
+                site=site,
+            )
+        finally:
+            if faults is not None:
+                faults.suspended -= 1
+
     def contain(
         self,
         boundary: str,
@@ -74,18 +107,7 @@ class JITFirewall:
                 tree = recorder.tree
             if tree is not None:
                 code, pc = tree.code, tree.header_pc
-            site = getattr(error, "site", None)
-            self.trips.append((boundary, type(error).__name__, site))
-            monitor.events.emit(
-                eventkind.JIT_INTERNAL_FAILURE,
-                boundary=boundary,
-                error=type(error).__name__,
-                detail=str(error)[:200],
-                code=code.name if code is not None else None,
-                pc=pc,
-                injected=site is not None,
-                site=site,
-            )
+            self.report(boundary, error, code.name if code is not None else None, pc)
             if fragment is not None:
                 fragment.retire()
             if recorder is not None and not recorder.finished:

@@ -34,15 +34,13 @@ trace tree.  Three passes, in order:
    because the prologue contains no stores.  The loop back edge then
    re-enters at ``fragment.loop_start`` instead of instruction 0.
 
-The pass set is selected by ``VMConfig.opt_level`` (CLI
-``--opt-level``): 0 = streaming filters + backward pass only (the
-legacy pipeline), 1 = adds tree CSE / guard entailment, 2 = adds
-loop-invariant hoisting (the default).
+``VMConfig.enable_tree_cse`` and ``enable_hoisting`` switch passes 1
+and 3 (both on by default); with both off only the streaming filters
+and the backward pass run (the legacy pipeline).
 """
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Set, Tuple
 
@@ -203,15 +201,20 @@ class TreeValueState:
     branch hanging off it) textually after p.  ``snapshots`` maps a
     side exit id to the abstract state right before its guard ran, with
     the guard's own predicate *negated* folded in (the branch only runs
-    when the guard failed).
+    when the guard failed).  ``next_vn`` is the number :meth:`fresh`
+    hands out next.
     """
 
+    __slots__ = ("next_vn", "snapshots")
+
     def __init__(self):
-        self.counter = itertools.count(1)
+        self.next_vn = 1
         self.snapshots: Dict[int, dict] = {}
 
     def fresh(self) -> int:
-        return next(self.counter)
+        number = self.next_vn
+        self.next_vn += 1
+        return number
 
 
 def _snapshot(pure_keys, load_keys, guard_keys, proven_true, proven_false, slot_vn):
@@ -222,6 +225,23 @@ def _snapshot(pure_keys, load_keys, guard_keys, proven_true, proven_false, slot_
         "true": set(proven_true),
         "false": set(proven_false),
         "slots": dict(slot_vn),
+    }
+
+
+def _intersect(first: dict, second: dict) -> dict:
+    """The facts two snapshots share."""
+
+    def common(table: str) -> dict:
+        other = second[table]
+        return {k: v for k, v in first[table].items() if other.get(k) == v}
+
+    return {
+        "pure": common("pure"),
+        "load": common("load"),
+        "guard": first["guard"] & second["guard"],
+        "true": first["true"] & second["true"],
+        "false": first["false"] & second["false"],
+        "slots": common("slots"),
     }
 
 
@@ -287,9 +307,17 @@ def run_tree_cse(
             false_facts = proven_false | {cond_vn}
         elif negate_op == "xt":
             true_facts = proven_true | {cond_vn}
-        tvs.snapshots[exit.exit_id] = _snapshot(
+        snapshot = _snapshot(
             pure_keys, load_keys, guard_keys, true_facts, false_facts, slot_vn
         )
+        earlier = tvs.snapshots.get(exit.exit_id)
+        if earlier is not None:
+            # Several instructions can carry one exit (a bounds check's
+            # d2i, gclass, gei and lti share its OOB exit).  The branch
+            # there runs after whichever of them failed, so it may assume
+            # only the facts common to all of them.
+            snapshot = _intersect(earlier, snapshot)
+        tvs.snapshots[exit.exit_id] = snapshot
 
     for ins in lir:
         # Redirect uses of CSE-removed values to their representatives.
@@ -612,10 +640,9 @@ def optimize_fragment(
     ``loop_start`` is the LIR index the loop back edge re-enters at
     (0 when nothing was hoisted).
     """
-    opt_level = getattr(vm_config, "opt_level", 2)
     stats = OptStats()
 
-    if opt_level >= 1 and getattr(vm_config, "enable_tree_cse", True):
+    if vm_config.enable_tree_cse:
         lir, stats.cse_removed, stats.guards_eliminated = run_tree_cse(
             lir, tree, fragment.anchor_exit
         )
@@ -628,11 +655,7 @@ def optimize_fragment(
     )
 
     loop_start = 0
-    if (
-        opt_level >= 2
-        and getattr(vm_config, "enable_hoisting", True)
-        and fragment.kind == "root"
-    ):
+    if vm_config.enable_hoisting and fragment.kind == "root":
         lir, loop_start, stats.hoisted = hoist_invariants(lir, tree)
 
     return lir, loop_start, stats, backward_stats

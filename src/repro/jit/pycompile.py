@@ -69,7 +69,6 @@ import time
 from typing import List, Optional, Tuple
 
 from repro import costs
-from repro.core import events as eventkind
 from repro.core import exits as exitmod
 from repro.core.cache import FragmentState
 from repro.core.exits import ExitEvent
@@ -1046,38 +1045,23 @@ def _contain_pycompile_failure(vm, fragment, error: BaseException) -> None:
 
     A codegen/compile/exec failure costs only performance — the step
     machine still runs the fragment — so containment here is lighter
-    than :meth:`repro.hardening.firewall.JITFirewall.contain`: emit the
-    typed event, record the trip, and do *not* advance the safe-mode
-    breaker or retire anything.  Re-raises when the firewall is
-    disabled (``--no-jit-firewall``), so injected faults escape exactly
-    like at every other site.
+    than :meth:`repro.hardening.firewall.JITFirewall.contain`: only its
+    report step (:meth:`~repro.hardening.firewall.JITFirewall.report`),
+    with no safe-mode strike and nothing retired.  Re-raises when the
+    firewall is disabled (``--no-jit-firewall``), so injected faults
+    escape exactly like at every other site, and on a VM without one.
     """
     firewall = vm.firewall
-    if firewall is not None and not firewall.enabled:
+    if firewall is None or not firewall.enabled:
         raise error
     tree = getattr(fragment, "tree", None)
     code = getattr(tree, "code", None)
-    pc = getattr(tree, "header_pc", None)
-    faults = vm.faults
-    if faults is not None:
-        faults.suspended += 1
-    try:
-        site = getattr(error, "site", None)
-        if firewall is not None:
-            firewall.trips.append(("pycompile", type(error).__name__, site))
-        vm.events.emit(
-            eventkind.JIT_INTERNAL_FAILURE,
-            boundary="pycompile",
-            error=type(error).__name__,
-            detail=str(error)[:200],
-            code=code.name if code is not None else None,
-            pc=pc,
-            injected=site is not None,
-            site=site,
-        )
-    finally:
-        if faults is not None:
-            faults.suspended -= 1
+    firewall.report(
+        "pycompile",
+        error,
+        code.name if code is not None else None,
+        getattr(tree, "header_pc", None),
+    )
 
 
 def _build_py(vm, tree, site: str, emit, label: str, fn_name: str,

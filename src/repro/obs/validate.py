@@ -18,7 +18,7 @@ container deliberately does not ship.
 Current versions: events v7 (:data:`repro.core.events
 .EVENT_SCHEMA_VERSION`), profile v5 (:data:`repro.obs.profiler
 .PROFILE_SCHEMA_VERSION`), metrics v1, spans v1, BENCH_wallclock v3,
-BENCH_warmstart v1, trace-store manifest v2
+BENCH_warmstart v1, trace-store manifest v3
 (:data:`repro.core.store.STORE_SCHEMA`).
 """
 
@@ -311,7 +311,7 @@ def validate_bench_warmstart(doc: dict) -> int:
 
 
 def validate_store_manifest(doc: dict) -> int:
-    """Trace-store manifest v1: versioned entry table with checksums."""
+    """Trace-store manifest: versioned entry table with checksums."""
     _require(
         doc.get("schema") == STORE_SCHEMA,
         f"store manifest schema {doc.get('schema')} != {STORE_SCHEMA}",

@@ -157,10 +157,6 @@ def make_object(obj) -> Box:
     return Box(TAG_OBJECT, obj)
 
 
-def is_number(box: Box) -> bool:
-    return box.tag == TAG_INT or box.tag == TAG_DOUBLE
-
-
 def number_value(box: Box):
     """Raw numeric payload of an int or double box."""
     if box.tag == TAG_INT:

@@ -95,8 +95,6 @@ class TraceStats:
     direct_transfers: int = 0
     loop_iterations_native: int = 0
     oracle_marks: int = 0
-    guards_emitted: int = 0
-    deep_bails: int = 0
     #: Whole-trace optimizer removal counters (folded from COMPILE
     #: event payloads, so both backends agree byte-for-byte).
     opt_cse_removed: int = 0

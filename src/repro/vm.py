@@ -77,12 +77,9 @@ class VMConfig:
     enable_dse: bool = True
     enable_dce: bool = True
     enable_softfloat: bool = False
-    #: Whole-trace pass manager level (``jit/optimizer.py``): 0 =
-    #: streaming filters + backward pass only, 1 = adds tree-wide
-    #: CSE / guard entailment, 2 = adds loop-invariant hoisting.
-    opt_level: int = 2
-    #: Per-pass toggles for the ablation benchmark (each only takes
-    #: effect at an ``opt_level`` that enables the pass at all).
+    #: Whole-trace passes (``jit/optimizer.py``): tree-wide CSE /
+    #: guard entailment and loop-invariant hoisting.  With both off,
+    #: only the streaming filters and the backward pass run.
     enable_tree_cse: bool = True
     enable_hoisting: bool = True
     enable_jit_firewall: bool = True

@@ -162,6 +162,28 @@ class TestTreeCSE:
         assert redundant not in out
         assert guards == 1
 
+    def test_shared_exit_keeps_only_facts_common_to_its_carriers(self):
+        # gclass(obj) and a later xf carry one exit, as a bounds check's
+        # guards share its OOB exit.  The branch there may have started
+        # at the class check, so it must keep its own class check.
+        tree = make_tree()
+        shared = make_exit()
+        obj = LIns("ldar", slot=0, type="o")
+        guard = LIns("gclass", (obj,), imm=FakeClass, exit=shared)
+        cond = LIns("ldar", slot=1, type="b")
+        later = LIns("xf", (cond,), exit=shared)
+        run_tree_cse([obj, guard, cond, later, loop_end()], tree)
+
+        branch_obj = LIns("param", slot=0, type="o")
+        branch_guard = LIns("gclass", (branch_obj,), imm=FakeClass, exit=make_exit())
+        out, _removed, guards = run_tree_cse(
+            [branch_obj, branch_guard, LIns("x", exit=make_exit())],
+            tree,
+            anchor_exit=shared,
+        )
+        assert branch_guard in out
+        assert guards == 0
+
     def test_branch_without_snapshot_starts_cold(self):
         # An anchor exit the trunk never snapshotted (e.g. compiled
         # before this PR's state existed) must not inherit anything.
@@ -391,17 +413,15 @@ class TestOptimizerEndToEnd:
 
     def test_opt_levels_agree_on_results(self):
         reference, _vm = run_tracing(INVARIANT_LOOP)
-        for level in (0, 1, 2):
-            config = VMConfig()
-            config.opt_level = level
+        for tree_cse, hoisting in ((False, False), (True, False), (False, True)):
+            config = VMConfig(enable_tree_cse=tree_cse, enable_hoisting=hoisting)
             result, vm = run_tracing(INVARIANT_LOOP, config)
             assert repr(result) == repr(reference)
-            if level < 2:
+            if not hoisting:
                 assert vm.stats.tracing.opt_hoisted == 0
 
     def test_hoisting_reduces_cycles(self):
-        low = VMConfig()
-        low.opt_level = 0
+        low = VMConfig(enable_tree_cse=False, enable_hoisting=False)
         _r0, vm0 = run_tracing(INVARIANT_LOOP, low)
         _r2, vm2 = run_tracing(INVARIANT_LOOP)
         assert vm2.stats.total_cycles < vm0.stats.total_cycles

@@ -98,9 +98,11 @@ def _second_run_reference(source: str, name: str, backend: str):
     }
 
 
-def _warm_run(store_dir, source: str, name: str, backend: str):
-    """Populate the store cold, then run once on a fresh preloaded VM."""
-    writer = TracingVM(_config(store_dir, backend))
+def _warm_run(store_dir, source: str, name: str, backend: str,
+              writer_backend=None):
+    """Populate the store cold (on ``writer_backend``, default
+    ``backend``), then run once on a fresh preloaded VM."""
+    writer = TracingVM(_config(store_dir, writer_backend or backend))
     writer.run(source, name=name)
     warm = TracingVM(_config(store_dir, backend))
     warm.events.capture = True
@@ -114,9 +116,10 @@ def _warm_run(store_dir, source: str, name: str, backend: str):
     }, warm
 
 
-def _assert_warm_identical(store_dir, source: str, name: str, backend: str):
+def _assert_warm_identical(store_dir, source: str, name: str, backend: str,
+                           writer_backend=None):
     reference = _second_run_reference(source, name, backend)
-    warm, warm_vm = _warm_run(store_dir, source, name, backend)
+    warm, warm_vm = _warm_run(store_dir, source, name, backend, writer_backend)
 
     loads = warm_vm.events.of_kind(eventkind.STORE_LOAD)
     assert loads and loads[0].payload["result"] == "hit", name
@@ -140,6 +143,28 @@ def test_warm_start_identical_to_second_run(program, backend, tmp_path):
 @pytest.mark.parametrize("backend", ("py", "step"))
 def test_sieve_warm_start_identical(backend, tmp_path):
     _assert_warm_identical(tmp_path, SIEVE_PATH.read_text(), "sieve.js", backend)
+
+
+@pytest.mark.parametrize("writer,reader", (("py", "step"), ("step", "py")))
+@pytest.mark.parametrize("program", PROGRAMS, ids=lambda p: p.name)
+def test_cross_backend_warm_start(program, writer, reader, tmp_path):
+    """An entry holds no generated Python, so a store written on one
+    backend warm-starts the other exactly like its own second run."""
+    _assert_warm_identical(tmp_path, program.source, program.name, reader,
+                           writer_backend=writer)
+
+
+def test_persist_leaves_value_numbering_untouched(tmp_path):
+    """Saving reads each tree's value-numbering state without using it:
+    persisting twice leaves every tree's next value number unchanged."""
+    vm = TracingVM(_config(tmp_path))
+    code = vm.compile(LOOP_SOURCE, name="loop")
+    vm.run_code(code)
+    trees = vm.monitor.cache.all_trees()
+    before = [tree.opt_vn.next_vn for tree in trees]
+    assert trees and vm.trace_store.persist(vm, LOOP_SOURCE, code)
+    vm.trace_store.persist(vm, LOOP_SOURCE, code)
+    assert [tree.opt_vn.next_vn for tree in trees] == before
 
 
 def test_rerun_determinism_regression(tmp_path):
@@ -256,7 +281,7 @@ def _warm_vm(store_dir, source=LOOP_SOURCE, name="loop", **overrides):
 
 
 def _entry_path(store_dir, source=LOOP_SOURCE):
-    return os.path.join(str(store_dir), f"e-{source_sha(source)}.json")
+    return os.path.join(str(store_dir), f"e-{source_sha(source)}.pickle")
 
 
 def _fallback_reasons(vm):
@@ -345,14 +370,13 @@ def test_stale_schema_refused(tmp_path):
 
 
 @pytest.mark.parametrize("overrides", (
-    {"opt_level": 1},
-    {"backend": "step"},
+    {"enable_hoisting": False},
     {"hotness_threshold": 17},
-), ids=("opt-level", "native-backend", "cost-knob"))
+), ids=("hoisting", "cost-knob"))
 def test_fingerprint_mismatch_refused(overrides, tmp_path):
     """Traces persisted under one configuration must never link into a
     VM whose config-cost fingerprint differs."""
-    _populate(tmp_path)  # defaults: py backend, opt 2
+    _populate(tmp_path)  # defaults: every optimizer pass on
     _result, vm = _warm_vm(tmp_path, **overrides)
     assert _fallback_reasons(vm) == ["fingerprint-mismatch"]
 
@@ -368,6 +392,77 @@ def test_cost_model_change_refused(tmp_path, monkeypatch):
     assert _fallback_reasons(vm) == ["fingerprint-mismatch"]
 
 
+def test_class_layout_change_refused(tmp_path, monkeypatch):
+    """Unpickling skips ``__init__``, so an entry pickled before a trace
+    class gained a field would load without it; the fingerprint folds
+    in every allowlisted class's fields, so such a store is refused."""
+    from repro.core.exits import SideExit
+
+    _populate(tmp_path)
+    monkeypatch.setattr(SideExit, "__slots__",
+                        SideExit.__slots__ + ("added_field",))
+    _result, vm = _warm_vm(tmp_path)
+    assert _fallback_reasons(vm) == ["fingerprint-mismatch"]
+
+
+class _Call:
+    """Pickles as a call of ``fn(*args)``: what a tampered entry holds."""
+
+    def __init__(self, fn, *args):
+        self.fn = fn
+        self.args = args
+
+    def __reduce__(self):
+        return self.fn, self.args
+
+
+def _rewrite_entry(store_dir, data: bytes) -> None:
+    """Replace the entry file and re-checksum it in the manifest."""
+    import hashlib
+
+    with open(_entry_path(store_dir), "wb") as handle:
+        handle.write(data)
+    manifest_path = os.path.join(str(store_dir), MANIFEST_NAME)
+    manifest = json.load(open(manifest_path))
+    record = manifest["entries"][source_sha(LOOP_SOURCE)]
+    record["sha256"] = hashlib.sha256(data).hexdigest()
+    record["size"] = len(data)
+    with open(manifest_path, "w") as handle:
+        json.dump(manifest, handle)
+
+
+def test_envelope_naming_a_global_refused(tmp_path):
+    """A checksum-valid entry whose envelope calls ``os.system`` is
+    refused before anything runs."""
+    import pickle
+
+    marker = tmp_path / "envelope-ran"
+    _populate(tmp_path / "store")
+    evil = _Call(os.system, f"touch {marker}")
+    _rewrite_entry(tmp_path / "store", pickle.dumps(evil, protocol=5))
+    result, vm = _warm_vm(tmp_path / "store")
+    assert not marker.exists()
+    assert _fallback_reasons(vm) == ["forbidden-global"]
+    assert repr(result) == repr(TracingVM(_config()).run(LOOP_SOURCE))
+
+
+def test_tree_stream_naming_a_global_refused(tmp_path):
+    """A checksum-valid entry whose tree stream names ``builtins.eval``
+    passes every envelope check and is refused at the allowlist."""
+    import pickle
+
+    marker = tmp_path / "stream-ran"
+    _populate(tmp_path / "store")
+    entry = pickle.loads(open(_entry_path(tmp_path / "store"), "rb").read())
+    entry["trees"] = pickle.dumps(
+        _Call(eval, f"open({str(marker)!r}, 'w').close()"), protocol=5)
+    _rewrite_entry(tmp_path / "store", pickle.dumps(entry, protocol=5))
+    result, vm = _warm_vm(tmp_path / "store")
+    assert not marker.exists()
+    assert _fallback_reasons(vm) == ["forbidden-global"]
+    assert repr(result) == repr(TracingVM(_config()).run(LOOP_SOURCE))
+
+
 def test_save_onto_foreign_store_reinitializes(tmp_path):
     """Writing with a different fingerprint reinitializes the store
     rather than mixing incompatible entries."""
@@ -376,7 +471,7 @@ def test_save_onto_foreign_store_reinitializes(tmp_path):
     assert os.path.exists(old_entry)
 
     writer = _populate(tmp_path, source=OTHER_SOURCE, name="other",
-                       opt_level=1)  # fingerprint B
+                       enable_hoisting=False)  # fingerprint B
     manifest = json.load(open(os.path.join(str(tmp_path), MANIFEST_NAME)))
     assert manifest["fingerprint"] == config_fingerprint(writer.config)
     assert list(manifest["entries"]) == [source_sha(OTHER_SOURCE)]
