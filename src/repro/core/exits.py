@@ -17,7 +17,7 @@ JavaScript call stack frames as needed"), and set the resume PC.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional, Tuple
 
 # Exit kinds.

@@ -11,7 +11,6 @@ Each helper operates on raw (unboxed) values and is wrapped in a
 from __future__ import annotations
 
 from repro import costs
-from repro.core.typemap import TraceType, box_for_type
 from repro.exec.limits import string_cells
 from repro.jit.native import CallSpec
 from repro.runtime.conversions import number_to_string

@@ -19,7 +19,7 @@ executes a ``LOOPHEADER`` no-op.  Depending on state, the monitor:
 from __future__ import annotations
 
 import time
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Optional
 
 from repro import costs
 from repro.core import events as eventkind

@@ -44,7 +44,6 @@ from repro.runtime.values import (
     TAG_NULL,
     TAG_OBJECT,
     TAG_STRING,
-    TAG_UNDEFINED,
     UNDEFINED,
 )
 

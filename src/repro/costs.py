@@ -30,13 +30,22 @@ from dataclasses import dataclass, field
 
 
 class Activity(enum.Enum):
-    """VM activities, matching the boxes of the paper's Figure 2."""
+    """VM activities, matching the boxes of the paper's Figure 2.
+
+    Members hash by identity.  ``Enum``'s own ``__hash__`` is a Python
+    method (``hash(self._name_)``), so every ledger lookup keyed by an
+    activity ran a Python frame; the interpreter makes about two such
+    lookups per bytecode.  Members are singletons and ``Enum`` compares
+    them by identity, so dict lookups find exactly the same bucket.
+    """
 
     INTERPRET = "interpret"
     MONITOR = "monitor"
     RECORD = "record"
     COMPILE = "compile"
     NATIVE = "native"
+
+    __hash__ = object.__hash__
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return f"Activity.{self.name}"
@@ -180,6 +189,13 @@ class CycleLedger:
 
     This is the data source for the Figure 12 reproduction (fraction of
     time spent in each VM activity).
+
+    ``by_activity`` is the one store: the dict object is never replaced
+    (``reset`` zeroes it in place), so an engine may hold it for the
+    VM's lifetime and book a hot-path charge as one in-place add,
+    ``buckets[activity] += cycles``; :class:`Activity` hashes by
+    identity, so that add runs no Python frame.  Cold callers use
+    :meth:`charge`.
     """
 
     by_activity: dict = field(

@@ -21,9 +21,9 @@ observations are identical — the core assertion of the chaos sweep in
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, Optional, Tuple
 
-from repro.runtime.objects import JSArray, JSFunction, JSObject, NativeFunction
+from repro.runtime.objects import JSArray, JSFunction, NativeFunction
 from repro.runtime.values import TAG_NAMES, TAG_OBJECT
 
 #: Global names installed by the VM itself (computed once, lazily).

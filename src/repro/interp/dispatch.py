@@ -10,11 +10,15 @@ plain one is::
     pc = frame.pc
     frame.pc = pc + 1
     profile.interpreted += 1
-    charge(dispatch_cost)
+    if vm.recorder is None:
+        buckets[INTERPRET] += dispatch_cost
+    else:
+        buckets[RECORD] += dispatch_cost
     result = table[pc](interp, frame, stack, charge, pc)
 
-and the recording one (:meth:`Interpreter._record_frame`) adds
-``record_op`` before the call and ``record_result`` after it.
+where ``buckets`` is the ledger's ``by_activity`` dict; the recording
+one (:meth:`Interpreter._record_frame`) adds ``record_op`` before the
+call and ``record_result`` after it.
 
 Invariants:
 
@@ -24,9 +28,12 @@ Invariants:
   (``DISPATCH``) and the call-threaded baseline (``DISPATCH_THREADED``)
   alike, recording or not.
 * **Activity follows the recorder.**  ``charge`` is
-  ``Interpreter._charge``, which books cycles to RECORD while a
-  recorder is attached and to INTERPRET otherwise, so the same handler
-  is correct under either driver.
+  ``Interpreter._charge``, one in-place add to the ledger's RECORD
+  bucket while a recorder is attached and to its INTERPRET bucket
+  otherwise, so the same handler is correct under either driver.  The
+  drivers book their own per-bytecode charges (the dispatch cost, and
+  the recording driver's ``RECORD_PER_BYTECODE``) as the same in-place
+  adds, inline, with the same recorder test for the dispatch cost.
 * **Blacklist patching stays live.**  ``LOOPHEADER`` is patched to
   ``NOP`` in place by blacklisting (and patched *back* by the trace
   store's load rollback).  Header entries capture the mutable insn and

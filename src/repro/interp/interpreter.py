@@ -65,6 +65,9 @@ class Interpreter:
     def __init__(self, vm, dispatch_cost: int = costs.DISPATCH):
         self.vm = vm
         self.dispatch_cost = dispatch_cost
+        #: The ledger's buckets (``vm.stats`` lives as long as the VM):
+        #: every per-bytecode charge is one in-place add to one of them.
+        self._buckets = vm.stats.ledger.by_activity
         self.frames: List[Frame] = []
         # RETURN/RETUNDEF value handoff from the handlers (the driver
         # owns the frames/base-depth bookkeeping).
@@ -73,9 +76,11 @@ class Interpreter:
     # -- cost / profile helpers ---------------------------------------------
 
     def _charge(self, cycles: int) -> None:
-        vm = self.vm
-        activity = Activity.RECORD if vm.recorder is not None else Activity.INTERPRET
-        vm.stats.ledger.charge(activity, cycles)
+        # The handlers' ``charge``: the activity follows the recorder.
+        if self.vm.recorder is None:
+            self._buckets[INTERPRET] += cycles
+        else:
+            self._buckets[RECORD] += cycles
 
     # -- entry points ----------------------------------------------------------
 
@@ -174,8 +179,10 @@ class Interpreter:
         execution completes.  Returns ``_SWITCH_FRAME`` or the final
         completion/return Box.
         """
+        vm = self.vm
         table = self._table(frame.code)
-        profile = self.vm.stats.profile
+        profile = vm.stats.profile
+        buckets = self._buckets
         stack = frame.stack
         charge = self._charge
         dispatch_cost = self.dispatch_cost
@@ -184,7 +191,11 @@ class Interpreter:
             pc = frame.pc
             frame.pc = pc + 1
             profile.interpreted += 1
-            charge(dispatch_cost)
+            # ``charge(dispatch_cost)`` in place, with its recorder test.
+            if vm.recorder is None:
+                buckets[INTERPRET] += dispatch_cost
+            else:
+                buckets[RECORD] += dispatch_cost
             result = table[pc](self, frame, stack, charge, pc)
             if result is None:
                 continue
@@ -199,9 +210,8 @@ class Interpreter:
         (``_SWITCH_FRAME``) at the first bytecode after recording ends."""
         vm = self.vm
         monitor = vm.monitor
-        stats = vm.stats
-        profile = stats.profile
-        ledger = stats.ledger
+        profile = vm.stats.profile
+        buckets = self._buckets
         insns = frame.code.insns
         table = self._table(frame.code)
         stack = frame.stack
@@ -217,7 +227,7 @@ class Interpreter:
             opcode, arg = insns[pc]
             frame.pc = pc + 1
             profile.recorded += 1
-            ledger.charge(Activity.RECORD, RECORD_PER_BYTECODE)
+            buckets[RECORD] += RECORD_PER_BYTECODE
             try:
                 wants_result = recorder.record_op(self, frame, pc, opcode, arg)
             except TraceAbort as abort:
@@ -233,7 +243,12 @@ class Interpreter:
                 if not monitor.contain_internal_failure("record", error):
                     raise
                 wants_result = False
-            charge(dispatch_cost)
+            # In place, as in the plain driver: ``record_op`` may have
+            # ended the recording.
+            if vm.recorder is None:
+                buckets[INTERPRET] += dispatch_cost
+            else:
+                buckets[RECORD] += dispatch_cost
             result = table[pc](self, frame, stack, charge, pc)
             if result is None:
                 if wants_result:
@@ -446,6 +461,9 @@ class Interpreter:
         frames.append(new_frame)
         return True
 
+
+INTERPRET = Activity.INTERPRET
+RECORD = Activity.RECORD
 
 #: Sentinel: the top frame changed, or the driver must be picked
 #: afresh; refresh cached state.  Shared with the handler table.

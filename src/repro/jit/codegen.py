@@ -16,7 +16,7 @@ register shuffling: a failed guard simply abandons the register file.
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional
+from typing import Dict, List
 
 from repro.core.lir import LIns
 from repro.errors import VMInternalError

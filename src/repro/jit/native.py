@@ -20,7 +20,7 @@ is how "native time" is measured for the Figure 10/12 reproductions.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import List, Optional
 
 from repro import costs
@@ -34,7 +34,6 @@ from repro.hardening import faults as sites
 from repro.runtime.conversions import to_int32, to_uint32
 from repro.runtime.operations import js_mod
 from repro.runtime.values import (
-    Box,
     INT_MAX,
     INT_MIN,
     TAG_BOOLEAN,

@@ -42,7 +42,7 @@ and the backward pass run (the legacy pipeline).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Set, Tuple
+from typing import Dict, List, Set, Tuple
 
 from repro.core.lir import LIns, _const_key
 

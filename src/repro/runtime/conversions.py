@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import math
 
-from repro.runtime import values
 from repro.runtime.values import (
     Box,
     TAG_BOOLEAN,

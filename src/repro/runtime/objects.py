@@ -20,7 +20,7 @@ import itertools
 
 from repro.errors import VMInternalError
 from repro.runtime import values
-from repro.runtime.values import Box, UNDEFINED, make_number
+from repro.runtime.values import Box, make_number
 
 #: Number of own properties past which an object converts to dict mode.
 DICT_MODE_THRESHOLD = 32

@@ -27,7 +27,6 @@ from repro import costs
 from repro.runtime import conversions
 from repro.runtime.values import (
     Box,
-    TAG_BOOLEAN,
     TAG_DOUBLE,
     TAG_INT,
     TAG_NULL,

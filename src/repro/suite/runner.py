@@ -10,8 +10,8 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Type
+from dataclasses import dataclass
+from typing import Dict, List, Optional
 
 from repro.baselines.method_jit import MethodJITVM
 from repro.suite.programs import PROGRAMS, BenchmarkProgram

@@ -11,7 +11,7 @@ This is the main public entry point::
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import TYPE_CHECKING, List, Optional
 
 from repro import costs

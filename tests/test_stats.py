@@ -1,5 +1,9 @@
 """Tests for the cycle ledger, execution profile, and VM stats."""
 
+import sys
+
+import pytest
+
 from repro.core import events as eventkind
 from repro.core.events import EventStream
 from repro.costs import Activity, CycleLedger
@@ -30,6 +34,57 @@ class TestCycleLedger:
         assert snap["compile"] == 5
         ledger.reset()
         assert ledger.total == 0
+
+    def test_activities_hash_by_identity(self):
+        for activity in Activity:
+            assert hash(activity) == object.__hash__(activity)
+            assert Activity(activity.value) is activity
+
+
+class TestHotChargePath:
+    """Per-bytecode charges are in-place adds to the ledger's buckets:
+    on the interpreters and the method JIT, neither the number of
+    ``CycleLedger.charge`` calls nor the number of Python ``__hash__``
+    frames grows with the number of bytecodes executed."""
+
+    LOOP = "var s = 0; for (var i = 0; i < %d; i++) { s = s + i; } s;"
+
+    @staticmethod
+    def _counts(vm_class, iterations):
+        vm = vm_class()
+        code = vm.compile(TestHotChargePath.LOOP % iterations)
+        charges = []
+        original = CycleLedger.charge
+
+        def counting(self, activity, cycles):
+            charges.append(cycles)
+            original(self, activity, cycles)
+
+        hashes = []
+
+        def profile(frame, event, arg):
+            if event == "call" and frame.f_code.co_name == "__hash__":
+                hashes.append(frame.f_code.co_filename)
+
+        CycleLedger.charge = counting
+        sys.setprofile(profile)
+        try:
+            result = vm.run_code(code)
+        finally:
+            sys.setprofile(None)
+            CycleLedger.charge = original
+        assert result.payload == iterations * (iterations - 1) // 2
+        bytecodes = vm.stats.profile.interpreted + vm.stats.profile.native
+        return len(charges), len(hashes), bytecodes
+
+    @pytest.mark.parametrize("engine", ["baseline", "threaded", "methodjit"])
+    def test_counts_do_not_grow_with_the_loop(self, engine):
+        from tests.helpers import ALL_ENGINES
+
+        short = self._counts(ALL_ENGINES[engine], 100)
+        long = self._counts(ALL_ENGINES[engine], 1000)
+        assert long[2] > short[2] + 5000  # the long run executes more
+        assert long[:2] == short[:2]
 
 
 class TestExecutionProfile:
