@@ -397,7 +397,6 @@ class NativeMachine:
         # methods otherwise re-fetched on every simulated instruction.
         charge = ledger.charge
         isnan = math.isnan
-        INNER = exitmod.INNER
         NATIVE_LOAD = costs.NATIVE_LOAD
         NATIVE_STORE = costs.NATIVE_STORE
         NATIVE_MOV = costs.NATIVE_MOV
@@ -676,10 +675,6 @@ class NativeMachine:
                     event = self._exit_event(insn.exit)
                     if insn.b is not None:
                         event.boxed_result = regs[insn.b]
-                    if insn.exit.kind == INNER:
-                        event.inner = self.last_inner_event
-                        if event.inner is not None:
-                            event.exception = event.inner.exception
                     result = self._finish_exit(event, fragment, cycles, profile)
                     if result is not None:
                         return result
@@ -820,7 +815,14 @@ class NativeMachine:
         return cycles
 
     def _exit_event(self, exit: SideExit) -> ExitEvent:
-        return ExitEvent(exit=exit, ar=self.ar)
+        event = ExitEvent(exit=exit, ar=self.ar)
+        if exit.kind == exitmod.INNER:
+            # The guard on a nested call's exit id failed (``xt``/``xf``,
+            # or fused into ``gcmp``): chain the inner tree's own event.
+            event.inner = self.last_inner_event
+            if event.inner is not None:
+                event.exception = event.inner.exception
+        return event
 
     def _finish_exit(self, event, fragment, cycles, profile):
         """Account for an exit; return the event unless it is stitched."""

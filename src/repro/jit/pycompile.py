@@ -340,7 +340,9 @@ class _Emitter:
         self.emit(f"event = ExitEvent({ex}, ar)")
         if boxed is not None:
             self.emit(f"event.boxed_result = {boxed}")
-        if insn.op in ("xt", "xf") and exit.kind == exitmod.INNER:
+        if exit.kind == exitmod.INNER:
+            # A nested call's exit-id check (``xt``/``xf``, or fused
+            # into ``gcmp``): chain the inner tree's own exit event.
             self.emit("event.inner = machine.last_inner_event")
             self.emit("if event.inner is not None:")
             self.emit("    event.exception = event.inner.exception")

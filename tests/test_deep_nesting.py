@@ -3,7 +3,9 @@ callees, unexpected inner exits at runtime, type promotion across the
 call boundary, inner trees growing after the outer compiled, and
 exceptions crossing a nested tree call."""
 
-from repro import TracingVM, VMConfig
+import pytest
+
+from repro import BaselineVM, TracingVM, VMConfig
 from tests.helpers import assert_engines_agree, run_tracing
 
 
@@ -71,6 +73,39 @@ class TestUnexpectedInnerExits:
             "t;"
         )
         assert_engines_agree(source, ("baseline", "tracing"))
+
+    @pytest.mark.parametrize("backend", ["step", "py"])
+    @pytest.mark.parametrize(
+        "source",
+        [
+            # `i * 50000000` overflows int from i = 43 on: the inner
+            # tree's overflow guard fails after `t = t + 1` ran.
+            "var t = 0, a = 0;"
+            "for (var i = 0; i < 60; i++) {"
+            "  for (var j = 0; j < 3; j++) { t = t + 1; a = a + i * 50000000; }"
+            "}"
+            "t + '|' + a;",
+            # Found by the nested-loop program generator.
+            "var a = 0, b = 1, c = 2;"
+            "for (var i = 0; i < 14; i++) {"
+            "  for (var j = 0; j < i; j++) {"
+            "    a = ((j + b) + (b << a)); { b = 1; a = a * 3 + 1; b = b * 65537 + 1; }"
+            "  }"
+            "  a = (-(-a));"
+            "}"
+            "'' + a + '|' + b + '|' + c;",
+        ],
+    )
+    def test_fused_calltree_guard_resumes_at_the_inner_exit(self, source, backend):
+        # The outer tree's check of the inner tree's exit id is fused
+        # into one compare-and-exit (`gcmp`).  An unexpected inner exit
+        # must resume the interpreter where the inner tree left, not at
+        # the inner loop's header, which would re-run the writes the
+        # inner iteration already made.
+        expected = repr(BaselineVM().run(source))
+        vm = TracingVM(VMConfig(native_backend=backend))
+        assert repr(vm.run(source)) == expected
+        assert vm.stats.tracing.tree_calls_executed > 0
 
 
 class TestCallBoundaryTypes:

@@ -29,19 +29,19 @@ _relops = st.sampled_from(["<", "<=", ">", ">=", "==", "!=", "===", "!=="])
 
 
 @st.composite
-def expressions(draw, depth=2):
+def expressions(draw, depth=2, atoms=_atoms):
     if depth == 0 or draw(st.booleans()):
-        return draw(_atoms)
+        return draw(atoms)
     if draw(st.integers(min_value=0, max_value=3)) == 0:
-        return f"(-{draw(expressions(depth=depth - 1))})"
-    left = draw(expressions(depth=depth - 1))
-    right = draw(expressions(depth=depth - 1))
+        return f"(-{draw(expressions(depth=depth - 1, atoms=atoms))})"
+    left = draw(expressions(depth=depth - 1, atoms=atoms))
+    right = draw(expressions(depth=depth - 1, atoms=atoms))
     op = draw(_binops)
     return f"({left} {op} {right})"
 
 
 @st.composite
-def statements(draw, depth=1):
+def statements(draw, depth=1, atoms=_atoms):
     kind = draw(
         st.sampled_from(["assign", "assign", "assign", "if", "compound", "scale"])
         if depth > 0
@@ -49,7 +49,7 @@ def statements(draw, depth=1):
     )
     if kind == "assign":
         var = draw(st.sampled_from(_VARS))
-        expr = draw(expressions())
+        expr = draw(expressions(atoms=atoms))
         return f"{var} = {expr};"
     if kind == "scale":
         # Grows every iteration, so an int product crosses 2^31
@@ -58,13 +58,15 @@ def statements(draw, depth=1):
         factor = draw(st.sampled_from(["3", "65537", "1103515245"]))
         return f"{var} = {var} * {factor} + 1;"
     if kind == "if":
-        cond_left = draw(_atoms)
-        cond_right = draw(_atoms)
+        cond_left = draw(atoms)
+        cond_right = draw(atoms)
         relop = draw(_relops)
-        then_stmt = draw(statements(depth=depth - 1))
-        else_stmt = draw(statements(depth=depth - 1))
+        then_stmt = draw(statements(depth=depth - 1, atoms=atoms))
+        else_stmt = draw(statements(depth=depth - 1, atoms=atoms))
         return f"if ({cond_left} {relop} {cond_right}) {{ {then_stmt} }} else {{ {else_stmt} }}"
-    body = " ".join(draw(st.lists(statements(depth=depth - 1), min_size=1, max_size=3)))
+    body = " ".join(
+        draw(st.lists(statements(depth=depth - 1, atoms=atoms), min_size=1, max_size=3))
+    )
     return f"{{ {body} }}"
 
 
@@ -76,6 +78,32 @@ def loop_programs(draw):
     return (
         "var a = 0, b = 1, c = 2;"
         f"for (var i = 0; i < {iterations}; i++) {{ {body} }}"
+        "'' + a + '|' + b + '|' + c;"
+    )
+
+
+#: The inner loop's statements may also read its own index.
+_inner_atoms = st.one_of(_atoms, st.just("j"))
+
+
+@st.composite
+def nested_loop_programs(draw):
+    """An outer loop around an inner ``for`` whose trip count is a
+    constant, the outer index or varies with it, so the inner loop's
+    tree is entered from the outer one at different trip counts (and
+    some entries run it zero times); the outer loop's own statements go
+    before the inner loop, after it, or both."""
+    bound = draw(st.sampled_from(["3", "7", "i", "i % 5"]))
+    inner = " ".join(
+        draw(st.lists(statements(atoms=_inner_atoms), min_size=1, max_size=3))
+    )
+    before = " ".join(draw(st.lists(statements(depth=0), max_size=2)))
+    after = " ".join(draw(st.lists(statements(depth=0), max_size=2)))
+    iterations = draw(st.integers(min_value=5, max_value=25))
+    return (
+        "var a = 0, b = 1, c = 2;"
+        f"for (var i = 0; i < {iterations}; i++) {{ {before} "
+        f"for (var j = 0; j < {bound}; j++) {{ {inner} }} {after} }}"
         "'' + a + '|' + b + '|' + c;"
     )
 
@@ -155,6 +183,22 @@ def test_random_loops_agree(source):
 @given(loop_programs())
 @settings(max_examples=40, deadline=None)
 def test_random_loops_agree_methodjit(source):
+    results = {}
+    for name in ("baseline", "methodjit"):
+        vm = ALL_ENGINES[name]()
+        results[name] = repr(vm.run(source))
+    assert results["baseline"] == results["methodjit"], source
+
+
+@given(nested_loop_programs())
+@settings(max_examples=150, deadline=None)
+def test_random_nested_loops_agree(source):
+    assert_tracing_agrees_on_both_backends(source)
+
+
+@given(nested_loop_programs())
+@settings(max_examples=40, deadline=None)
+def test_random_nested_loops_agree_methodjit(source):
     results = {}
     for name in ("baseline", "methodjit"):
         vm = ALL_ENGINES[name]()
