@@ -12,6 +12,15 @@ Because every value live at a side exit is already AR-resident (the
 recorder stores every interpreter-visible write, and dead-store
 elimination only removes stores no exit observes), exits need no
 register shuffling: a failed guard simply abandons the register file.
+
+Every register an instruction reads was written earlier in the same
+fragment's linear code (an operand is either defined there or reloaded
+from its spill slot), and every ``govf`` follows the ``addi``/``subi``/
+``muli`` it checks.  The py backend (:mod:`repro.jit.pycompile`) relies
+on this: its registers are locals of the generated function, never
+loaded from or written back to ``machine.regs``.
+``tests/test_codegen.py`` checks it on every suite fragment, and the
+property tests on every generated program.
 """
 
 from __future__ import annotations

@@ -10,15 +10,17 @@ on the fragment, and re-entered on every subsequent trace invocation.
 
 Emission strategy (see docs/INTERNALS.md section 12):
 
-* registers become Python locals (``r0`` .. ``r15``), loaded from
-  ``machine.regs`` in the prologue and written back at every exit so
-  register state flows across stitched transfers exactly as it does in
-  the step machine;
-* guards become ``if`` branches that build the same
-  :class:`~repro.core.exits.ExitEvent`, route it through the machine's
-  ``_finish_exit``, and either return the event or hand the stitched
-  ``SideExit`` back to the driver;
-* helper/FFI calls, ``calltree`` sites, side exits, trace types, and
+* registers become Python locals (``r0`` .. ``r15``).  Codegen never
+  reads a register its fragment did not write earlier in its own
+  linear code, so nothing is loaded from ``machine.regs`` at entry and
+  a failed guard simply abandons the locals;
+* guards become ``if`` branches whose failure arm is one statement: a
+  call to the shared exit helper :func:`_leave` with the guard's
+  pooled :class:`ExitRecord`, which builds the event through
+  ``NativeMachine._exit_event``, settles the accumulator, routes the
+  event through ``_finish_exit``, and returns the RESULT or STITCH
+  tuple;
+* helper/FFI calls, ``calltree`` sites, exit records, trace types, and
   non-trivial immediates dispatch through a preloaded **constants
   tuple** unpacked into locals at function entry;
 * a root fragment's ``loopjmp`` becomes ``continue`` on a ``while``
@@ -45,10 +47,10 @@ the same simulated cycles as the step machine, and the ledger and the
 code can read them.  Costs are summed per straight-line *run* (the
 instructions between two hand-off points): one coalesced ``cycles +=``
 precedes each guard or exit.  Before a helper/FFI ``call``, a
-``calltree`` or a loop edge, at the prologue/loop boundary, and on a
-failing guard's way into ``_finish_exit``, :func:`_settle` replays the
-step machine's per-instruction ``>= 4096`` flush checks over the run's
-static costs.
+``calltree`` or a loop edge, at the prologue/loop boundary, and inside
+the exit helper on a failing guard's way into ``_finish_exit``,
+:func:`_settle` replays the step machine's per-instruction ``>= 4096``
+flush checks over the run's static costs.
 Loop edges call the same ``machine._loop_edge`` (commit snapshot,
 insn budget, supervisor ``meter.poll``, fault site), so every table,
 event stream, and chaos sweep is byte-identical across backends.  Only
@@ -71,7 +73,6 @@ from typing import List, Optional, Tuple
 from repro import costs
 from repro.core import exits as exitmod
 from repro.core.cache import FragmentState
-from repro.core.exits import ExitEvent
 from repro.core.typemap import TraceType, box_for_type
 from repro.costs import Activity
 from repro.errors import JSThrow, NativeMachineError
@@ -120,6 +121,79 @@ def _settle(charge, cycles, run, count=None, tail=0):
             charge(Activity.NATIVE, acc)
             acc = 0
     return acc + tail
+
+
+class ExitRecord:
+    """What one guard's failure arm hands the exit helper :func:`_leave`.
+
+    ``fragment`` owns the guard (inside a megafunction, the inlined
+    branch rather than the trunk).  ``run`` is the guard's run cost
+    list: the step machine made its flush checks after the first
+    ``count`` of them, and the guard's own cost ``tail`` was added after
+    the last.  ``offset`` is how far the guard sits past the function's
+    last ``executed`` update.  ``hole`` marks a ``gtag`` exit, whose
+    boxed result reads an array hole (None) as undefined.  ``inlined``
+    marks an exit whose branch the megafunction inlines at the guard.
+    """
+
+    __slots__ = ("exit", "fragment", "run", "count", "tail", "offset",
+                 "hole", "inlined")
+
+    def __init__(self, exit, fragment, run, count, tail, offset, hole,
+                 inlined):
+        self.exit = exit
+        self.fragment = fragment
+        self.run = run
+        self.count = count
+        self.tail = tail
+        self.offset = offset
+        self.hole = hole
+        self.inlined = inlined
+
+
+def _leave(machine, record, cycles, executed, value=None):
+    """A failed guard: the step machine's exit steps, in its order.
+
+    ``value`` is the guard's boxed result, None when it carries none.
+    Returns the generated function's RESULT tuple, or the STITCH the
+    driver takes; for an inlined exit that stitches, returns None after
+    ``NativeMachine._stitch``'s bookkeeping, and the generated code
+    falls into the branch.
+    """
+    exit = record.exit
+    event = machine._exit_event(exit)
+    if value is not None:
+        event.boxed_result = value
+    elif record.hole:
+        event.boxed_result = UNDEFINED
+    vm = machine.vm
+    stats = vm.stats
+    if record.count and cycles >= _FLUSH_AT:
+        # Looked up at call time: the differential suite wraps _settle.
+        cycles = _settle(stats.ledger.charge, cycles, record.run,
+                         record.count, record.tail)
+    result = machine._finish_exit(event, record.fragment, cycles, stats.profile)
+    if result is not None:
+        return (RESULT, result, 0, 0)
+    if not record.inlined:
+        return (STITCH, exit, 0, executed + record.offset)
+    stats.tracing.direct_transfers += 1
+    stats.ledger.charge(Activity.NATIVE, costs.STITCH_PENALTY)
+    if vm.profiler is not None:
+        vm.profiler.record_stitch(exit)
+    return None
+
+
+def _throw(machine, record, cycles, thrown):
+    """A helper call raised ``thrown``: finish its exception exit."""
+    event = machine._exit_event(record.exit)
+    event.exception = thrown
+    stats = machine.vm.stats
+    result = machine._finish_exit(event, record.fragment, cycles, stats.profile)
+    if result is not None:
+        return (RESULT, result, 0, 0)
+    raise NativeMachineError("exception exit must not be stitched") from thrown
+
 
 _TAG_OF_TYPE = {
     TraceType.INT: TAG_INT,
@@ -184,15 +258,9 @@ class _Emitter:
         self.pool = _ConstPool()
         self.lines: List[str] = []
         self.indent = 1
-        self.used_regs = set()
-        self.uses_ovf = False
         #: Native index of the loop boundary: instructions before it are
         #: the hoisted entry prologue, emitted once outside ``while 1:``.
         self.loop_start = getattr(fragment, "loop_start", 0) or 0
-        self._scan_fragment(fragment)
-        #: Pooled name of the fragment currently being emitted (the
-        #: tree emitter swaps it while inlining branch fragments).
-        self.frag_ref = self.pool.add(fragment, "frag")
         self.begin_run()
 
     def _executed_offset(self, index: int) -> int:
@@ -205,25 +273,6 @@ class _Emitter:
         if self.loop_start and index >= self.loop_start:
             return index + 1 - self.loop_start
         return index + 1
-
-    def _scan_fragment(self, fragment) -> None:
-        """Collect register/ovf usage over one whole fragment up front.
-
-        Exit writebacks must cover every register the fragment touches:
-        a looping fragment can fail an *early* guard on iteration N
-        after instructions *past* that guard already ran on iteration
-        N-1, so a suffix-blind writeback would hand stale registers to
-        a stitched branch.  (The tree emitter scans every inlined
-        fragment, so its writebacks cover the union.)
-        """
-        for insn in fragment.native:
-            for reg in (insn.dst, insn.a, insn.b, insn.c):
-                if reg is not None:
-                    self.used_regs.add(reg)
-            for reg in insn.srcs or ():
-                self.used_regs.add(reg)
-            if insn.op in ("addi", "subi", "muli", "govf"):
-                self.uses_ovf = True
 
     # -- low-level helpers -------------------------------------------------
 
@@ -241,8 +290,8 @@ class _Emitter:
             return repr(value)
         return self.const(value)
 
-    def reg(self, index: int) -> str:
-        self.used_regs.add(index)
+    @staticmethod
+    def reg(index: int) -> str:
         return f"r{index}"
 
     def flush_check(self) -> None:
@@ -250,13 +299,6 @@ class _Emitter:
         native = self.const(Activity.NATIVE, "NATIVE")
         self.emit(f"if cycles >= {_FLUSH_AT}:")
         self.emit(f"    charge({native}, cycles); cycles = 0")
-
-    def writeback(self) -> str:
-        """Store live locals back into the machine (one statement)."""
-        parts = [f"regs[{i}] = r{i}" for i in sorted(self.used_regs)]
-        if self.uses_ovf:
-            parts.append("machine.ovf = ovf")
-        return "; ".join(parts) if parts else "pass"
 
     # -- straight-line runs ------------------------------------------------
 
@@ -303,22 +345,6 @@ class _Emitter:
             self.emit(f"    cycles = {settle}(charge, cycles, {self.run_ref()})")
         self.begin_run()
 
-    def exit_cycles(self) -> str:
-        """The accumulator a failing guard hands ``_finish_exit``.
-
-        The guard's cost is the run's last; the total is already exact,
-        and when it reached 4096 the flush checks due before the guard
-        are replayed.
-        """
-        count = len(self.run) - 1
-        if count == 0:
-            return "cycles"
-        settle = self.const(_settle, "settle")
-        return (
-            f"cycles if cycles < {_FLUSH_AT} else {settle}(charge, cycles, "
-            f"{self.run_ref()}, {count}, {self.run[-1]})"
-        )
-
     # -- exit sequences ----------------------------------------------------
 
     def _inline_target(self, exit):
@@ -326,63 +352,48 @@ class _Emitter:
         only); None means surface the exit through the driver."""
         return None
 
-    def exit_body(self, insn, index: int, boxed: Optional[str] = None) -> None:
-        """The guard-failure suite: build the event, finish or stitch.
+    def exit_body(self, insn, index: int, value: Optional[str] = None,
+                  hole: bool = False) -> None:
+        """The guard-failure suite, emitted at the current indent.
 
-        Emitted at the current indent; ``boxed`` optionally assigns
-        ``event.boxed_result``.  When the exit's target is inlined (the
-        tree emitter's direct linking), the stitch is replaced by the
-        driver's exact bookkeeping followed by the branch body itself.
+        ``value`` names the register holding the event's
+        ``boxed_result``, if any; ``hole`` is as in :class:`ExitRecord`.
+        A plain exit is one ``return`` through :func:`_leave`.  When the
+        exit's target is inlined (the tree emitter's direct linking),
+        the branch body follows in place unless :func:`_leave` returned
+        a result; registers stay locals, which the branch does not read
+        before writing.
         """
-        exit = insn.exit
-        branch = self._inline_target(exit)
-        ex = self.const(exit)
-        self.emit(f"event = ExitEvent({ex}, ar)")
-        if boxed is not None:
-            self.emit(f"event.boxed_result = {boxed}")
-        if exit.kind == exitmod.INNER:
-            # A nested call's exit-id check (``xt``/``xf``, or fused
-            # into ``gcmp``): chain the inner tree's own exit event.
-            self.emit("event.inner = machine.last_inner_event")
-            self.emit("if event.inner is not None:")
-            self.emit("    event.exception = event.inner.exception")
+        branch = self._inline_target(insn.exit)
+        # The guard's cost is the run's last: the step machine checked
+        # for a flush after each instruction before it.
+        count = len(self.run) - 1
+        record = self.const(ExitRecord(
+            insn.exit, self.fragment, self.run, count, self.run[-1],
+            self._executed_offset(index), hole, branch is not None,
+        ))
+        leave = self.const(_leave, "leave")
+        call = f"{leave}(machine, {record}, cycles, executed"
+        call += ")" if value is None else f", {value})"
         if branch is None:
-            self.emit(self.writeback())
-        self.emit(
-            f"result = finish_exit(event, {self.frag_ref}, "
-            f"{self.exit_cycles()}, profile)"
-        )
-        self.emit("if result is not None:")
-        self.emit(f"    return ({RESULT}, result, 0, 0)")
-        if branch is None:
-            self.emit(
-                f"return ({STITCH}, {ex}, 0, "
-                f"executed + {self._executed_offset(index)})"
-            )
+            self.emit(f"return {call}")
             return
-        # Direct transfer: NativeMachine._stitch's bookkeeping, inlined,
-        # then the branch body itself — registers stay Python locals, so
-        # no writeback/reload round-trip through machine.regs is needed
-        # (every un-inlined exit inside the branch writes back the union
-        # of registers before surfacing).
-        native = self.const(Activity.NATIVE, "NATIVE")
-        self.emit("tracing.direct_transfers += 1")
-        self.emit(f"charge({native}, {costs.STITCH_PENALTY})")
-        self.emit("if profiler is not None:")
-        self.emit(f"    profiler.record_stitch({ex})")
+        self.emit(f"out = {call}")
+        self.emit("if out is not None:")
+        self.emit("    return out")
         self.emit(f"executed += {self._executed_offset(index)}")
         self.emit("cycles = 0")
         self._emit_inline(branch)
 
     def guard(self, insn, index: int, fail: str, cost: int,
-              boxed: Optional[str] = None) -> None:
+              value: Optional[str] = None, hole: bool = False) -> None:
         """A conditional guard: charge the run so far, test, exit on
         ``fail``."""
         self.add_cost(cost)
         self.charge_pending()
         self.emit(f"if {fail}:")
         self.indent += 1
-        self.exit_body(insn, index, boxed=boxed)
+        self.exit_body(insn, index, value, hole)
         self.indent -= 1
 
     # -- per-instruction emission -----------------------------------------
@@ -430,7 +441,6 @@ class _Emitter:
     # integer ALU
 
     def _ovf_arith(self, insn, pyop: str) -> None:
-        self.uses_ovf = True
         a, b = self.reg(insn.a), self.reg(insn.b)
         dst = self.reg(insn.dst)
         self.emit(f"{dst} = {a} {pyop} {b}")
@@ -690,9 +700,7 @@ class _Emitter:
             fail = f"{a} is not None and {a}.tag != {TAG_UNDEFINED}"
         else:
             fail = f"{a} is None or {a}.tag != {_TAG_OF_TYPE[trace_type]}"
-        undef = self.const(UNDEFINED, "UNDEF")
-        self.guard(insn, index, fail, costs.NATIVE_GUARD,
-                   boxed=f"{a} if {a} is not None else {undef}")
+        self.guard(insn, index, fail, costs.NATIVE_GUARD, value=a, hole=True)
 
     # guards
 
@@ -712,11 +720,10 @@ class _Emitter:
     def _xtf(self, insn, index, fires_when_true: bool) -> None:
         a = self.reg(insn.a)
         fail = f"{a}" if fires_when_true else f"not {a}"
-        boxed = self.reg(insn.b) if insn.b is not None else None
-        self.guard(insn, index, fail, costs.NATIVE_GUARD, boxed=boxed)
+        value = self.reg(insn.b) if insn.b is not None else None
+        self.guard(insn, index, fail, costs.NATIVE_GUARD, value=value)
 
     def _op_govf(self, insn, index):
-        self.uses_ovf = True
         self.guard(insn, index, "ovf", costs.NATIVE_GUARD)
 
     def _op_gi31(self, insn, index):
@@ -738,8 +745,8 @@ class _Emitter:
     def _op_x(self, insn, index):
         self.add_cost(costs.NATIVE_JUMP)
         self.charge_pending()
-        boxed = self.reg(insn.b) if insn.b is not None else None
-        self.exit_body(insn, index, boxed=boxed)
+        value = self.reg(insn.b) if insn.b is not None else None
+        self.exit_body(insn, index, value)
 
     # VM flags
 
@@ -781,25 +788,14 @@ class _Emitter:
             call = f"{fn}(vm, {this}, [{', '.join(rest)}])"
         if insn.exit is not None:
             jsthrow = self.const(JSThrow, "JSThrow_")
-            nme = self.const(NativeMachineError, "NativeMachineError_")
-            ex = self.const(insn.exit)
+            throw = self.const(_throw, "throw")
+            # The run was settled above, so the record replays nothing.
+            record = self.const(ExitRecord(insn.exit, self.fragment, None,
+                                           0, 0, 0, False, False))
             self.emit("try:")
             self.emit(f"    _t = {call}")
             self.emit(f"except {jsthrow} as _thrown:")
-            self.indent += 1
-            self.emit(f"event = ExitEvent({ex}, ar)")
-            self.emit("event.exception = _thrown")
-            self.emit(self.writeback())
-            self.emit(
-                f"result = finish_exit(event, {self.frag_ref}, cycles, profile)"
-            )
-            self.emit("if result is not None:")
-            self.emit(f"    return ({RESULT}, result, 0, 0)")
-            self.emit(
-                f"raise {nme}('exception exit must not be stitched') "
-                "from _thrown"
-            )
-            self.indent -= 1
+            self.emit(f"    return {throw}(machine, {record}, cycles, _thrown)")
         else:
             self.emit(f"_t = {call}")
         if insn.dst is not None:
@@ -832,7 +828,6 @@ class _Emitter:
 
     def _op_jtree(self, insn, index):
         self._edge(insn, index, is_loopjmp=False)
-        self.emit(self.writeback())
         self.emit(f"return ({TRANSFER}, None, cycles, executed)")
 
     # -- assembly ----------------------------------------------------------
@@ -872,9 +867,6 @@ class _Emitter:
             header.append("    while 1:")
         return "\n".join(header + body) + "\n"
 
-    def _hoist_extras(self, hoist) -> None:
-        """Extra header hoists (the tree emitter adds its own)."""
-
     def header_lines(self, fn_name: str) -> List[str]:
         """The function header: consts unpack + machine-state hoists."""
         header: List[str] = [f"def {fn_name}(machine, executed, cycles):"]
@@ -896,16 +888,9 @@ class _Emitter:
         hoist("area_values = area.values")
         hoist("area_types = area.types")
         hoist("area_dirty = area.dirty")
-        hoist("regs = machine.regs")
         hoist("loop_edge = machine._loop_edge")
-        hoist("finish_exit = machine._finish_exit")
         hoist("flush_globals = machine._flush_globals")
         hoist("run_inner = machine._run_inner_tree")
-        self._hoist_extras(hoist)
-        if self.uses_ovf:
-            hoist("ovf = machine.ovf")
-        for index in sorted(self.used_regs):
-            hoist(f"r{index} = regs[{index}]")
         return header
 
 
@@ -919,10 +904,10 @@ class _TreeEmitter(_Emitter):
     site (recursively — the link graph is a tree), preceded by the exact
     bookkeeping ``NativeMachine._stitch`` performs, so hot trunk<->branch
     transitions never surface an exit tuple to the driver.  Registers
-    stay Python locals across transitions; entry loads and every exit
-    writeback cover the *union* of registers across all inlined
-    fragments, so an un-inlined exit always hands the step machine a
-    complete register file.
+    are Python locals that a failed guard abandons: no fragment reads a
+    register it did not write itself, so an inlined branch needs none
+    of the trunk's, and every exit, inlined or not, goes through the
+    shared exit helper :func:`_leave`.
 
     Exits whose targets are not linked, or were linked after this
     build, keep the plain STITCH path; the driver handles them and
@@ -937,8 +922,6 @@ class _TreeEmitter(_Emitter):
         self._inline_fragments: List[object] = []
         self._collect_links(tree.fragment, {id(tree.fragment)})
         super().__init__(tree.fragment)
-        for fragment in self._inline_fragments:
-            self._scan_fragment(fragment)
 
     def _collect_links(self, fragment, seen) -> None:
         """Map every inlinable exit of ``fragment``, transitively."""
@@ -967,17 +950,16 @@ class _TreeEmitter(_Emitter):
 
     def _emit_inline(self, branch) -> None:
         """The branch body, emitted in place at its guard site."""
-        saved = (self.fragment, self.loop_start, self.frag_ref,
+        saved = (self.fragment, self.loop_start,
                  self.run, self._run_ref, self.pending)
         self.fragment = branch
         self.loop_start = 0
-        self.frag_ref = self.const(branch)
         self.begin_run()
         for index, insn in enumerate(branch.native):
             self.emit_insn(insn, index)
         if branch.native[-1].op not in ("jtree", "x"):
             self.emit("raise IndexError('list index out of range')")
-        (self.fragment, self.loop_start, self.frag_ref,
+        (self.fragment, self.loop_start,
          self.run, self._run_ref, self.pending) = saved
 
     def _op_loopjmp(self, insn, index):
@@ -990,12 +972,9 @@ class _TreeEmitter(_Emitter):
         # Re-enter the tree: break out of the trunk loop to the outer
         # ``while 1:``, which re-runs the hoisted prologue — exactly the
         # driver's TRANSFER re-call, minus the tuple round-trip (cycles
-        # and registers simply stay in their locals).
+        # simply stay in their local).
         self._edge(insn, index, is_loopjmp=False)
         self.emit("break")
-
-    def _hoist_extras(self, hoist) -> None:
-        hoist("profiler = vm.profiler")
 
     def source(self) -> str:
         trunk = self.fragment
@@ -1025,11 +1004,7 @@ class _TreeEmitter(_Emitter):
 
 
 def emit_fragment(fragment) -> Tuple[str, tuple]:
-    """Translate ``fragment.native`` to ``(python source, consts tuple)``.
-
-    ``ExitEvent`` is injected by name (it is the only helper the body
-    always needs regardless of the constant pool).
-    """
+    """Translate ``fragment.native`` to ``(python source, consts tuple)``."""
     emitter = _Emitter(fragment)
     source = emitter.source()
     return source, emitter.pool.tuple()
@@ -1085,7 +1060,7 @@ def _build_py(vm, tree, site: str, emit, label: str, fn_name: str,
         if vm.faults is not None:
             vm.faults.fire(site)
         source, consts = emit()
-        namespace = {"_consts": consts, "ExitEvent": ExitEvent}
+        namespace = {"_consts": consts}
         exec(compile(source, f"<pycompile:{label}>", "exec"), namespace)
         fn = namespace[fn_name]
     except Exception as error:

@@ -2,10 +2,13 @@
 
 from __future__ import annotations
 
+import contextlib
+
 import pytest
 
 from repro import BaselineVM, ThreadedVM, TracingVM, VMConfig
 from repro.baselines.method_jit import MethodJITVM
+from repro.core import tree as treemod
 
 ALL_ENGINES = {
     "baseline": BaselineVM,
@@ -42,6 +45,54 @@ def assert_engines_agree(source: str, engines=("baseline", "tracing")):
             f"{name} disagrees: {result} != {reference} for program:\n{source}"
         )
     return vms
+
+
+def register_invariant_violations(native) -> list:
+    """Where a fragment's native code breaks the register invariant.
+
+    Every register an instruction reads (``a``, ``b``, ``c``, ``srcs``)
+    must have been written (``dst``) by an earlier instruction of the
+    same fragment's linear code, and every ``govf`` must follow an
+    ``addi``/``subi``/``muli``.  The py backend relies on it: registers
+    are locals of the generated function, never loaded from or written
+    back to ``machine.regs``.  Returns ``(index, insn, operand)``
+    triples; empty when the fragment keeps the invariant.
+    """
+    written = set()
+    ovf_written = False
+    violations = []
+    for index, insn in enumerate(native):
+        reads = [reg for reg in (insn.a, insn.b, insn.c) if reg is not None]
+        reads.extend(insn.srcs or ())
+        for reg in reads:
+            if reg not in written:
+                violations.append((index, repr(insn), reg))
+        if insn.op == "govf" and not ovf_written:
+            violations.append((index, repr(insn), "ovf"))
+        if insn.dst is not None:
+            written.add(insn.dst)
+        if insn.op in ("addi", "subi", "muli"):
+            ovf_written = True
+    return violations
+
+
+@contextlib.contextmanager
+def generated_fragments():
+    """Collect the native code of every fragment codegen returns while
+    the block runs (a list of ``NativeInsn`` lists)."""
+    natives = []
+    generate = treemod.generate
+
+    def collecting(*args, **kwargs):
+        result = generate(*args, **kwargs)
+        natives.append(result[0])
+        return result
+
+    treemod.generate = collecting
+    try:
+        yield natives
+    finally:
+        treemod.generate = generate
 
 
 @pytest.fixture

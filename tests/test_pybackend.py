@@ -72,6 +72,40 @@ def test_emitted_source_is_python():
     assert isinstance(consts, tuple)
 
 
+def test_emitted_exits_are_one_line_and_skip_machine_registers(monkeypatch):
+    """Every failed guard leaves through the shared exit helper: the
+    generated code never builds an ``ExitEvent``, never touches
+    ``machine.regs`` or ``machine.ovf``, and a plain exit is one
+    ``return leave(...)`` statement."""
+    from repro.jit import pycompile
+    from repro.suite.programs import PROGRAMS
+
+    sources = []
+    for name in ("emit_fragment", "emit_tree"):
+        emit = getattr(pycompile, name)
+
+        def capturing(owner, emit=emit):
+            source, consts = emit(owner)
+            sources.append(source)
+            return source, consts
+
+        monkeypatch.setattr(pycompile, name, capturing)
+    program = next(p for p in PROGRAMS if p.name == "crypto-sha1")
+    vm = _py_vm()
+    vm.run(program.source)
+    assert vm.stats.tracing.pycompile_tree_builds > 0
+    assert vm.stats.tracing.direct_transfers > 0
+    text = "\n".join(sources)
+    for banned in ("regs", "machine.ovf", "ExitEvent", "finish_exit"):
+        assert banned not in text, banned
+    leaves = [line.strip() for line in text.splitlines() if "leave(" in line]
+    plain = [line for line in leaves if line.startswith("return leave(machine, ")]
+    # An exit whose branch the megafunction inlines falls into it.
+    inlined = [line for line in leaves if line.startswith("out = leave(machine, ")]
+    assert plain and inlined
+    assert len(plain) + len(inlined) == len(leaves)
+
+
 def test_megafunction_rebuilds_grow_logarithmically_with_links():
     """A 32-way ``if``/``else if`` chain grows one tree 31 stitched
     links.  Its megafunction is rebuilt only when the link count has
