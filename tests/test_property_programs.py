@@ -7,12 +7,18 @@ test more heavily certain constructs we suspected would reveal flaws" —
 here the generator is biased toward type-unstable loops and heavily
 branching code for exactly that reason.  Large int atoms, unary minus
 and a variable scaled up every iteration make int results leave the
-int range (and ``-0`` appear) partway through a loop.
+int range (and ``-0`` appear) partway through a loop; objects of
+different shapes behind one variable, a property added mid-loop and
+slots that flip between int and double fail shape and type guards.
 """
 
 from hypothesis import given, settings, strategies as st
 
-from tests.helpers import ALL_ENGINES
+from tests.helpers import (
+    ALL_ENGINES,
+    generated_fragments,
+    register_invariant_violations,
+)
 
 _VARS = ["a", "b", "c"]
 
@@ -149,13 +155,110 @@ def heap_loop_programs(draw):
     )
 
 
+#: Three objects of different shapes: the same two properties in either
+#: order, and the two plus a third.
+_SHAPED_OBJECTS = "var p = {x: 1, y: 2}; var q = {y: 3, x: 4}; var r = {x: 5, y: 6, z: 7};"
+
+#: How the loop picks its object: by ``i % k``, or once partway through.
+_PICKS = [
+    "i % 2 ? q : p",
+    "i % 3 == 0 ? p : i % 3 == 1 ? q : r",
+    "i % 4 == 3 ? r : p",
+    "i < 12 ? p : r",
+]
+
+
+@st.composite
+def shape_loop_programs(draw):
+    """Loops whose object variable changes shape and whose slots flip
+    type, so shape and type guards fail and branch traces grow from
+    their exits.  ``o`` is chosen among differently shaped objects by
+    ``i % k`` (or switches once), its properties are read and written,
+    one iteration adds a property to whichever object ``o`` is then,
+    and a variable or property alternates between an int and a
+    double."""
+    pick = draw(st.sampled_from(_PICKS))
+    n_stmts = draw(st.integers(min_value=1, max_value=5))
+    body = []
+    for _ in range(n_stmts):
+        kind = draw(
+            st.sampled_from(
+                ["prop_write", "prop_read", "add_prop", "read_added",
+                 "flip", "flip_prop", "plain"]
+            )
+        )
+        var = draw(st.sampled_from(_VARS))
+        name = draw(st.sampled_from(["x", "y"]))
+        if kind == "prop_write":
+            body.append(f"o.{name} = {draw(expressions())};")
+        elif kind == "prop_read":
+            body.append(f"{var} = o.{name} + {draw(_atoms)};")
+        elif kind == "add_prop":
+            at = draw(st.integers(min_value=2, max_value=20))
+            body.append(f"if (i == {at}) o.w = {draw(expressions())};")
+        elif kind == "read_added":
+            body.append(f"if (o.w !== undefined) {var} = o.w + {draw(_atoms)};")
+        elif kind == "flip":
+            period = draw(st.sampled_from(["2", "3"]))
+            body.append(f"{var} = i % {period} ? {var} + 0.5 : i;")
+        elif kind == "flip_prop":
+            period = draw(st.sampled_from(["2", "3"]))
+            body.append(f"o.{name} = i % {period} ? i + 0.5 : i;")
+        else:
+            body.append(draw(statements(depth=0)))
+    iterations = draw(st.integers(min_value=5, max_value=50))
+    fields = " + '|' + ".join(
+        f"{obj}.{prop}" for obj in "pqr" for prop in ("x", "y", "w")
+    )
+    return (
+        f"{_SHAPED_OBJECTS} var a = 0, b = 1, c = 2;"
+        f"for (var i = 0; i < {iterations}; i++) {{ var o = {pick}; "
+        f"{' '.join(body)} }}"
+        f"'' + a + '|' + b + '|' + c + '|' + {fields};"
+    )
+
+
 def assert_tracing_agrees_on_both_backends(source):
+    """Tracing on each native backend returns the interpreter's result;
+    the two backends agree on output and on simulated cycles, in total
+    and per activity; and every fragment codegen returned keeps the
+    register invariant the py backend relies on."""
     from repro import TracingVM, VMConfig
 
     expected = repr(ALL_ENGINES["baseline"]().run(source))
-    for backend in ("step", "py"):
-        vm = TracingVM(VMConfig(native_backend=backend))
-        assert repr(vm.run(source)) == expected, (backend, source)
+    runs = {}
+    with generated_fragments() as natives:
+        for backend in ("step", "py"):
+            vm = TracingVM(VMConfig(native_backend=backend))
+            assert repr(vm.run(source)) == expected, (backend, source)
+            runs[backend] = (
+                list(vm.output),
+                vm.stats.total_cycles,
+                dict(vm.stats.ledger.by_activity),
+            )
+    assert runs["py"] == runs["step"], source
+    violations = [
+        violation
+        for native in natives
+        for violation in register_invariant_violations(native)
+    ]
+    assert not violations, (violations, source)
+
+
+@given(shape_loop_programs())
+@settings(max_examples=150, deadline=None)
+def test_random_shape_loops_agree(source):
+    assert_tracing_agrees_on_both_backends(source)
+
+
+@given(shape_loop_programs())
+@settings(max_examples=40, deadline=None)
+def test_random_shape_loops_agree_methodjit(source):
+    results = {}
+    for name in ("baseline", "methodjit"):
+        vm = ALL_ENGINES[name]()
+        results[name] = repr(vm.run(source))
+    assert results["baseline"] == results["methodjit"], source
 
 
 @given(heap_loop_programs())
