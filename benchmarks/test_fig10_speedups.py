@@ -16,7 +16,6 @@ Paper claims reproduced in shape (not absolute numbers):
 
 from conftest import write_result
 
-from repro.suite.programs import PROGRAMS
 from repro.suite.runner import figure10_table, format_figure10
 
 

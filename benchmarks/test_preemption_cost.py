@@ -4,7 +4,7 @@ most programs and is only detectable for very short loops."""
 from conftest import write_result
 
 from repro import costs
-from repro.vm import BaselineVM, TracingVM
+from repro.vm import TracingVM
 
 
 def measure(source):

@@ -10,7 +10,7 @@ Usage: python examples/compare_vms.py [program-name ...]
 
 import sys
 
-from repro.suite import PROGRAMS, run_program
+from repro.suite import PROGRAMS
 from repro.suite.runner import figure10_table, format_figure10, run_suite
 
 

@@ -1,8 +1,6 @@
 """Tests for the extended builtin set (array methods, sort-with-comparator
 reentrancy, String/Number converters, trim)."""
 
-import pytest
-
 from repro import BaselineVM
 from tests.helpers import assert_engines_agree
 

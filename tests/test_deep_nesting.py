@@ -6,7 +6,7 @@ exceptions crossing a nested tree call."""
 import pytest
 
 from repro import BaselineVM, TracingVM, VMConfig
-from tests.helpers import assert_engines_agree, run_tracing
+from tests.helpers import assert_engines_agree
 
 
 class TestCalltreeInCallee:

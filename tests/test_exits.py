@@ -1,7 +1,7 @@
 """Side-exit restoration tests: deep operand stacks, frame synthesis,
 boxed-result channels, and exit bookkeeping (paper Section 6.1)."""
 
-from repro import TracingVM, VMConfig
+from repro import VMConfig
 from tests.helpers import assert_engines_agree, run_tracing
 
 

@@ -1,11 +1,13 @@
-"""Every module under ``src/repro`` uses each name it imports.
+"""Every module under ``src/repro``, ``tests``, ``benchmarks`` and
+``examples`` uses each name it imports.
 
 No linter runs on this repository, so this scan is the check that keeps
 unused imports out.  A name counts as used when some ``Name`` node in
 the module reads it (annotations included) or the module's ``__all__``
 lists it.  ``from __future__`` imports are directives, and the names a
 package's ``__init__.py`` imports are its re-exports, so both are
-skipped.
+skipped.  ``perfbench`` is not scanned: its runner imports
+``repro.cli`` for its side effects on purpose.
 """
 
 from __future__ import annotations
@@ -14,7 +16,9 @@ import ast
 import pathlib
 from typing import List
 
-SRC = pathlib.Path(__file__).resolve().parent.parent / "src" / "repro"
+ROOT = pathlib.Path(__file__).resolve().parent.parent
+SCANNED = [ROOT / "src" / "repro", ROOT / "tests", ROOT / "benchmarks",
+           ROOT / "examples"]
 
 
 def _imported(tree: ast.Module) -> dict:
@@ -58,8 +62,9 @@ def unused_imports(source: str) -> List[tuple]:
 
 def test_every_imported_name_is_used():
     unused = [
-        f"{path.relative_to(SRC.parent)}:{line}: {name}"
-        for path in sorted(SRC.rglob("*.py"))
+        f"{path.relative_to(ROOT)}:{line}: {name}"
+        for top in SCANNED
+        for path in sorted(top.rglob("*.py"))
         if path.name != "__init__.py"
         for line, name in unused_imports(path.read_text())
     ]

@@ -4,7 +4,7 @@ import pytest
 
 from repro.errors import JSLiteSyntaxError
 from repro.frontend.lexer import tokenize
-from repro.frontend.tokens import EOF, IDENT, KEYWORD, NUMBER, PUNCT, STRING
+from repro.frontend.tokens import EOF, IDENT, KEYWORD, NUMBER, PUNCT
 
 
 def kinds(source):

@@ -14,9 +14,8 @@ from repro.jit.native import (
     GlobalArea,
     NativeInsn,
     NativeMachine,
-    N_INT_REGS,
 )
-from repro.runtime.values import TAG_INT, UNDEFINED, make_number
+from repro.runtime.values import TAG_INT, make_number
 
 
 class _Tree:

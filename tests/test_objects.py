@@ -7,7 +7,7 @@ from repro.runtime.objects import (
     JSObject,
     Shape,
 )
-from repro.runtime.values import UNDEFINED, make_number, make_string
+from repro.runtime.values import make_number, make_string
 
 
 class TestShapes:

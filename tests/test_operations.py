@@ -12,12 +12,10 @@ from hypothesis import given, strategies as st
 from repro.runtime import operations
 from repro.runtime.conversions import to_int32
 from repro.runtime.values import (
-    FALSE,
     NULL,
     TRUE,
     UNDEFINED,
     INT_MAX,
-    INT_MIN,
     TAG_DOUBLE,
     TAG_INT,
     make_double,

@@ -9,7 +9,6 @@ import pytest
 
 from repro.suite.programs import PROGRAMS
 from repro.suite.runner import run_program
-from tests.helpers import ALL_ENGINES
 
 FAST_PROGRAMS = [p for p in PROGRAMS if p.name not in ("access-binary-trees",)]
 

@@ -4,7 +4,7 @@ import math
 
 import pytest
 
-from repro.suite.programs import PROGRAMS, BenchmarkProgram, program_named, programs_by_category
+from repro.suite.programs import PROGRAMS, program_named, programs_by_category
 from repro.suite.runner import (
     figure10_table,
     figure11_table,

@@ -3,7 +3,7 @@ and branch capacity, code-size accounting, and budget-overflow flushes."""
 
 import json
 
-from repro import TracingVM, VMConfig
+from repro import VMConfig
 from repro.core import events as eventkind
 from repro.core.cache import FragmentState, TraceCache
 from repro.core.events import EventStream

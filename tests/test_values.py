@@ -7,18 +7,12 @@ from hypothesis import given, strategies as st
 
 from repro.errors import VMInternalError
 from repro.runtime.values import (
-    Box,
     FALSE,
     INT_MAX,
     INT_MIN,
     NULL,
-    TAG_BOOLEAN,
     TAG_DOUBLE,
     TAG_INT,
-    TAG_NULL,
-    TAG_OBJECT,
-    TAG_STRING,
-    TAG_UNDEFINED,
     TRUE,
     UNDEFINED,
     make_bool,
@@ -29,7 +23,7 @@ from repro.runtime.values import (
     make_string,
     type_name,
 )
-from repro.runtime.objects import JSArray, JSFunction, JSObject
+from repro.runtime.objects import JSFunction, JSObject
 
 
 class TestRepresentationChoice:

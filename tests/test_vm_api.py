@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro import BaselineVM, ThreadedVM, TracingVM, VM, VMConfig, run_source
+from repro import BaselineVM, ThreadedVM, TracingVM, VMConfig, run_source
 from repro.errors import JSLiteSyntaxError
 
 
