@@ -139,8 +139,8 @@ class ExitRecord:
     __slots__ = ("exit", "fragment", "run", "count", "tail", "offset",
                  "hole", "inlined")
 
-    def __init__(self, exit, fragment, run, count, tail, offset, hole,
-                 inlined):
+    def __init__(self, exit, fragment, run=None, count=0, tail=0, offset=0,
+                 hole=False, inlined=False):
         self.exit = exit
         self.fragment = fragment
         self.run = run
@@ -790,8 +790,7 @@ class _Emitter:
             jsthrow = self.const(JSThrow, "JSThrow_")
             throw = self.const(_throw, "throw")
             # The run was settled above, so the record replays nothing.
-            record = self.const(ExitRecord(insn.exit, self.fragment, None,
-                                           0, 0, 0, False, False))
+            record = self.const(ExitRecord(insn.exit, self.fragment))
             self.emit("try:")
             self.emit(f"    _t = {call}")
             self.emit(f"except {jsthrow} as _thrown:")

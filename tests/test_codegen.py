@@ -281,14 +281,14 @@ class TestRegisterInvariant:
         assert register_invariant_violations(native) == [
             (1, repr(native[1]), 1)
         ]
+        call = NativeInsn("call", srcs=[3], exit=final_exit())
+        assert register_invariant_violations([call]) == [(0, repr(call), 3)]
 
     def test_checker_flags_govf_without_an_overflowing_op(self):
         native = [NativeInsn("govf", exit=final_exit())]
         assert register_invariant_violations(native) == [
             (0, repr(native[0]), "ovf")
         ]
-        call = NativeInsn("call", srcs=[3], exit=final_exit())
-        assert register_invariant_violations([call]) == [(0, repr(call), 3)]
 
     def test_every_suite_fragment_keeps_the_invariant(self):
         with generated_fragments() as natives:
