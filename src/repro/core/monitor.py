@@ -630,11 +630,10 @@ class TraceMonitor:
         """
         if machine.commit is None:
             return  # nothing ran since entry; frames are untouched
-        slots, values, types, loaded, dirty = machine.commit
+        slots, values, types, dirty = machine.commit
         area = machine.ar.globals
         area.values = values
         area.types = types
-        area.loaded = loaded
         area.dirty = dirty
         frames = interp.frames
         del frames[base_index + 1:]

@@ -21,16 +21,17 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from operator import itemgetter
 from typing import List, Optional
 
 from repro import costs
 from repro.costs import Activity
-from repro.core import exits as exitmod
 from repro.core.cache import FragmentState
-from repro.core.exits import ExitEvent, SideExit
+from repro.core.exits import INNER, ExitEvent, SideExit
 from repro.core.typemap import TraceType, box_for_type, type_of_box, unbox_for_type
 from repro.errors import JSThrow, NativeBudgetExceeded, NativeMachineError
 from repro.hardening import faults as sites
+from repro.jit.pycompile import run_compiled
 from repro.runtime.conversions import to_int32, to_uint32
 from repro.runtime.operations import js_mod
 from repro.runtime.values import (
@@ -49,6 +50,13 @@ from repro.runtime.values import (
 N_INT_REGS = 8
 N_FLOAT_REGS = 8
 N_REGS = N_INT_REGS + N_FLOAT_REGS
+
+# Enum members read once: ``Activity.NATIVE`` and friends cost about
+# 0.2 µs per lookup on CPython 3.11, and the trace-boundary crossings
+# below (loop edges, exits, stitches, nested calls) run per iteration.
+_NATIVE = Activity.NATIVE
+_LINKED = FragmentState.LINKED
+_RETIRED = FragmentState.RETIRED
 
 
 class NativeInsn:
@@ -132,18 +140,16 @@ class GlobalArea:
     trees (all trees address globals through the VM-wide slot registry
     kept by the monitor)."""
 
-    __slots__ = ("values", "types", "loaded", "dirty")
+    __slots__ = ("values", "types", "dirty")
 
     def __init__(self):
         self.values = {}
         self.types = {}
-        self.loaded = set()
         self.dirty = set()
 
     def load(self, index: int, raw, trace_type: TraceType) -> None:
         self.values[index] = raw
         self.types[index] = trace_type
-        self.loaded.add(index)
 
     def read(self, index: int):
         return self.values[index]
@@ -233,6 +239,20 @@ def _tag_matches(box, trace_type: TraceType) -> bool:
 MAX_INSNS_PER_RUN = 200_000_000
 
 
+def _slot_reader(slots: List[int]):
+    """A C-level callable that reads ``slots`` out of a list, in order.
+
+    ``itemgetter`` returns a bare item for one index and refuses none,
+    so those cases read a slice instead: the result is a tuple for two
+    or more slots and a list otherwise, and commits only iterate it.
+    """
+    if len(slots) > 1:
+        return itemgetter(*slots)
+    if slots:
+        return itemgetter(slice(slots[0], slots[0] + 1))
+    return itemgetter(slice(0, 0))
+
+
 class NativeMachine:
     """Executes compiled fragments of one trace tree."""
 
@@ -243,9 +263,8 @@ class NativeMachine:
         "regs",
         "last_inner_event",
         "ovf",
-        "nested",
         "commit",
-        "_commit_slots",
+        "_commit_get",
         "_commit_enabled",
         "_faults",
         "_insn_budget",
@@ -253,25 +272,36 @@ class NativeMachine:
         "backend_used",
     )
 
-    def __init__(self, vm, tree, ar: ActivationRecord, nested: bool = False):
+    def __init__(self, vm, tree, ar: ActivationRecord,
+                 outer: Optional["NativeMachine"] = None):
         self.vm = vm
         self.tree = tree
         self.ar = ar
         self.regs: List[object] = [None] * N_REGS
         self.last_inner_event: Optional[ExitEvent] = None
         self.ovf = False
-        #: Machines created for ``calltree`` calls are nested: they skip
-        #: commit snapshots (the outermost machine's commit is the
-        #: rollback point the firewall uses) and loop-edge fault sites.
-        self.nested = nested
-        #: (entry-typemap slot values, global-area copies) at the last
-        #: commit point (trace entry / loop back-edge); None = none yet.
+        #: (entry-typemap slot values, copies of the global area's
+        #: values, types and dirty set) at the last commit point (trace
+        #: entry / loop back-edge); None = none yet.
         self.commit = None
-        self._commit_slots: Optional[List[int]] = None
-        self._commit_enabled = vm.config.enable_jit_firewall and not nested
-        self._faults = vm.faults if not nested else None
-        self._insn_budget = vm.config.native_insn_budget
-        self._backend_py = getattr(vm.config, "native_backend", "py") == "py"
+        #: Reads the entry-typemap slots out of ``ar.slots``; made at the
+        #: first commit, so None until then and on a nested machine.
+        self._commit_get = None
+        if outer is None:
+            config = vm.config
+            self._commit_enabled = config.enable_jit_firewall
+            self._faults = vm.faults
+            self._insn_budget = config.native_insn_budget
+            self._backend_py = config.native_backend == "py"
+        else:
+            # A ``calltree`` machine takes the outer machine's resolved
+            # settings.  It skips commit snapshots (the outermost
+            # machine's commit is the rollback point the firewall uses)
+            # and the loop-edge fault site.
+            self._commit_enabled = False
+            self._faults = None
+            self._insn_budget = outer._insn_budget
+            self._backend_py = outer._backend_py
         #: Which backend actually executed the last ``run`` ("py" or
         #: "step"); a compiled run that deopts mid-flight reads "step".
         self.backend_used = "step"
@@ -300,7 +330,7 @@ class NativeMachine:
             ):
                 return False
             area.load(gslot, unbox_for_type(box, trace_type), trace_type)
-            vm.stats.ledger.charge(Activity.NATIVE, costs.AR_IMPORT_PER_SLOT)
+            vm.stats.ledger.charge(_NATIVE, costs.AR_IMPORT_PER_SLOT)
         return True
 
     # -- commit points (firewall rollback) -------------------------------------
@@ -312,36 +342,40 @@ class NativeMachine:
         hold exactly the values the interpreter would see at the loop
         header, and the frames are untouched since entry — so this
         snapshot is sufficient for the firewall to roll back a failed
-        native execution to the last crossing.
+        native execution to the last crossing.  A commit holds those
+        slot values and copies of the global area's values, types and
+        dirty set.  The first commit makes the machine's slot reader;
+        ``_loop_edge`` builds every later one itself.
         """
         if not self._commit_enabled:
             return
-        slots = self._commit_slots
-        if slots is None:
+        get = self._commit_get
+        if get is None:
             tree = self.tree
-            slots = self._commit_slots = [
-                tree.slot_of_loc[loc] for loc, _t in tree.entry_typemap
-            ]
-        ar = self.ar
-        area = ar.globals
-        self.commit = (
-            [ar.slots[slot] for slot in slots],
-            dict(area.values),
-            dict(area.types),
-            set(area.loaded),
-            set(area.dirty),
-        )
+            get = self._commit_get = _slot_reader(
+                [tree.slot_of_loc[loc] for loc, _t in tree.entry_typemap]
+            )
+        area = self.ar.globals
+        self.commit = (get(self.ar.slots), area.values.copy(),
+                       area.types.copy(), area.dirty.copy())
 
     def _loop_edge(self, executed: int, cycles: int) -> int:
         """Commit-point bookkeeping at a loop back-edge; returns the
         (possibly flushed) cycle accumulator."""
-        if self._commit_enabled:
+        get = self._commit_get
+        if get is not None:
+            # ``take_commit``'s snapshot, built inline: this runs at
+            # every outer back edge.
+            area = self.ar.globals
+            self.commit = (get(self.ar.slots), area.values.copy(),
+                           area.types.copy(), area.dirty.copy())
+        elif self._commit_enabled:
             self.take_commit()
         if executed > self._insn_budget:
             # Flush the accumulator first so the ledger reflects work
             # actually simulated, then deopt through the firewall (the
             # commit just taken is the rollback point).
-            self.vm.stats.ledger.charge(Activity.NATIVE, cycles)
+            self.vm.stats.ledger.charge(_NATIVE, cycles)
             raise NativeBudgetExceeded(
                 f"native instruction budget exceeded "
                 f"({executed} > {self._insn_budget})"
@@ -355,7 +389,7 @@ class NativeMachine:
             meter.poll(self.vm)
         faults = self._faults
         if faults is not None:
-            self.vm.stats.ledger.charge(Activity.NATIVE, cycles)
+            self.vm.stats.ledger.charge(_NATIVE, cycles)
             faults.fire(sites.NATIVE_LOOP_EDGE)
             return 0
         return cycles
@@ -372,8 +406,6 @@ class NativeMachine:
         charge identical simulated cycles at identical points.
         """
         if self._backend_py:
-            from repro.jit.pycompile import run_compiled
-
             return run_compiled(self, fragment)
         self.backend_used = "step"
         return self.run_step(fragment)
@@ -522,8 +554,7 @@ class NativeMachine:
                 ):
                     regs[insn.dst] = int(value)
                 else:
-                    event = self._exit_event(insn.exit)
-                    result = self._finish_exit(event, fragment, cycles, profile)
+                    result = self._guard_exit(insn.exit, fragment, cycles, profile)
                     if result is not None:
                         return result
                     fragment, insns, pc, cycles = self._stitch(insn.exit)
@@ -648,9 +679,10 @@ class NativeMachine:
                 box = regs[insn.a]
                 cycles += NATIVE_GUARD
                 if not _tag_matches(box, insn.imm):
-                    event = self._exit_event(insn.exit)
-                    event.boxed_result = box if box is not None else UNDEFINED
-                    result = self._finish_exit(event, fragment, cycles, profile)
+                    result = self._guard_exit(
+                        insn.exit, fragment, cycles, profile,
+                        box if box is not None else UNDEFINED,
+                    )
                     if result is not None:
                         return result
                     fragment, insns, pc, cycles = self._stitch(insn.exit)
@@ -663,8 +695,7 @@ class NativeMachine:
                 cycles += NATIVE_GUARD
                 condition = _compare(cmp_op, regs[insn.a], regs[insn.b])
                 if condition == exit_if_true:
-                    event = self._exit_event(insn.exit)
-                    result = self._finish_exit(event, fragment, cycles, profile)
+                    result = self._guard_exit(insn.exit, fragment, cycles, profile)
                     if result is not None:
                         return result
                     fragment, insns, pc, cycles = self._stitch(insn.exit)
@@ -672,18 +703,17 @@ class NativeMachine:
                 cycles += NATIVE_GUARD
                 condition = bool(regs[insn.a])
                 if condition == (op == "xt"):
-                    event = self._exit_event(insn.exit)
-                    if insn.b is not None:
-                        event.boxed_result = regs[insn.b]
-                    result = self._finish_exit(event, fragment, cycles, profile)
+                    result = self._guard_exit(
+                        insn.exit, fragment, cycles, profile,
+                        regs[insn.b] if insn.b is not None else None,
+                    )
                     if result is not None:
                         return result
                     fragment, insns, pc, cycles = self._stitch(insn.exit)
             elif op == "govf":
                 cycles += NATIVE_GUARD
                 if self.ovf:
-                    event = self._exit_event(insn.exit)
-                    result = self._finish_exit(event, fragment, cycles, profile)
+                    result = self._guard_exit(insn.exit, fragment, cycles, profile)
                     if result is not None:
                         return result
                     fragment, insns, pc, cycles = self._stitch(insn.exit)
@@ -691,8 +721,7 @@ class NativeMachine:
                 cycles += NATIVE_GUARD
                 value = regs[insn.a]
                 if not (INT_MIN <= value <= INT_MAX):
-                    event = self._exit_event(insn.exit)
-                    result = self._finish_exit(event, fragment, cycles, profile)
+                    result = self._guard_exit(insn.exit, fragment, cycles, profile)
                     if result is not None:
                         return result
                     fragment, insns, pc, cycles = self._stitch(insn.exit)
@@ -700,25 +729,23 @@ class NativeMachine:
                 cycles += NATIVE_GUARD
                 value = regs[insn.a]
                 if INT_MIN <= value <= INT_MAX:
-                    event = self._exit_event(insn.exit)
-                    result = self._finish_exit(event, fragment, cycles, profile)
+                    result = self._guard_exit(insn.exit, fragment, cycles, profile)
                     if result is not None:
                         return result
                     fragment, insns, pc, cycles = self._stitch(insn.exit)
             elif op == "gclass":
                 cycles += NATIVE_GUARD
                 if not isinstance(regs[insn.a], insn.imm):
-                    event = self._exit_event(insn.exit)
-                    result = self._finish_exit(event, fragment, cycles, profile)
+                    result = self._guard_exit(insn.exit, fragment, cycles, profile)
                     if result is not None:
                         return result
                     fragment, insns, pc, cycles = self._stitch(insn.exit)
             elif op == "x":
                 cycles += NATIVE_JUMP
-                event = self._exit_event(insn.exit)
-                if insn.b is not None:
-                    event.boxed_result = regs[insn.b]
-                result = self._finish_exit(event, fragment, cycles, profile)
+                result = self._guard_exit(
+                    insn.exit, fragment, cycles, profile,
+                    regs[insn.b] if insn.b is not None else None,
+                )
                 if result is not None:
                     return result
                 fragment, insns, pc, cycles = self._stitch(insn.exit)
@@ -792,7 +819,7 @@ class NativeMachine:
 
             # Flush cycles to the ledger in batches to keep the loop lean.
             if cycles >= 4096:
-                charge(Activity.NATIVE, cycles)
+                charge(_NATIVE, cycles)
                 cycles = 0
 
     # -- exit plumbing -----------------------------------------------------------
@@ -815,8 +842,8 @@ class NativeMachine:
         return cycles
 
     def _exit_event(self, exit: SideExit) -> ExitEvent:
-        event = ExitEvent(exit=exit, ar=self.ar)
-        if exit.kind == exitmod.INNER:
+        event = ExitEvent(exit, self.ar)
+        if exit.kind == INNER:
             # The guard on a nested call's exit id failed (``xt``/``xf``,
             # or fused into ``gcmp``): chain the inner tree's own event.
             event.inner = self.last_inner_event
@@ -824,20 +851,55 @@ class NativeMachine:
                 event.exception = event.inner.exception
         return event
 
+    def _settle_stitch(self, exit: SideExit, cycles: int, profile) -> bool:
+        """Settle a failed guard that stitches and needs no event.
+
+        The exit's target is a LINKED branch, and the exit carries no
+        result slot, no inner event and no exception, so all that
+        ``_finish_exit`` would do is add its bytecode progress to the
+        profile, charge the accumulator and drop the event; this does
+        the first two without building the event.  Returns False, having
+        done nothing, for every other exit, including one whose target a
+        cache flush retired in flight: the caller then takes the full
+        path through ``_exit_event`` and ``_finish_exit``.
+        """
+        target = exit.target
+        if (
+            target is None
+            or target.state is not _LINKED
+            or exit.result_loc is not None
+            or exit.kind == INNER
+        ):
+            return False
+        profile.native += exit.bytecode_progress
+        self.vm.stats.ledger.charge(_NATIVE, cycles)
+        return True
+
+    def _guard_exit(self, exit: SideExit, fragment, cycles: int, profile,
+                    boxed=None) -> Optional[ExitEvent]:
+        """Settle a failed guard, ``boxed`` its boxed result if it
+        carries one, on either backend: returns the event, or None when
+        the caller stitches into ``exit.target``."""
+        if self._settle_stitch(exit, cycles, profile):
+            return None
+        event = self._exit_event(exit)
+        event.boxed_result = boxed
+        return self._finish_exit(event, fragment, cycles, profile)
+
     def _finish_exit(self, event, fragment, cycles, profile):
         """Account for an exit; return the event unless it is stitched."""
         exit = event.exit
         profile.native += exit.bytecode_progress
         stats = self.vm.stats
-        stats.ledger.charge(Activity.NATIVE, cycles)
+        stats.ledger.charge(_NATIVE, cycles)
         if (
             exit.target is None
             # A cache flush may retire a stitched branch while this
             # machine is in flight; fall back to the monitor instead of
             # transferring into retired code.
-            or exit.target.state is FragmentState.RETIRED
+            or exit.target.state is _RETIRED
             or event.exception is not None
-            or exit.kind == exitmod.INNER
+            or exit.kind == INNER
         ):
             return event
         if exit.result_loc is not None:
@@ -851,7 +913,7 @@ class NativeMachine:
             if box is not None and box.tag not in (TAG_NULL, TAG_UNDEFINED):
                 payload = box.payload
             self.ar.write(exit.result_slot, payload)
-            stats.ledger.charge(Activity.NATIVE, costs.NATIVE_STORE)
+            stats.ledger.charge(_NATIVE, costs.NATIVE_STORE)
         return None  # caller performs the stitched transfer
 
     def _stitch(self, exit: SideExit):
@@ -859,7 +921,7 @@ class NativeMachine:
         vm = self.vm
         stats = vm.stats
         stats.tracing.driver_transfers += 1
-        stats.ledger.charge(Activity.NATIVE, costs.STITCH_PENALTY)
+        stats.ledger.charge(_NATIVE, costs.STITCH_PENALTY)
         if vm.profiler is not None:
             vm.profiler.record_stitch(exit)
         fragment = exit.target
@@ -875,28 +937,31 @@ class NativeMachine:
         guard exactly like an unexpected inner exit.
         """
         inner_tree = site.tree
-        stats = self.vm.stats
+        vm = self.vm
+        stats = vm.stats
         stats.tracing.tree_calls_executed += 1
+        outer_slots = self.ar.slots
         inner_ar = ActivationRecord(inner_tree.ar_size, self.ar.globals)
-        cycles = costs.CALLTREE_PER_SLOT * len(site.local_mapping)
-        for inner_slot, outer_slot in site.local_mapping:
-            inner_ar.slots[inner_slot] = self.ar.slots[outer_slot]
-        stats.ledger.charge(Activity.NATIVE, cycles)
-        inner_machine = NativeMachine(self.vm, inner_tree, inner_ar, nested=True)
+        inner_slots = inner_ar.slots
+        mapping = site.local_mapping
+        copy_cycles = costs.CALLTREE_PER_SLOT * len(mapping)
+        for inner_slot, outer_slot in mapping:
+            inner_slots[inner_slot] = outer_slots[outer_slot]
+        stats.ledger.charge(_NATIVE, copy_cycles)
+        inner_machine = NativeMachine(vm, inner_tree, inner_ar, self)
         if not inner_machine.ensure_globals(inner_tree):
             self.last_inner_event = None
             return -1
-        profiler = self.vm.profiler
+        profiler = vm.profiler
         iters_before = inner_tree.iterations if profiler is not None else 0
         event = inner_machine.run(inner_tree.fragment)
         if profiler is not None:
             profiler.record_nested_call(
                 inner_tree, inner_tree.iterations - iters_before
             )
-        copy_back = costs.CALLTREE_PER_SLOT * len(site.local_mapping)
-        for inner_slot, outer_slot in site.local_mapping:
-            self.ar.slots[outer_slot] = inner_ar.slots[inner_slot]
-        stats.ledger.charge(Activity.NATIVE, copy_back)
+        for inner_slot, outer_slot in mapping:
+            outer_slots[outer_slot] = inner_slots[inner_slot]
+        stats.ledger.charge(_NATIVE, copy_cycles)
         self.last_inner_event = event
         if event.exception is not None:
             return -1

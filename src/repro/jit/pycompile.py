@@ -16,10 +16,12 @@ Emission strategy (see docs/INTERNALS.md section 12):
   a failed guard simply abandons the locals;
 * guards become ``if`` branches whose failure arm is one statement: a
   call to the shared exit helper :func:`_leave` with the guard's
-  pooled :class:`ExitRecord`, which builds the event through
-  ``NativeMachine._exit_event``, settles the accumulator, routes the
-  event through ``_finish_exit``, and returns the RESULT or STITCH
-  tuple;
+  pooled :class:`ExitRecord`.  It settles the accumulator and then the
+  exit through ``NativeMachine._guard_exit``, the step machine's own
+  exit path: an exit that stitches into a LINKED branch and has no
+  result slot settles through ``_settle_stitch`` with no event, and
+  every other exit builds its event through ``_exit_event`` and goes
+  through ``_finish_exit``.  It returns the RESULT or STITCH tuple;
 * helper/FFI calls, ``calltree`` sites, exit records, trace types, and
   non-trivial immediates dispatch through a preloaded **constants
   tuple** unpacked into locals at function entry;
@@ -48,9 +50,9 @@ code can read them.  Costs are summed per straight-line *run* (the
 instructions between two hand-off points): one coalesced ``cycles +=``
 precedes each guard or exit.  Before a helper/FFI ``call``, a
 ``calltree`` or a loop edge, at the prologue/loop boundary, and inside
-the exit helper on a failing guard's way into ``_finish_exit``,
-:func:`_settle` replays the step machine's per-instruction ``>= 4096``
-flush checks over the run's static costs.
+the exit helper on a failing guard's way into ``_settle_stitch`` or
+``_finish_exit``, :func:`_settle` replays the step machine's
+per-instruction ``>= 4096`` flush checks over the run's static costs.
 Loop edges call the same ``machine._loop_edge`` (commit snapshot,
 insn budget, supervisor ``meter.poll``, fault site), so every table,
 event stream, and chaos sweep is byte-identical across backends.  Only
@@ -102,6 +104,12 @@ TRANSFER = 2  # jtree: re-enter the tree's root trunk (cycles carry over)
 #: The ledger-flush threshold mirrored from the step machine's run loop.
 _FLUSH_AT = 4096
 
+# Read once: an enum member lookup costs about 0.2 µs on CPython 3.11,
+# and the exit helper and the per-entry lookups below run per crossing.
+_NATIVE = Activity.NATIVE
+_LINKED = FragmentState.LINKED
+_RETIRED = FragmentState.RETIRED
+
 
 def _settle(charge, cycles, run, count=None, tail=0):
     """Charge the ledger flushes the step machine made during a run.
@@ -118,7 +126,7 @@ def _settle(charge, cycles, run, count=None, tail=0):
     for cost in steps:
         acc += cost
         if acc >= _FLUSH_AT:
-            charge(Activity.NATIVE, acc)
+            charge(_NATIVE, acc)
             acc = 0
     return acc + tail
 
@@ -155,30 +163,30 @@ def _leave(machine, record, cycles, executed, value=None):
     """A failed guard: the step machine's exit steps, in its order.
 
     ``value`` is the guard's boxed result, None when it carries none.
-    Returns the generated function's RESULT tuple, or the STITCH the
-    driver takes; for an inlined exit that stitches, returns None after
+    After the flushes the step machine made, the exit settles through
+    ``NativeMachine._guard_exit``, as on the step machine.  Returns the
+    generated function's RESULT tuple, or the STITCH the driver takes;
+    for an inlined exit that stitches, returns None after
     ``NativeMachine._stitch``'s bookkeeping, and the generated code
     falls into the branch.
     """
     exit = record.exit
-    event = machine._exit_event(exit)
-    if value is not None:
-        event.boxed_result = value
-    elif record.hole:
-        event.boxed_result = UNDEFINED
     vm = machine.vm
     stats = vm.stats
     if record.count and cycles >= _FLUSH_AT:
         # Looked up at call time: the differential suite wraps _settle.
         cycles = _settle(stats.ledger.charge, cycles, record.run,
                          record.count, record.tail)
-    result = machine._finish_exit(event, record.fragment, cycles, stats.profile)
+    if value is None and record.hole:
+        value = UNDEFINED
+    result = machine._guard_exit(exit, record.fragment, cycles,
+                                 stats.profile, value)
     if result is not None:
         return (RESULT, result, 0, 0)
     if not record.inlined:
         return (STITCH, exit, 0, executed + record.offset)
     stats.tracing.direct_transfers += 1
-    stats.ledger.charge(Activity.NATIVE, costs.STITCH_PENALTY)
+    stats.ledger.charge(_NATIVE, costs.STITCH_PENALTY)
     if vm.profiler is not None:
         vm.profiler.record_stitch(exit)
     return None
@@ -1138,7 +1146,7 @@ def compile_tree_py(vm, tree):
 def _tree_has_links(tree) -> bool:
     """Whether any branch is stitched (a megafunction would help)."""
     for branch in tree.branches:
-        if branch.state is FragmentState.LINKED:
+        if branch.state is _LINKED:
             exit = branch.anchor_exit
             if exit is not None and exit.target is branch:
                 return True
@@ -1156,7 +1164,7 @@ def direct_fn_for(vm, tree):
     megafunction's source in total.  Until then the megafunction lacks
     the newest links, which is safe: an exit's target is set only once,
     so every exit it inlined still leads to the same LINKED branch, and
-    every exit it did not inline goes through ``_finish_exit``, which
+    every exit it did not inline goes through :func:`_leave`, which
     follows ``exit.target`` at run time and hands the driver a STITCH.
     """
     if tree.direct_failed or tree.fragment.py_failed:
@@ -1166,7 +1174,7 @@ def direct_fn_for(vm, tree):
     fn = tree.direct_fn
     if fn is not None and tree.link_version < 2 * tree.direct_link_version:
         return fn
-    if tree.fragment.state is FragmentState.RETIRED:
+    if tree.fragment.state is _RETIRED:
         return None
     if not _tree_has_links(tree):
         # A single-fragment tree gains nothing over its trunk callable;

@@ -330,9 +330,14 @@ class PhaseProfiler:
     # -- per-fragment profiles ----------------------------------------------------
 
     def loop_profile(self, tree) -> LoopProfile:
-        """The (lazily created) profile of ``tree``."""
+        """The (lazily created) profile of ``tree``.
+
+        Keyed by ``id(tree)``, which a new tree can reuse once a retired
+        tree has been freed; ``tree.profile`` tells the two apart, so the
+        new tree gets a profile of its own.
+        """
         profile = self._loops.get(id(tree))
-        if profile is None:
+        if profile is None or tree.profile is not profile:
             from repro.core.typemap import describe_typemap
 
             line = getattr(tree.loop_info, "line", 0)

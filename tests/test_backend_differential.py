@@ -50,11 +50,13 @@ def _ledger_read_points():
     """Record the ledger at every ``NativeMachine`` hook that reads it:
     ``(ledger, cycles, executed)`` at loop edges (commit, budget,
     ``meter.poll``), the ledger at nested-tree calls, and ``(ledger,
-    cycles)`` as a side exit is settled."""
+    cycles)`` as a side exit is settled, through ``_finish_exit`` or,
+    for a stitch that needs no event, ``_settle_stitch``."""
     points = []
     loop_edge = NativeMachine._loop_edge
     run_inner = NativeMachine._run_inner_tree
     finish_exit = NativeMachine._finish_exit
+    settle_stitch = NativeMachine._settle_stitch
 
     def on_loop_edge(self, executed, cycles):
         points.append(("loop-edge", self.vm.stats.ledger.total, cycles, executed))
@@ -68,15 +70,24 @@ def _ledger_read_points():
         points.append(("exit", self.vm.stats.ledger.total, cycles))
         return finish_exit(self, event, fragment, cycles, profile)
 
+    def on_settle_stitch(self, exit, cycles, profile):
+        total = self.vm.stats.ledger.total
+        settled = settle_stitch(self, exit, cycles, profile)
+        if settled:
+            points.append(("exit", total, cycles))
+        return settled
+
     NativeMachine._loop_edge = on_loop_edge
     NativeMachine._run_inner_tree = on_run_inner
     NativeMachine._finish_exit = on_finish_exit
+    NativeMachine._settle_stitch = on_settle_stitch
     try:
         yield points
     finally:
         NativeMachine._loop_edge = loop_edge
         NativeMachine._run_inner_tree = run_inner
         NativeMachine._finish_exit = finish_exit
+        NativeMachine._settle_stitch = settle_stitch
 
 
 def _first_difference(left, right):

@@ -3,7 +3,8 @@
 For every registered fault site x every suite benchmark, run the
 tracing VM with a fault injected at that site and assert the
 observation (result, print output, user heap) is byte-identical to the
-pure interpreter's.  This is the testable form of the paper's
+pure interpreter's.  The native sites are swept on the step backend
+too.  This is the testable form of the paper's
 graceful-degradation property: a JIT-internal failure may cost
 performance, never correctness.
 """
@@ -15,6 +16,7 @@ import pytest
 from repro import TracingVM, VMConfig
 from repro.core import events
 from repro.hardening import FAULT_SITES, FaultPlan
+from repro.hardening import faults as sites
 from repro.hardening.chaos import differential_check, run_and_observe
 from repro.suite.programs import PROGRAMS
 
@@ -51,6 +53,29 @@ def assert_contained(vm):
 @pytest.mark.parametrize("name", sorted(PROGRAMS_BY_NAME))
 def test_single_fault_sweep(site, name):
     config = VMConfig(fault_plan={site: 1}, capture_events=True)
+    vm = differential_check(
+        PROGRAMS_BY_NAME[name].source, config, baseline=baseline_for(name)
+    )
+    assert_contained(vm)
+
+
+#: The sites that fire inside native execution: the step machine's own
+#: guard arms and loop edges run between them.
+NATIVE_SITES = (
+    sites.NATIVE_ENTRY,
+    sites.NATIVE_LOOP_EDGE,
+    sites.NATIVE_EXIT_RESTORE,
+)
+
+
+@pytest.mark.parametrize("site", NATIVE_SITES)
+@pytest.mark.parametrize("name", sorted(PROGRAMS_BY_NAME))
+def test_native_fault_sweep_on_the_step_backend(site, name):
+    # The sweep above runs the default py backend; the step machine
+    # settles exits and takes commits on code paths of its own.
+    config = VMConfig(
+        fault_plan={site: 1}, capture_events=True, native_backend="step"
+    )
     vm = differential_check(
         PROGRAMS_BY_NAME[name].source, config, baseline=baseline_for(name)
     )

@@ -142,6 +142,62 @@ class TestNativeBudget:
         assert vm.stats.tracing.internal_failures == 0
 
 
+class TestMidIterationRollback:
+    """A helper raises a real (not injected) fault in the middle of an
+    iteration, after the iteration wrote the global ``g`` and the entry
+    local ``s``.  The firewall rolls the run back to the last loop
+    edge's commit and the interpreter re-runs the iteration, so the
+    result matches the interpreter's only if the commit copied the
+    global area and the entry slots rather than aliasing the live ones.
+    The ``native.loop-edge`` fault site cannot tell the two apart: it
+    fires where the live state still equals the commit."""
+
+    SOURCE = """
+var g = 0;
+function f(n) {
+    var s = 0;
+    var t = "";
+    for (var i = 0; i < n; i++) {
+        g = g + 1;
+        s = s + i;
+        t = "x" + i;
+    }
+    return s * 1000 + g + t.length;
+}
+f(40);
+"""
+
+    @pytest.mark.parametrize("backend", ["py", "step"])
+    def test_helper_fault_rolls_back_to_the_loop_edge_commit(
+        self, backend, monkeypatch
+    ):
+        from repro.core import helpers
+        from repro.hardening.chaos import differential_check
+
+        original = helpers.NUM_TO_STR_I.fn
+        calls = []
+
+        def failing(vm, value):
+            # Only traces call helpers; the 12th call is mid-run.
+            calls.append(value)
+            if len(calls) == 12:
+                raise RuntimeError("helper fault in mid-iteration")
+            return original(vm, value)
+
+        monkeypatch.setattr(helpers.NUM_TO_STR_I, "fn", failing)
+        config = VMConfig(capture_events=True, native_backend=backend)
+        vm = differential_check(self.SOURCE, config)
+        assert len(calls) >= 12
+        tracing = vm.stats.tracing
+        assert tracing.internal_failures == 1
+        assert tracing.faults_injected == 0
+        assert tracing.loop_iterations_native >= 11
+        [failure] = vm.events.of_kind(events.JIT_INTERNAL_FAILURE)
+        assert failure.payload["boundary"] == "native"
+        assert failure.payload["error"] == "RuntimeError"
+        assert failure.payload["injected"] is False
+
+
 class TestSafeMode:
     def test_breaker_trips_after_threshold(self):
         result, vm = run_chaos(

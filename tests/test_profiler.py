@@ -198,6 +198,28 @@ class TestProfilesSurviveFlush:
         retired = [loop for loop in vm.profiler.loops if loop.retired]
         assert retired  # flushed trees' profiles are retained, marked
 
+    def test_new_tree_at_a_freed_trees_address_gets_its_own_profile(self):
+        # Loop profiles are filed under id(tree), and a new tree can be
+        # allocated where a retired, freed tree was.  Filing the old
+        # profile under the new tree's id stands in for that reuse.
+        class Tree:
+            def __init__(self, header_pc):
+                self.code = type("Code", (), {"name": "f"})()
+                self.header_pc = header_pc
+                self.loop_info = None
+                self.entry_typemap = []
+                self.profile = None
+
+        profiler = PhaseProfiler(TracingVM())
+        old = Tree(3)
+        first = profiler.loop_profile(old)
+        new = Tree(7)
+        profiler._loops[id(new)] = first
+        second = profiler.loop_profile(new)
+        assert second is not first and second.header_pc == 7
+        assert profiler.loop_profile(new) is second
+        assert profiler.loops == [first, second]
+
 
 class TestReports:
     def test_profile_report_sections(self):

@@ -87,6 +87,56 @@ class TestHotChargePath:
         assert long[:2] == short[:2]
 
 
+class TestHotStitchPath:
+    """A failed guard that stitches into a linked branch builds no
+    ``ExitEvent`` on either native backend: in a loop whose guard fails
+    into its branch every other iteration (inlined in the py backend's
+    megafunction), 2,000 iterations build as many events as 200."""
+
+    LOOP = """
+function f(n) {
+    var s = 0;
+    for (var i = 0; i < n; i++) {
+        if (i %% 2) s = s + i; else s = s - 1;
+    }
+    return s;
+}
+f(%d);
+"""
+
+    @staticmethod
+    def _counts(backend, iterations):
+        from repro.core.exits import ExitEvent
+        from repro.vm import TracingVM, VMConfig
+
+        built = []
+        original = ExitEvent.__init__
+
+        def counting(self, *args, **kwargs):
+            built.append(1)
+            original(self, *args, **kwargs)
+
+        vm = TracingVM(VMConfig(native_backend=backend))
+        ExitEvent.__init__ = counting
+        try:
+            result = vm.run(TestHotStitchPath.LOOP % iterations)
+        finally:
+            ExitEvent.__init__ = original
+        odd = iterations // 2
+        assert result.payload == odd * odd - (iterations - odd)
+        return len(built), vm.stats.tracing
+
+    @pytest.mark.parametrize("backend", ["py", "step"])
+    def test_stitches_build_no_events(self, backend):
+        short_events, short = self._counts(backend, 200)
+        long_events, long = self._counts(backend, 2000)
+        assert long.stitched_transfers >= short.stitched_transfers + 850
+        if backend == "py":
+            assert long.direct_transfers >= short.direct_transfers + 850
+        assert long_events == short_events
+        assert long.side_exits_taken == short.side_exits_taken
+
+
 class TestExecutionProfile:
     def test_fractions(self):
         profile = ExecutionProfile(interpreted=10, recorded=10, native=80)
