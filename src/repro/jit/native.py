@@ -31,7 +31,6 @@ from repro.core.exits import INNER, ExitEvent, SideExit
 from repro.core.typemap import TraceType, box_for_type, type_of_box, unbox_for_type
 from repro.errors import JSThrow, NativeBudgetExceeded, NativeMachineError
 from repro.hardening import faults as sites
-from repro.jit.pycompile import run_compiled
 from repro.runtime.conversions import to_int32, to_uint32
 from repro.runtime.operations import js_mod
 from repro.runtime.values import (
@@ -239,6 +238,22 @@ def _tag_matches(box, trace_type: TraceType) -> bool:
 MAX_INSNS_PER_RUN = 200_000_000
 
 
+def _run_compiled(machine, fragment) -> ExitEvent:
+    """The py backend's driver, :func:`repro.jit.pycompile.run_compiled`.
+
+    Imported at the first py-backend run, as the VM needs it, rather
+    than with this module: loading the backend and ``repro.obs`` before
+    the interpreter has allocated anything raises the peak RSS of a run
+    that never reaches native code.  The import rebinds this name, so
+    every later run calls the driver directly.
+    """
+    global _run_compiled
+    from repro.jit.pycompile import run_compiled
+
+    _run_compiled = run_compiled
+    return run_compiled(machine, fragment)
+
+
 def _slot_reader(slots: List[int]):
     """A C-level callable that reads ``slots`` out of a list, in order.
 
@@ -406,7 +421,7 @@ class NativeMachine:
         charge identical simulated cycles at identical points.
         """
         if self._backend_py:
-            return run_compiled(self, fragment)
+            return _run_compiled(self, fragment)
         self.backend_used = "step"
         return self.run_step(fragment)
 
