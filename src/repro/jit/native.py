@@ -241,11 +241,11 @@ MAX_INSNS_PER_RUN = 200_000_000
 def _run_compiled(machine, fragment) -> ExitEvent:
     """The py backend's driver, :func:`repro.jit.pycompile.run_compiled`.
 
-    Imported at the first py-backend run, as the VM needs it, rather
-    than with this module: loading the backend and ``repro.obs`` before
-    the interpreter has allocated anything raises the peak RSS of a run
-    that never reaches native code.  The import rebinds this name, so
-    every later run calls the driver directly.
+    Imported at the first py-backend run rather than with this module:
+    importing the backend, and ``repro.obs`` with it, at start-up raised
+    the peak RSS of perfbench's interp-bound workload by about 0.8 MB
+    (allocation order, not more allocation).  The import rebinds this
+    name, so every later run calls the driver directly.
     """
     global _run_compiled
     from repro.jit.pycompile import run_compiled
@@ -869,14 +869,13 @@ class NativeMachine:
     def _settle_stitch(self, exit: SideExit, cycles: int, profile) -> bool:
         """Settle a failed guard that stitches and needs no event.
 
-        The exit's target is a LINKED branch, and the exit carries no
-        result slot, no inner event and no exception, so all that
-        ``_finish_exit`` would do is add its bytecode progress to the
-        profile, charge the accumulator and drop the event; this does
-        the first two without building the event.  Returns False, having
-        done nothing, for every other exit, including one whose target a
-        cache flush retired in flight: the caller then takes the full
-        path through ``_exit_event`` and ``_finish_exit``.
+        Such an exit targets a LINKED branch and has no result slot, no
+        inner event and no exception, so ``_finish_exit`` would only add
+        its bytecode progress to the profile, charge the accumulator and
+        drop the event; this does the first two.  Returns False, doing
+        nothing, for any other exit (one whose target a cache flush
+        retired in flight included); the caller then takes
+        ``_exit_event`` and ``_finish_exit``.
         """
         target = exit.target
         if (
