@@ -1,12 +1,14 @@
 #!/usr/bin/env python
 """Type-unstable loops and the oracle (paper Section 3.2).
 
-``x`` starts as an int but immediately becomes a double: the first
-recorded trace is inherently type-unstable (it enters with an int and
-closes with a double).  With the oracle enabled, the mis-speculation is
+``x`` is an int at every loop header but a double halfway through each
+iteration: the first recorded trace is inherently type-unstable (it
+enters with an int and closes with a double).  With the oracle enabled, the mis-speculation is
 noted and the immediately re-recorded trace imports ``x`` as a double,
-forming a stable loop.  With the oracle disabled, the VM keeps
-re-recording unstable traces until it runs out of peers.
+forming a stable loop; the first trace's type-unstable exit then links
+straight into it (Figure 6) instead of returning to the monitor.  With
+the oracle disabled, the VM keeps re-recording unstable traces until it
+runs out of peers.
 
 Usage: python examples/type_instability.py
 """
@@ -17,10 +19,11 @@ SOURCE = """
 var x = 0;
 var steps = 0;
 for (var i = 0; i < 3000; i++) {
-    x += 0.25;
+    x += 0.5;
+    x += 0.5;
     steps++;
 }
-Math.floor(x) * 100000 + steps;
+x * 100000 + steps;
 """
 
 
@@ -34,6 +37,7 @@ def run(config: VMConfig, label: str, baseline_cycles: int) -> None:
     print(f"  trees formed      : {tracing.trees_formed} "
           f"({tracing.unstable_traces} type-unstable)")
     print(f"  oracle marks      : {tracing.oracle_marks}")
+    print(f"  peer links        : {tracing.unstable_links}")
     print(f"  bytecodes on trace: {vm.stats.profile.fraction_native():.1%}")
     print()
 

@@ -28,7 +28,7 @@ OVERFLOW = "overflow"  # integer arithmetic overflowed
 OOB = "oob"  # array dense-bounds guard
 CALLEE = "callee"  # function identity guard
 LOOP = "loop"  # the trace left the loop normally (break / cond false)
-UNSTABLE = "unstable"  # type-unstable trace end (always exits)
+UNSTABLE = "unstable"  # type-unstable trace end (links to a peer tree or exits)
 INNER = "inner"  # nested tree returned through an unexpected exit
 REENTRY = "reentry"  # a native reentered the interpreter (deep bail)
 STATE = "state"  # a native accessed interpreter state

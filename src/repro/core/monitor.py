@@ -45,6 +45,8 @@ from repro.interp.frames import Frame
 from repro.runtime.values import UNDEFINED
 
 
+_UNSTABLE = exitkind.UNSTABLE
+
 #: Exit kinds that may grow branch traces (trace stitching).
 _BRANCHABLE_EXIT_KINDS = frozenset(
     (
@@ -498,9 +500,11 @@ class TraceMonitor:
     ) -> Optional[ExitEvent]:
         """Import state, run the tree's native code, restore at the exit.
 
-        Type-unstable exits chain directly into a complementary peer
-        tree when one matches (the paper's Figure 6 linked groups),
-        without bouncing through the interpreter's dispatch loop.
+        Type-unstable exits pass straight into a peer tree (the paper's
+        Figure 6 linked groups) inside :meth:`_enter_and_run_tree`.  One
+        that cannot link is restored here and chained into whichever
+        peer then matches the interpreter's state, without bouncing
+        through the interpreter's dispatch loop.
 
         Returns ``None`` when the firewall contained an internal failure
         (the interpreter was restored to the last committed state).
@@ -550,11 +554,14 @@ class TraceMonitor:
             if not firewall.enabled:
                 raise
             machine = state["machine"]
-            if state["phase"] != "exit" and machine is not None:
-                try:
-                    self._rollback_to_commit(interp, tree, base_index, machine)
-                except Exception:
-                    pass  # last-ditch: containment still proceeds
+            if machine is not None:
+                # After a link, the peer's machine holds the commit.
+                tree = machine.tree
+                if state["phase"] != "exit":
+                    try:
+                        self._rollback_to_commit(interp, tree, base_index, machine)
+                    except Exception:
+                        pass  # last-ditch: containment still proceeds
             if not firewall.contain("native", error, tree=tree):
                 raise
             return None
@@ -584,36 +591,86 @@ class TraceMonitor:
             raise VMInternalError("tree matched but globals failed to import")
         machine.take_commit()
         state["phase"] = "run"
+        while True:
+            event = self._run_native(machine)
+            exit = event.exit
+            if (
+                exit.kind != _UNSTABLE
+                or event.exception is not None
+                or vm.recorder is not None
+            ):
+                break
+            peer_machine = self._link_peer(machine, exit)
+            if peer_machine is None:
+                break
+            # The peer's machine holds the commit a failure rolls back to.
+            machine = state["machine"] = peer_machine
+            exit.hit_count += 1
+            peer = machine.tree
+            self.events.emit(
+                eventkind.UNSTABLE_LINK,
+                code=peer.code.name,
+                pc=peer.header_pc,
+                exit_id=exit.exit_id,
+            )
+        state["phase"] = "exit"
+        self.handle_exit_event(interp, event, base_index)
+        return event
+
+    def _run_native(self, machine) -> ExitEvent:
+        """Run ``machine``'s tree from its root to an exit."""
+        vm = self.vm
+        tree = machine.tree
         vm.trace_reentered = False
         vm.native_depth += 1
         profiler = vm.profiler
         if profiler is None:
             try:
-                event = machine.run(tree.fragment)
+                return machine.run(tree.fragment)
             finally:
                 vm.native_depth -= 1
-        else:
-            from repro.obs.profiler import PHASE_NATIVE
+        from repro.obs.profiler import PHASE_NATIVE
 
-            cycles_before = stats.ledger.total
-            iters_before = tree.iterations
-            wall_before = time.perf_counter()
-            profiler.enter(PHASE_NATIVE)
-            try:
-                event = machine.run(tree.fragment)
-            finally:
-                vm.native_depth -= 1
-                profiler.exit()
-                profiler.record_tree_run(
-                    tree,
-                    stats.ledger.total - cycles_before,
-                    tree.iterations - iters_before,
-                    wall=time.perf_counter() - wall_before,
-                    backend=machine.backend_used,
-                )
-        state["phase"] = "exit"
-        self.handle_exit_event(interp, event, base_index)
-        return event
+        ledger = vm.stats.ledger
+        cycles_before = ledger.total
+        iters_before = tree.iterations
+        wall_before = time.perf_counter()
+        profiler.enter(PHASE_NATIVE)
+        try:
+            return machine.run(tree.fragment)
+        finally:
+            vm.native_depth -= 1
+            profiler.exit()
+            profiler.record_tree_run(
+                tree,
+                ledger.total - cycles_before,
+                tree.iterations - iters_before,
+                wall=time.perf_counter() - wall_before,
+                backend=machine.backend_used,
+            )
+
+    def _link_peer(self, machine, exit: SideExit):
+        """Pass ``exit``, a type-unstable exit taken outside a recording,
+        straight into a peer tree: returns the peer's machine, or None
+        to send the exit through the monitor.
+
+        The peer is the first in cache order whose entry map accepts the
+        exit's livemap types (:meth:`TraceTree.link_from`, worked out
+        once per exit and peer, like a stitch's target) and whose global
+        imports accept the global area.  Only live peers are in the
+        cache, so a peer a flush, an invalidation or blacklisting retired
+        is never entered.  Choosing costs no simulated cycles, so a
+        preloaded tree, which works its links out again, bills the same.
+        """
+        if exit.frames or exit.stack_depth0:
+            return None
+        for peer in self.cache.peers(exit.tree.code, exit.pc):
+            link = peer.link_from(exit)
+            if link is not None:
+                widens = machine.global_widens(peer)
+                if widens is not None:
+                    return machine.enter_peer(link, widens)
+        return None
 
     def _rollback_to_commit(
         self, interp, tree: TraceTree, base_index: int, machine
@@ -722,8 +779,8 @@ class TraceMonitor:
                     tree.code, tree.header_pc, "entry-guard"
                 )
             return
-        # UNSTABLE exits are chained to complementary peers by
-        # execute_tree (Figure 6); LOOP needs nothing further.
+        # UNSTABLE exits that could not link are chained to a matching
+        # peer by execute_tree (Figure 6); LOOP needs nothing further.
 
     def _maybe_branch(self, interp, base_index: int, exit: SideExit) -> None:
         vm = self.vm

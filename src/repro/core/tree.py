@@ -10,7 +10,11 @@ map ("there may be several trees for a given loop header" — those are
 * the root :class:`Fragment` and its branch fragments;
 * the entry type map (locations) and the global import list (globals
   are slotted VM-wide by the monitor and shared across nested trees);
-* its side exits and the bookkeeping for unstable-loop linking.
+* its side exits.
+
+A type-unstable exit of one tree enters the first peer whose entry map
+accepts its types through a :class:`PeerLink` (Figure 6); each tree
+keeps the links into it.
 """
 
 from __future__ import annotations
@@ -116,6 +120,30 @@ class Fragment:
         )
 
 
+class PeerLink:
+    """How a type-unstable exit enters a peer tree without the monitor.
+
+    Made once per exit and peer from static types
+    (:meth:`TraceTree.link_from`): ``moves`` are ``(peer slot, exit
+    slot)`` pairs copied as they are, ``widens`` the pairs whose int the
+    peer types as double, and ``cycles`` the link's simulated native
+    cost: a stitch, a slot copy per entry slot (as a nested-tree call
+    pays) and an ``i2d`` per widened slot.
+    """
+
+    __slots__ = ("peer", "moves", "widens", "cycles")
+
+    def __init__(self, peer, moves: tuple, widens: tuple):
+        self.peer = peer
+        self.moves = moves
+        self.widens = widens
+        self.cycles = (
+            costs.STITCH_PENALTY
+            + costs.CALLTREE_PER_SLOT * (len(moves) + len(widens))
+            + costs.NATIVE_I2D * len(widens)
+        )
+
+
 class TraceTree:
     """One trace tree: root trace + branch traces, one entry type map."""
 
@@ -123,16 +151,16 @@ class TraceTree:
         "code", "header_pc", "loop_info", "entry_typemap", "global_imports",
         "_global_types", "slot_of_loc", "loc_of_slot", "n_location_slots",
         "ar_size", "fragment", "branches", "exits_by_id", "iterations",
-        "profile", "unstable_exits", "written_globals", "entry_exit",
+        "profile", "written_globals", "entry_exit",
         "opt_vn", "link_version", "direct_fn", "direct_consts",
-        "direct_link_version", "direct_failed",
+        "direct_link_version", "direct_failed", "links_in",
     )
 
     #: Fields that exist only at run time (see :attr:`Fragment
     #: .RUNTIME_FIELDS`).
     RUNTIME_FIELDS = frozenset(
         ("profile", "direct_fn", "direct_consts", "direct_link_version",
-         "direct_failed")
+         "direct_failed", "links_in")
     )
 
     def __init__(self, code, header_pc: int, loop_info):
@@ -156,8 +184,6 @@ class TraceTree:
         #: .PhaseProfiler` (``None`` when profiling is off); it outlives
         #: the tree's residency in the cache.
         self.profile = None
-        #: Exits that terminate type-unstable traces (Figure 6 linking).
-        self.unstable_exits: List[object] = []
         #: Globals any trace of this tree writes (used by outer traces
         #: calling this tree to invalidate their cached global values).
         self.written_globals: set = set()
@@ -183,6 +209,11 @@ class TraceTree:
         #: Latched when megafunction emission failed (firewall-contained)
         #: so the backend falls back to per-fragment dispatch for good.
         self.direct_failed = False
+        #: Links into this tree from its peers' type-unstable exits, by
+        #: exit (:meth:`link_from`); None records a rejection.  Not saved
+        #: by the trace store: a preloaded tree works them out again, at
+        #: no simulated cost.
+        self.links_in: Dict[object, Optional[PeerLink]] = {}
 
     __getstate__ = Fragment.__getstate__
 
@@ -233,6 +264,46 @@ class TraceTree:
             if existing_loc == loc:
                 return trace_type
         return None
+
+    def link_from(self, exit) -> Optional[PeerLink]:
+        """The link that enters this tree from a type-unstable ``exit``.
+
+        None unless the type the exit's livemap gives each entry
+        location, and each global it shares with this tree's imports, is
+        accepted: the same type, or an int where this tree expects a
+        double.  Worked out once per exit: entry maps never change and
+        imports only grow, so a rejection stands, and the global area is
+        checked again at every link (:meth:`repro.jit.native
+        .NativeMachine.global_widens`).
+        """
+        links = self.links_in
+        if exit not in links:
+            links[exit] = self._link_from(exit)
+        return links[exit]
+
+    def _link_from(self, exit) -> Optional[PeerLink]:
+        at_exit = {loc: (trace_type, slot) for loc, trace_type, slot in exit.livemap}
+        moves = []
+        widens = []
+        for loc, entry_type in self.entry_typemap:
+            found = at_exit.get(loc)
+            if found is None:
+                return None
+            exit_type, slot = found
+            pair = (self.slot_of_loc[loc], slot)
+            if exit_type is entry_type:
+                moves.append(pair)
+            elif entry_type is TraceType.DOUBLE and exit_type is TraceType.INT:
+                widens.append(pair)
+            else:
+                return None
+        for name, _gslot, import_type in self.global_imports:
+            found = at_exit.get(("global", name))
+            if found is None or found[0] is import_type:
+                continue
+            if import_type is not TraceType.DOUBLE or found[0] is not TraceType.INT:
+                return None
+        return PeerLink(self, tuple(moves), tuple(widens))
 
     def add_global_import(self, name: str, gslot: int, trace_type: TraceType) -> None:
         existing = self._global_types.get(name)

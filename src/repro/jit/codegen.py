@@ -52,6 +52,13 @@ _DIRECT_UNOPS = frozenset(
     """.split()
 )
 
+#: Int32 bitops whose native instruction keeps its operands' LIR types
+#: in ``aux`` (``"ib"``: an int and a bool).  An ``i`` value is already
+#: an int32: it came through an overflow guard, ``d2i``/``d2i32`` or a
+#: 32-bit inline int.  A ``b`` one is a Python bool, which the bitop
+#: recording passes through, so the py backend wraps only those.
+_INT32_OPS = frozenset(("andi", "ori", "xori", "shli", "shri", "noti"))
+
 
 class RegisterAllocator:
     """Greedy forward allocator with LRU ("oldest last use") spilling."""
@@ -310,14 +317,18 @@ def generate(lir: List[LIns], spill_base: int, loop_start: int = 0):
             alloc.release_dead(ins, last_use)
             dst = alloc.define(ins)
             native_op = "eqp" if op == "eqb" else op
-            out.append(NativeInsn(native_op, dst=dst, a=a, b=b))
+            aux = None
+            if op in _INT32_OPS:
+                aux = ins.args[0].type + ins.args[1].type
+            out.append(NativeInsn(native_op, dst=dst, a=a, b=b, aux=aux))
             if ins.exit is not None and op in ("addi", "subi", "muli"):
                 out.append(NativeInsn("govf", exit=ins.exit))
         elif op in _DIRECT_UNOPS:
             a = alloc.use(ins.args[0])
             alloc.release_dead(ins, last_use)
             dst = alloc.define(ins)
-            out.append(NativeInsn(op, dst=dst, a=a))
+            aux = ins.args[0].type if op in _INT32_OPS else None
+            out.append(NativeInsn(op, dst=dst, a=a, aux=aux))
         elif op == "d2i":
             a = alloc.use(ins.args[0])
             alloc.release_dead(ins, last_use)

@@ -56,6 +56,8 @@ N_REGS = N_INT_REGS + N_FLOAT_REGS
 _NATIVE = Activity.NATIVE
 _LINKED = FragmentState.LINKED
 _RETIRED = FragmentState.RETIRED
+_INT = TraceType.INT
+_DOUBLE = TraceType.DOUBLE
 
 
 class NativeInsn:
@@ -341,12 +343,74 @@ class NativeMachine:
             box = vm.globals.get(name, UNDEFINED)
             actual = type_of_box(box)
             if actual is not trace_type and not (
-                trace_type is TraceType.DOUBLE and actual is TraceType.INT
+                trace_type is _DOUBLE and actual is _INT
             ):
                 return False
             area.load(gslot, unbox_for_type(box, trace_type), trace_type)
             vm.stats.ledger.charge(_NATIVE, costs.AR_IMPORT_PER_SLOT)
         return True
+
+    # -- type-unstable linking (Figure 6) ---------------------------------------
+
+    def global_widens(self, tree) -> Optional[List[int]]:
+        """Check ``tree``'s global imports against this machine's area.
+
+        A global the area holds must have the import's type, or be an
+        int the import types as double; one it lacks must pass the same
+        check against the interpreter's value, as in
+        :meth:`ensure_globals`.  Returns the area slots to widen from int
+        to double, or None when an import refuses.
+        """
+        area_types = self.ar.globals.types
+        vm_globals = self.vm.globals
+        widens = []
+        for name, gslot, trace_type in tree.global_imports:
+            actual = area_types.get(gslot)
+            held = actual is not None
+            if not held:
+                actual = type_of_box(vm_globals.get(name, UNDEFINED))
+            if actual is trace_type:
+                continue
+            if trace_type is not _DOUBLE or actual is not _INT:
+                return None
+            if held:
+                widens.append(gslot)
+        return widens
+
+    def enter_peer(self, link, widens: List[int]) -> "NativeMachine":
+        """Pass this machine's type-unstable exit into ``link.peer``.
+
+        The activation record moves slot to slot into a new one for the
+        peer, which shares this machine's global area; only the ints the
+        peer types as double are widened, with the area slots
+        :meth:`global_widens` returned, globals the peer imports that
+        the area lacks are loaded, and nothing is boxed or written back
+        to the interpreter.  Returns the peer's machine, committed at
+        the link.
+        """
+        peer = link.peer
+        area = self.ar.globals
+        ar = ActivationRecord(peer.ar_size, area)
+        slots = ar.slots
+        source = self.ar.slots
+        for dst, src in link.moves:
+            slots[dst] = source[src]
+        for dst, src in link.widens:
+            slots[dst] = float(source[src])
+        cycles = link.cycles
+        if widens:
+            values = area.values
+            for gslot in widens:
+                values[gslot] = float(values[gslot])
+                area.types[gslot] = _DOUBLE
+            cycles += costs.NATIVE_I2D * len(widens)
+        vm = self.vm
+        vm.stats.ledger.charge(_NATIVE, cycles)
+        machine = NativeMachine(vm, peer, ar)
+        if not machine.ensure_globals(peer):
+            raise NativeMachineError("a peer global refused after its check")
+        machine.take_commit()
+        return machine
 
     # -- commit points (firewall rollback) -------------------------------------
 

@@ -92,7 +92,11 @@ from repro.runtime.values import (
     TAG_OBJECT,
     TAG_STRING,
     TAG_UNDEFINED,
+    TRUE,
+    FALSE,
     UNDEFINED,
+    _SMALL_INTS,
+    make_number,
 )
 
 #: Driver protocol: the generated function returns a 4-tuple
@@ -464,10 +468,23 @@ class _Emitter:
     def _op_muli(self, insn, index):
         self._ovf_arith(insn, "*")
 
+    def _int32(self, insn, position: int) -> str:
+        """Operand ``position`` (0 = ``a``, 1 = ``b``) as an int32.
+
+        Codegen keeps a bitop's operand LIR types in ``insn.aux``; an
+        ``i`` operand is an int32 already and goes in bare.  Any other
+        (a ``b``, a Python bool, or no types at all) keeps the step
+        machine's ``to_int32`` wrap.
+        """
+        reg = self.reg(insn.b if position else insn.a)
+        types = insn.aux
+        if types is not None and types[position] == "i":
+            return reg
+        return f"{self.const(to_int32, 'to_int32')}({reg})"
+
     def _bitop(self, insn, pyop: str) -> None:
-        f = self.const(to_int32, "to_int32")
-        a, b = self.reg(insn.a), self.reg(insn.b)
-        self._alu(insn, f"{f}({a}) {pyop} {f}({b})", costs.NATIVE_ALU)
+        a, b = self._int32(insn, 0), self._int32(insn, 1)
+        self._alu(insn, f"{a} {pyop} {b}", costs.NATIVE_ALU)
 
     def _op_andi(self, insn, index):
         self._bitop(insn, "&")
@@ -479,21 +496,21 @@ class _Emitter:
         self._bitop(insn, "^")
 
     def _op_noti(self, insn, index):
-        f = self.const(to_int32, "to_int32")
-        self._alu(insn, f"{f}(~{f}({self.reg(insn.a)}))", costs.NATIVE_ALU)
+        # The complement of an int32 is an int32.
+        self._alu(insn, f"~{self._int32(insn, 0)}", costs.NATIVE_ALU)
 
     def _op_negi(self, insn, index):
         self._alu(insn, f"-{self.reg(insn.a)}", costs.NATIVE_ALU)
 
     def _op_shli(self, insn, index):
+        # The shift can leave the int32 range, so its result is wrapped.
         f = self.const(to_int32, "to_int32")
-        a, b = self.reg(insn.a), self.reg(insn.b)
-        self._alu(insn, f"{f}({f}({a}) << ({b} & 31))", costs.NATIVE_ALU)
+        a, b = self._int32(insn, 0), self.reg(insn.b)
+        self._alu(insn, f"{f}({a} << ({b} & 31))", costs.NATIVE_ALU)
 
     def _op_shri(self, insn, index):
-        f = self.const(to_int32, "to_int32")
-        a, b = self.reg(insn.a), self.reg(insn.b)
-        self._alu(insn, f"{f}({a}) >> ({b} & 31)", costs.NATIVE_ALU)
+        a, b = self._int32(insn, 0), self.reg(insn.b)
+        self._alu(insn, f"{a} >> ({b} & 31)", costs.NATIVE_ALU)
 
     def _op_ushri(self, insn, index):
         f = self.const(to_uint32, "to_uint32")
@@ -685,9 +702,22 @@ class _Emitter:
     # boxing
 
     def _op_boxv(self, insn, index):
-        f = self.const(box_for_type, "box_for_type")
-        self._alu(insn, f"{f}({self.reg(insn.a)}, {self.const(insn.imm)})",
-                  costs.BOX)
+        # The boxes ``box_for_type`` returns, without its type dispatch:
+        # the pooled booleans, the small-int cache for ints.
+        a = self.reg(insn.a)
+        trace_type = insn.imm
+        if trace_type is TraceType.BOOLEAN:
+            true = self.const(TRUE, "TRUE")
+            false = self.const(FALSE, "FALSE")
+            expr = f"{true} if {a} else {false}"
+        elif trace_type is TraceType.INT:
+            small = self.const(_SMALL_INTS, "SMALL_INTS")
+            make_num = self.const(make_number, "make_number")
+            expr = f"{small}[{a} + 1] if -1 <= {a} <= 256 else {make_num}({a})"
+        else:
+            f = self.const(box_for_type, "box_for_type")
+            expr = f"{f}({a}, {self.const(trace_type)})"
+        self._alu(insn, expr, costs.BOX)
 
     def _op_unbox(self, insn, index):
         a = self.reg(insn.a)

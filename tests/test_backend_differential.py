@@ -15,7 +15,8 @@ first-seen order.
 Equal totals do not pin *when* the native cycle accumulator is flushed
 to the ledger, so the suite also compares the ledger (and accumulator)
 at every point where code outside a trace reads them mid-run: each loop
-edge, nested-tree call, and side-exit settlement.
+edge, nested-tree call, side-exit settlement and link of a type-unstable
+exit into a peer tree.
 """
 
 from __future__ import annotations
@@ -51,12 +52,14 @@ def _ledger_read_points():
     ``(ledger, cycles, executed)`` at loop edges (commit, budget,
     ``meter.poll``), the ledger at nested-tree calls, and ``(ledger,
     cycles)`` as a side exit is settled, through ``_finish_exit`` or,
-    for a stitch that needs no event, ``_settle_stitch``."""
+    for a stitch that needs no event, ``_settle_stitch``, and the ledger
+    before and after a type-unstable exit links into a peer tree."""
     points = []
     loop_edge = NativeMachine._loop_edge
     run_inner = NativeMachine._run_inner_tree
     finish_exit = NativeMachine._finish_exit
     settle_stitch = NativeMachine._settle_stitch
+    enter_peer = NativeMachine.enter_peer
 
     def on_loop_edge(self, executed, cycles):
         points.append(("loop-edge", self.vm.stats.ledger.total, cycles, executed))
@@ -77,10 +80,18 @@ def _ledger_read_points():
             points.append(("exit", total, cycles))
         return settled
 
+    def on_enter_peer(self, link, widens):
+        ledger = self.vm.stats.ledger
+        before = ledger.total
+        machine = enter_peer(self, link, widens)
+        points.append(("link", before, ledger.total))
+        return machine
+
     NativeMachine._loop_edge = on_loop_edge
     NativeMachine._run_inner_tree = on_run_inner
     NativeMachine._finish_exit = on_finish_exit
     NativeMachine._settle_stitch = on_settle_stitch
+    NativeMachine.enter_peer = on_enter_peer
     try:
         yield points
     finally:
@@ -88,6 +99,7 @@ def _ledger_read_points():
         NativeMachine._run_inner_tree = run_inner
         NativeMachine._finish_exit = finish_exit
         NativeMachine._settle_stitch = settle_stitch
+        NativeMachine.enter_peer = enter_peer
 
 
 def _first_difference(left, right):
@@ -154,6 +166,37 @@ def test_suite_program_identical_across_backends(program):
 
 def test_sieve_identical_across_backends():
     _assert_runs_identical(SIEVE_PATH.read_text(), "sieve.js")
+
+
+#: Loops whose type-unstable exits link into a peer tree (Figure 6):
+#: the oracle ablation's loop, whose int tree links once into its double
+#: peer, and a function whose ``s`` turns double on trace only (``-z``
+#: of an int zero records ``negd``), so each of 1,000 calls links.
+_UNSTABLE_LINKS = {
+    "oracle loop": (
+        "var x = 0;"
+        "for (var i = 0; i < 2000; i++) { x += 0.5; x += 0.5; }"
+        "x;",
+        1,
+    ),
+    "negated zero": (
+        "function f(z) { var s = 0;"
+        " for (var i = 0; i < 10; i++) s += -z; return s; }"
+        "var t = 0; for (var j = 0; j < 1000; j++) t += f(0); t;",
+        1000,
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_UNSTABLE_LINKS))
+def test_unstable_links_identical_across_backends(name):
+    source, links = _UNSTABLE_LINKS[name]
+    with _ledger_read_points() as points:
+        vm_py, vm_step = _assert_runs_identical(source, name)
+    for vm in (vm_py, vm_step):
+        assert vm.stats.tracing.unstable_links == links, name
+    # Every link of both runs passed a compared read point.
+    assert sum(1 for point in points if point[0] == "link") == 2 * links
 
 
 #: A loop whose exit guard sits mid-body.  At these break points the

@@ -7,6 +7,7 @@ the LIR with unlimited storage.
 """
 
 import pathlib
+import re
 
 from hypothesis import given, settings, strategies as st
 
@@ -304,3 +305,80 @@ class TestRegisterInvariant:
             for violation in register_invariant_violations(native)
         ]
         assert not violations, violations
+
+
+class TestInt32Wraps:
+    """Codegen keeps a bitop's operand LIR types on its native
+    instruction, and the py backend wraps an operand in ``to_int32``
+    only when it may not be an int32 ``int``: a Python bool, which the
+    bitop recording passes through.  An ``i`` operand is already an
+    int32 (an overflow guard, ``d2i``/``d2i32`` or a 32-bit inline int
+    made it), so of an int-only loop only the ``shli`` results, which
+    can leave the range, keep a wrap."""
+
+    LOOP = """
+var x = 12345;
+for (var i = 0; i < 300; i++) {
+    x = (x << 3) ^ (x >> 5) ^ ~i;
+    x = (x & 65535) | (i & 7);
+}
+x;
+"""
+
+    def test_bitops_record_their_operand_types(self):
+        with generated_fragments() as natives:
+            TracingVM().run(self.LOOP)
+        bitops = [
+            insn for native in natives for insn in native
+            if insn.op in ("andi", "ori", "xori", "shli", "shri", "noti")
+        ]
+        assert {insn.op for insn in bitops} == {
+            "andi", "ori", "xori", "shli", "shri", "noti"
+        }
+        assert all(set(insn.aux) == {"i"} for insn in bitops)
+
+    def test_only_shift_left_results_are_wrapped(self, monkeypatch):
+        from repro.jit import pycompile
+        from repro.vm import BaselineVM, VMConfig
+
+        sources = []
+        emit = pycompile.emit_fragment
+
+        def capturing(fragment):
+            source, consts = emit(fragment)
+            sources.append(source)
+            return source, consts
+
+        monkeypatch.setattr(pycompile, "emit_fragment", capturing)
+        vm = TracingVM(VMConfig(native_backend="py"))
+        assert repr(vm.run(self.LOOP)) == repr(BaselineVM().run(self.LOOP))
+        wrapped = [
+            line.strip() for source in sources
+            for line in source.splitlines()
+            if "to_int32(" in line  # not the constants unpack
+        ]
+        shifts = [
+            line.strip() for source in sources
+            for line in source.splitlines() if "<<" in line
+        ]
+        assert wrapped and wrapped == shifts
+        assert all(
+            re.fullmatch(r"r\d+ = to_int32\(r\d+ << \(r\d+ & 31\)\)", line)
+            for line in wrapped
+        ), wrapped
+
+    def test_boolean_operands_keep_their_wrap(self):
+        from repro.jit.pycompile import emit_fragment
+
+        fragment = _Fragment([
+            NativeInsn("movi", dst=0, imm=True),
+            NativeInsn("movi", dst=1, imm=6),
+            NativeInsn("andi", dst=2, a=0, b=0, aux="bb"),
+            NativeInsn("xori", dst=3, a=0, b=1, aux="bi"),
+            NativeInsn("noti", dst=4, a=0, aux="b"),
+            NativeInsn("x", exit=final_exit()),
+        ])
+        source, _consts = emit_fragment(fragment)
+        assert "r2 = to_int32(r0) & to_int32(r0)" in source
+        assert "r3 = to_int32(r0) ^ r1" in source
+        assert "r4 = ~to_int32(r0)" in source

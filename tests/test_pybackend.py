@@ -106,6 +106,39 @@ def test_emitted_exits_are_one_line_and_skip_machine_registers(monkeypatch):
     assert len(plain) + len(inlined) == len(leaves)
 
 
+def test_static_boxing_returns_the_interpreters_boxes(monkeypatch):
+    """``boxv`` of a bool or an int boxes without ``box_for_type``'s
+    type dispatch, into the same objects: the pooled booleans and the
+    small-int cache, and ``make_number`` past it."""
+    from repro.jit import pycompile
+    from repro.runtime.values import FALSE, TRUE, make_number
+
+    sources = []
+    emit = pycompile.emit_fragment
+
+    def capturing(fragment):
+        source, consts = emit(fragment)
+        sources.append(source)
+        return source, consts
+
+    monkeypatch.setattr(pycompile, "emit_fragment", capturing)
+    vm = _py_vm()
+    vm.run(
+        "var a = []; var b = [];"
+        "for (var i = 0; i < 600; i++) { a[i] = i % 3 == 0; b[i] = i - 1; }"
+        "a.length + b.length;"
+    )
+    text = "\n".join(sources)
+    assert "TRUE if " in text and "SMALL_INTS[" in text
+    assert "box_for_type(" not in text
+    flags = vm.globals["a"].payload.elements
+    ints = vm.globals["b"].payload.elements
+    assert all(box is (TRUE if i % 3 == 0 else FALSE)
+               for i, box in enumerate(flags))
+    assert all(box is make_number(i - 1) for i, box in enumerate(ints[:258]))
+    assert all(box == make_number(i - 1) for i, box in enumerate(ints))
+
+
 def test_megafunction_rebuilds_grow_logarithmically_with_links():
     """A 32-way ``if``/``else if`` chain grows one tree 31 stitched
     links.  Its megafunction is rebuilt only when the link count has

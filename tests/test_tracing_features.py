@@ -2,8 +2,11 @@
 traces, nesting, the oracle, blacklisting, stitching, preemption, deep
 side exits, and FFI interactions (paper Sections 3, 4, 6)."""
 
-from repro import TracingVM, VMConfig
+from repro import BaselineVM, TracingVM, VMConfig
 from repro.bytecode import opcodes as op
+from repro.core import events as eventkind
+from repro.core import exits as exitkind
+from repro.core.typemap import TraceType
 from tests.helpers import assert_engines_agree, run_baseline, run_tracing
 
 
@@ -127,7 +130,9 @@ class TestOracle:
     def test_unstable_exit_links_to_peer_tree(self):
         # An oscillating variable (alternating int/double across
         # iterations) makes two peer trees whose unstable exits chain
-        # directly into each other (Figure 6's linked groups).
+        # directly into each other (Figure 6's linked groups): on both
+        # native backends every UNSTABLE exit passes straight into the
+        # peer, and none returns to the monitor.
         source = (
             "var x = 0; var t = 0;"
             "for (var i = 0; i < 200; i++) {"
@@ -136,9 +141,48 @@ class TestOracle:
             "}"
             "t;"
         )
-        vms = assert_engines_agree(source, ("baseline", "tracing"))
-        tracing = vms["tracing"].stats.tracing
-        assert tracing.trees_formed >= 1
+        expected = repr(BaselineVM().run(source))
+        for backend in ("py", "step"):
+            vm = TracingVM(
+                VMConfig(native_backend=backend, capture_events=True)
+            )
+            assert repr(vm.run(source)) == expected, backend
+            tracing = vm.stats.tracing
+            assert tracing.trees_formed == 2, backend
+            assert tracing.unstable_links >= 2, backend
+            exit_kinds = [
+                event.payload["exit_kind"]
+                for event in vm.events.of_kind(eventkind.SIDE_EXIT)
+            ]
+            assert exitkind.UNSTABLE not in exit_kinds, backend
+
+    def test_oracle_loop_runs_its_double_tree(self):
+        # The int tree's UNSTABLE exit carries a double ``x``; the
+        # monitor used to re-box it as an int and re-enter the int tree
+        # for one iteration at a time (1,997 side exits).  Linked by
+        # the exit's own types, the double tree runs the rest.
+        source = (
+            "var x = 0;"
+            "for (var i = 0; i < 2000; i++) { x += 0.5; x += 0.5; }"
+            "x;"
+        )
+        expected = repr(BaselineVM().run(source))
+        for backend in ("py", "step"):
+            vm = TracingVM(
+                VMConfig(native_backend=backend, capture_events=True)
+            )
+            assert repr(vm.run(source)) == expected, backend
+            tracing = vm.stats.tracing
+            assert tracing.trees_formed == 2, backend
+            assert tracing.trace_entries == 1, backend
+            assert tracing.unstable_links == 1, backend
+            # The one side exit leaves the loop at its end.
+            [side_exit] = vm.events.of_kind(eventkind.SIDE_EXIT)
+            assert side_exit.payload["exit_kind"] != exitkind.UNSTABLE
+            int_tree, double_tree = vm.monitor.cache.all_trees()
+            assert int_tree.global_type_of("x") is TraceType.INT
+            assert double_tree.global_type_of("x") is TraceType.DOUBLE
+            assert double_tree.iterations > 1990, backend
 
     def test_type_flip_across_iterations_uses_peer_trees(self):
         # By contrast, a flip that happens *between* entries is handled
