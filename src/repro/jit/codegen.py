@@ -55,8 +55,10 @@ _DIRECT_UNOPS = frozenset(
 #: Int32 bitops whose native instruction keeps its operands' LIR types
 #: in ``aux`` (``"ib"``: an int and a bool).  An ``i`` value is already
 #: an int32: it came through an overflow guard, ``d2i``/``d2i32`` or a
-#: 32-bit inline int.  A ``b`` one is a Python bool, which the bitop
-#: recording passes through, so the py backend wraps only those.
+#: 32-bit inline int, or is a global a nested call settled at its int
+#: import (``native._settle_global``).  A ``b`` one is a Python bool,
+#: which the bitop recording passes through, so the py backend wraps
+#: only those.
 _INT32_OPS = frozenset(("andi", "ori", "xori", "shli", "shri", "noti"))
 
 

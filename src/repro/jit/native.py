@@ -162,6 +162,30 @@ class GlobalArea:
         self.dirty.add(index)
 
 
+def _settle_global(area: GlobalArea, gslot: int, trace_type, vm) -> bool:
+    """Make area slot ``gslot`` readable at a tree's import type.
+
+    Nested trees share the area, so one may have written the slot at a
+    type the other does not import, and an ``i`` value must be a Python
+    int.  The import's own type, or an int under a double import (the
+    promotion tree entry allows), stays.  A float under an int import
+    that re-boxing would make an int (an int32, not -0) becomes that
+    int, for one ``d2i``.  Anything else refuses.
+    """
+    actual = area.types.get(gslot)
+    if actual is trace_type or (trace_type is _DOUBLE and actual is _INT):
+        return True
+    if trace_type is not _INT or actual is not _DOUBLE:
+        return False
+    box = box_for_type(area.values[gslot], _DOUBLE)
+    if box.tag != TAG_INT:
+        return False
+    area.values[gslot] = box.payload
+    area.types[gslot] = _INT
+    vm.stats.ledger.charge(_NATIVE, costs.NATIVE_D2I)
+    return True
+
+
 class ActivationRecord:
     """The trace activation record: a flat array of unboxed slots plus a
     reference to the shared global area.
@@ -334,11 +358,16 @@ class NativeMachine:
         area = self.ar.globals
         vm = self.vm
         for name, gslot, trace_type in tree.global_imports:
-            # Skip slots already present — whether imported earlier or
+            # Keep slots already present — whether imported earlier or
             # *written* by an enclosing trace (a written slot is dirty
             # but authoritative; reloading from vm.globals would undo
-            # buffered global writes).
+            # buffered global writes) — once they read at the import's
+            # type.
             if gslot in area.values:
+                if area.types.get(gslot) is not trace_type and not (
+                    _settle_global(area, gslot, trace_type, vm)
+                ):
+                    return False
                 continue
             box = vm.globals.get(name, UNDEFINED)
             actual = type_of_box(box)
@@ -1011,7 +1040,8 @@ class NativeMachine:
         """Execute a nested tree call; returns the inner exit id.
 
         Returns -1 when the inner tree could not even be entered (its
-        global imports no longer type-match), which fails the following
+        global imports no longer type-match) or left a global the outer
+        tree cannot read at its import type, which fails the following
         guard exactly like an unexpected inner exit.
         """
         inner_tree = site.tree
@@ -1043,4 +1073,18 @@ class NativeMachine:
         self.last_inner_event = event
         if event.exception is not None:
             return -1
-        return event.exit.exit_id
+        exit_id = event.exit.exit_id
+        if exit_id == site.expected_exit_id:
+            # The outer trace reads its globals at their import types
+            # after the call, but the inner tree may have written one at
+            # another type; one that cannot be read so fails the guard
+            # like an unexpected inner exit.
+            area = self.ar.globals
+            types = area.types
+            for _name, gslot, trace_type in self.tree.global_imports:
+                actual = types.get(gslot, trace_type)
+                if actual is not trace_type and not _settle_global(
+                    area, gslot, trace_type, vm
+                ):
+                    return -1
+        return exit_id

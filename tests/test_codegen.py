@@ -382,3 +382,57 @@ x;
         assert "r2 = to_int32(r0) & to_int32(r0)" in source
         assert "r3 = to_int32(r0) ^ r1" in source
         assert "r4 = ~to_int32(r0)" in source
+
+    # The inner loop writes the global ``c`` as a double; the outer tree
+    # was recorded from the re-boxed (int) value, so it reads ``c`` as
+    # an ``i`` and masks it after the nested call.
+    NESTED_INTEGRAL = """
+var a = 0, b = 1, c = 2;
+for (var i = 0; i < 6; i++) {
+    for (var j = 0; j < 3; j++) { a = -a + j; c = -a + -a; }
+    b = -c & a;
+    a = -b;
+}
+'' + a + '|' + b + '|' + c;
+"""
+
+    # As above, but from the eighth outer iteration on the inner loop
+    # leaves ``c`` non-integral, which no int import can read.
+    NESTED_FRACTIONAL = """
+var c = 0, s = 0, k = 0;
+for (var i = 0; i < 12; i++) {
+    for (var j = 0; j < 3; j++) { c = k * 0.5; }
+    k = k + 2;
+    if (i > 6) k = k + 1;
+    s = (s + c) | 0;
+}
+s;
+"""
+
+    def _run_both(self, source):
+        from repro.vm import BaselineVM, VMConfig
+
+        expected = repr(BaselineVM().run(source))
+        runs = {}
+        for backend in ("step", "py"):
+            vm = TracingVM(VMConfig(native_backend=backend, capture_events=True))
+            assert repr(vm.run(source)) == expected, backend
+            assert vm.stats.tracing.internal_failures == 0, backend
+            runs[backend] = vm
+        assert runs["py"].stats.total_cycles == runs["step"].stats.total_cycles
+        return runs
+
+    def test_nested_call_leaves_int_imports_ints(self):
+        for vm in self._run_both(self.NESTED_INTEGRAL).values():
+            assert vm.stats.tracing.tree_calls_executed >= 1
+            assert not [
+                event for event in vm.events.of_kind("side-exit")
+                if event.payload["exit_kind"] == "inner"
+            ]
+
+    def test_nested_call_leaving_a_fraction_fails_its_guard(self):
+        for vm in self._run_both(self.NESTED_FRACTIONAL).values():
+            assert [
+                event for event in vm.events.of_kind("side-exit")
+                if event.payload["exit_kind"] == "inner"
+            ]
