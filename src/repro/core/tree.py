@@ -269,12 +269,11 @@ class TraceTree:
         """The link that enters this tree from a type-unstable ``exit``.
 
         None unless the type the exit's livemap gives each entry
-        location, and each global it shares with this tree's imports, is
-        accepted: the same type, or an int where this tree expects a
-        double.  Worked out once per exit: entry maps never change and
-        imports only grow, so a rejection stands, and the global area is
-        checked again at every link (:meth:`repro.jit.native
-        .NativeMachine.global_widens`).
+        location is accepted: the same type, or an int where this tree
+        expects a double.  Worked out once per exit, since entry maps
+        never change.  Globals are not checked here: the global area is
+        checked at every link (:meth:`repro.jit.native.NativeMachine
+        .global_widens`), which also sees imports this tree gains later.
         """
         links = self.links_in
         if exit not in links:
@@ -296,12 +295,6 @@ class TraceTree:
             elif entry_type is TraceType.DOUBLE and exit_type is TraceType.INT:
                 widens.append(pair)
             else:
-                return None
-        for name, _gslot, import_type in self.global_imports:
-            found = at_exit.get(("global", name))
-            if found is None or found[0] is import_type:
-                continue
-            if import_type is not TraceType.DOUBLE or found[0] is not TraceType.INT:
                 return None
         return PeerLink(self, tuple(moves), tuple(widens))
 
