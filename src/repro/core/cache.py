@@ -226,19 +226,11 @@ class TraceCache:
         """
         for fragment in [tree.fragment] + tree.branches:
             if fragment.state is FragmentState.RETIRED and (
-                getattr(fragment, "py_func", None) is not None
-                or getattr(fragment, "py_consts", None) is not None
+                fragment.py_func is not None or fragment.py_consts is not None
             ):
                 raise AssertionError(
                     f"retired fragment retains a compiled callable: {fragment!r}"
                 )
-        if tree.fragment.state is FragmentState.RETIRED and (
-            getattr(tree, "direct_fn", None) is not None
-            or getattr(tree, "direct_consts", None) is not None
-        ):
-            raise AssertionError(
-                f"retired tree retains a direct-link megafunction: {tree!r}"
-            )
 
     def invalidate_header(self, code, header_pc: int, reason: str) -> int:
         """Retire every peer tree at a header (e.g. on blacklisting).

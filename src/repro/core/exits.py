@@ -16,7 +16,6 @@ JavaScript call stack frames as needed"), and set the resume PC.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 from typing import Optional, Tuple
 
@@ -35,8 +34,6 @@ STATE = "state"  # a native accessed interpreter state
 PREEMPT = "preempt"  # the preemption flag was set at a loop edge
 ERROR = "error"  # a helper threw a JS exception (deep bail + rethrow)
 ENTRY = "entry"  # a hoisted invariant guard failed in the trunk prologue
-
-_exit_ids = itertools.count(1)
 
 
 @dataclass(frozen=True, slots=True)
@@ -86,8 +83,10 @@ class SideExit:
         bytecode_progress: int = 0,
         result_loc=None,
         anchor_resume_pc: int = -1,
+        exit_id: int = 0,
     ):
-        self.exit_id = next(_exit_ids)
+        #: Numbered per VM by its monitor (0 for an unnumbered exit).
+        self.exit_id = exit_id
         self.kind = kind
         self.pc = pc
         self.frames = frames

@@ -18,6 +18,7 @@ executes a ``LOOPHEADER`` no-op.  Depending on state, the monitor:
 
 from __future__ import annotations
 
+import itertools
 import time
 from typing import Dict, List, Optional
 
@@ -86,6 +87,11 @@ class TraceMonitor:
         #: nested trees can exchange globals through one area).
         self.global_slot_of: Dict[str, int] = {}
         self.global_names: List[str] = []
+        #: Side-exit ids, numbered per VM: an outer tree's calltree
+        #: guard compares against an inner exit's id, so the numbers
+        #: reach the compiled code and must not depend on what ran
+        #: before in the process.
+        self.exit_ids = itertools.count(1)
 
     # -- global slots -----------------------------------------------------------
 
@@ -338,10 +344,10 @@ class TraceMonitor:
                 hoisted=fragment.opt_stats.hoisted,
             )
             linked = self.cache.register_branch(tree, fragment)
-            if linked and self.config.enable_stitching:
+            if linked:
                 recorder.anchor_exit.target = fragment
-                # Count the link; the tree's direct-link megafunction is
-                # rebuilt once the count has doubled since its last build.
+                # Count the link; the trunk's Python function is rebuilt
+                # once the count has doubled since its last build.
                 tree.link_version += 1
         else:
             fragment.bytecount = recorder.bytecodes_recorded
@@ -707,7 +713,7 @@ class TraceMonitor:
                 while len(anchor.stack) <= index:
                     anchor.stack.append(UNDEFINED)
                 anchor.stack[index] = box
-        self._flush_area(area)
+        self._charge(area.flush(self.vm))
 
     # -- exit handling -----------------------------------------------------------------------
 
@@ -725,7 +731,7 @@ class TraceMonitor:
             vm.profiler.record_side_exit(exit)
         exit.hit_count += 1
         # Flush dirty globals (the only channel global writes take).
-        self._flush_area(event.ar.globals)
+        self._charge(event.ar.globals.flush(vm))
         try:
             self._restore_state(interp, event, base_index)
         except Exception as error:
@@ -784,8 +790,6 @@ class TraceMonitor:
 
     def _maybe_branch(self, interp, base_index: int, exit: SideExit) -> None:
         vm = self.vm
-        if not self.config.enable_stitching:
-            return
         if (
             vm.recorder is None
             and exit.target is None
@@ -805,19 +809,6 @@ class TraceMonitor:
                 box = read_location(vm, interp.frames, base_index, exit.result_loc)
                 exit.branch_result_type = type_of_box(box)
             self.start_branch_recording(exit)
-
-    def _flush_area(self, area) -> None:
-        vm = self.vm
-        if not area.dirty:
-            return
-        cycles = 0
-        for index in area.dirty:
-            vm.globals[self.global_names[index]] = box_for_type(
-                area.values[index], area.types[index]
-            )
-            cycles += costs.AR_EXPORT_PER_SLOT
-        area.dirty.clear()
-        self._charge(cycles)
 
     def _restore_state(self, interp, event: ExitEvent, base_index: int) -> None:
         """Re-box live values and rebuild interpreter frames (Section 6.1).

@@ -325,6 +325,7 @@ class Recorder:
             bytecode_progress=self.bytecodes_recorded,
             result_loc=result_loc,
             anchor_resume_pc=(pc if is_anchor_top else anchor.resume_pc),
+            exit_id=next(self.monitor.exit_ids),
         )
         return exit
 

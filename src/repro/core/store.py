@@ -71,7 +71,6 @@ import pickle
 from typing import Dict, List, Optional, Tuple
 
 from repro.core import events as eventkind
-from repro.core import exits as exitmod
 from repro.core import helpers
 from repro.core.cache import FragmentState
 from repro.core.exits import CallTreeSite, FrameSnapshot, SideExit
@@ -111,7 +110,6 @@ FINGERPRINT_FIELDS = (
     "code_cache_budget",
     "enable_nesting",
     "enable_oracle",
-    "enable_stitching",
     "enable_blacklisting",
     "enable_cse",
     "enable_exprsimp",
@@ -729,9 +727,10 @@ class _EntryLoader:
 
     def _advance_exit_counter(self) -> None:
         """New exits recorded by the warm VM must not collide with the
-        preserved ids; push the process-global counter past them."""
-        current = next(exitmod._exit_ids)
-        exitmod._exit_ids = itertools.count(
+        preserved ids; push the monitor's counter past them."""
+        monitor = self.vm.monitor
+        current = next(monitor.exit_ids)
+        monitor.exit_ids = itertools.count(
             max(current, self.entry["exit_counter"] + 1)
         )
 

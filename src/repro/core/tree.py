@@ -56,6 +56,7 @@ class Fragment:
         "lir_loop_start",
         "py_func",
         "py_consts",
+        "py_links",
         "py_failed",
     )
 
@@ -79,11 +80,14 @@ class Fragment:
         #: twin marks the same split in ``lir`` (for ``--trace-dump``).
         self.loop_start = 0
         self.lir_loop_start = 0
-        #: Python-backend callable compiled from ``native`` (and the
-        #: constants tuple keeping its pooled objects alive); dropped on
-        #: retirement so evicted code can never run again.
+        #: Python-backend function compiled from ``native`` with the
+        #: LINKED branches below inlined (and the constants tuple keeping
+        #: its pooled objects alive); dropped on retirement so evicted
+        #: code can never run again.  ``py_links`` is the tree's
+        #: ``link_version`` at the build (see repro.jit.pycompile).
         self.py_func = None
         self.py_consts = None
+        self.py_links = 0
         #: Latched on an emission/compile failure so the backend does
         #: not retry a broken fragment on every invocation.
         self.py_failed = False
@@ -92,7 +96,7 @@ class Fragment:
     #: pickle them, and a loaded fragment gets their constructor defaults.
     RUNTIME_FIELDS = frozenset(
         ("lir", "pre_lir", "backward_stats", "opt_stats", "py_func",
-         "py_consts", "py_failed")
+         "py_consts", "py_links", "py_failed")
     )
 
     def __getstate__(self) -> dict:
@@ -152,16 +156,12 @@ class TraceTree:
         "_global_types", "slot_of_loc", "loc_of_slot", "n_location_slots",
         "ar_size", "fragment", "branches", "exits_by_id", "iterations",
         "profile", "written_globals", "entry_exit",
-        "opt_vn", "link_version", "direct_fn", "direct_consts",
-        "direct_link_version", "direct_failed", "links_in",
+        "opt_vn", "link_version", "links_in",
     )
 
     #: Fields that exist only at run time (see :attr:`Fragment
     #: .RUNTIME_FIELDS`).
-    RUNTIME_FIELDS = frozenset(
-        ("profile", "direct_fn", "direct_consts", "direct_link_version",
-         "direct_failed", "links_in")
-    )
+    RUNTIME_FIELDS = frozenset(("profile", "links_in"))
 
     def __init__(self, code, header_pc: int, loop_info):
         self.code = code
@@ -194,21 +194,13 @@ class TraceTree:
         #: Tree-wide value-numbering state (:class:`repro.jit.optimizer
         #: .TreeValueState`), lazily created at the first CSE pass.
         self.opt_vn = None
-        #: Direct-link state (py backend; see repro.jit.pycompile).
         #: ``link_version`` counts the tree's links: it is bumped once
         #: per side exit that gains a branch target, attached by the
         #: monitor or restored by a store preload.  A target is set only
-        #: once, so the count only grows.  The tree-level "megafunction"
-        #: is built at the first link and rebuilt once the count has at
-        #: least doubled since ``direct_link_version``, the count at the
-        #: last build.
+        #: once, so the count only grows.  The py backend rebuilds the
+        #: trunk's function, which inlines the linked branches, once the
+        #: count reaches twice the trunk's ``py_links`` (at least 1).
         self.link_version = 0
-        self.direct_fn = None
-        self.direct_consts = None
-        self.direct_link_version = -1
-        #: Latched when megafunction emission failed (firewall-contained)
-        #: so the backend falls back to per-fragment dispatch for good.
-        self.direct_failed = False
         #: Links into this tree from its peers' type-unstable exits, by
         #: exit (:meth:`link_from`); None records a rejection.  Not saved
         #: by the trace store: a preloaded tree works them out again, at
@@ -381,11 +373,6 @@ class TraceTree:
             if fragment.state is not FragmentState.RETIRED:
                 fragment.retire()
                 retired += 1
-        # Drop the direct-link megafunction with the fragments it
-        # inlines: evicted code must never run again through any entry.
-        self.direct_fn = None
-        self.direct_consts = None
-        self.direct_link_version = -1
         if self.profile is not None:
             self.profile.retired = True
         return retired

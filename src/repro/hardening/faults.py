@@ -54,12 +54,12 @@ CACHE_FLUSH = "cache.flush"
 #: Oracle bookkeeping: ``Oracle.mark_double``.
 ORACLE_RECORD = "oracle.record"
 #: Python backend: entry of ``pycompile.compile_fragment_py`` (once per
-#: fragment emission; fires before any codegen state exists, so the
-#: fragment simply runs on the step machine).
+#: first build of a fragment's function; fires before any codegen state
+#: exists, so the fragment simply runs on the step machine).
 PYCOMPILE_EMIT = "pycompile.emit"
 #: Python backend: entry of ``pycompile.compile_tree_py`` (once per
-#: direct-link megafunction emission; fires before any codegen state
-#: exists, so the tree simply runs on per-fragment dispatch).
+#: rebuild of a trunk's function to inline newer links; fires before any
+#: codegen state exists, so the trunk keeps its last function).
 PYCOMPILE_LINK = "pycompile.link"
 
 #: Fleet scheduling: the batch VM dies abruptly at the moment it begins
@@ -115,8 +115,8 @@ STORE_FAULT_SITES = (
     STORE_LOAD_RACE,
 )
 
-#: Direct-link injection sites: they fire in the py backend's tree
-#: "megafunction" emission (``repro.jit.pycompile.compile_tree_py``).
+#: Direct-link injection sites: they fire when the py backend rebuilds
+#: a trunk's function (``repro.jit.pycompile.compile_tree_py``).
 #: Kept out of :data:`FAULT_SITES` so seeded plans keep their historic
 #: sampling.
 LINK_FAULT_SITES = (
@@ -140,8 +140,8 @@ SITE_HELP = {
     NATIVE_EXIT_RESTORE: "side-exit restore, between unboxing and writeback",
     CACHE_FLUSH: "whole-cache flush, once per flush",
     ORACLE_RECORD: "oracle bookkeeping, once per mark_double",
-    PYCOMPILE_EMIT: "python-backend fragment emission, once per fragment",
-    PYCOMPILE_LINK: "python-backend megafunction emission, once per tree",
+    PYCOMPILE_EMIT: "python-backend function, once per fragment's first build",
+    PYCOMPILE_LINK: "python-backend function, once per trunk rebuild",
     FLEET_WORKER_CRASH: "fleet worker, dies at a job-attempt start",
     FLEET_WORKER_HANG: "fleet worker, wedges at a job-attempt start",
     STORE_CORRUPT_ENTRY: "trace store, entry corrupt mid-link at load",

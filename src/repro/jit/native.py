@@ -161,6 +161,21 @@ class GlobalArea:
             self.types[index] = trace_type
         self.dirty.add(index)
 
+    def flush(self, vm) -> int:
+        """Write the dirty globals back to ``vm.globals``, re-boxed, and
+        return the cycles spent; the caller charges them to its own
+        activity (a state-accessing native call, or exit restoration)."""
+        if not self.dirty:
+            return 0
+        names = vm.monitor.global_names
+        for index in self.dirty:
+            vm.globals[names[index]] = box_for_type(
+                self.values[index], self.types[index]
+            )
+        cycles = costs.AR_EXPORT_PER_SLOT * len(self.dirty)
+        self.dirty.clear()
+        return cycles
+
 
 def _settle_global(area: GlobalArea, gslot: int, trace_type, vm) -> bool:
     """Make area slot ``gslot`` readable at a tree's import type.
@@ -872,7 +887,7 @@ class NativeMachine:
                 args = [regs[r] for r in (insn.srcs or ())]
                 cycles += spec.cost
                 if spec.accesses_state:
-                    cycles += self._flush_globals()
+                    cycles += ar.globals.flush(vm)
                 try:
                     if spec.kind == "helper":
                         regs_value = spec.fn(self.vm, *args)
@@ -931,23 +946,6 @@ class NativeMachine:
                 cycles = 0
 
     # -- exit plumbing -----------------------------------------------------------
-
-    def _flush_globals(self) -> int:
-        """Write dirty globals back to ``vm.globals`` (state-access natives
-        and exit restoration both use this).  Returns cycles spent."""
-        area = self.ar.globals
-        if not area.dirty:
-            return 0
-        vm = self.vm
-        names = vm.monitor.global_names
-        cycles = 0
-        for index in area.dirty:
-            vm.globals[names[index]] = box_for_type(
-                area.values[index], area.types[index]
-            )
-            cycles += costs.AR_EXPORT_PER_SLOT
-        area.dirty.clear()
-        return cycles
 
     def _exit_event(self, exit: SideExit) -> ExitEvent:
         event = ExitEvent(exit, self.ar)

@@ -181,8 +181,10 @@ class SemanticFilter(Filter):
         args = ins.args
         if op == "d2i32" or op == "d2i":
             operand = args[0]
-            if operand.op == "i2d":
+            if operand.op == "i2d" and operand.args[0].op != "ushri":
                 # d2i(i2d(x)) -> x: the conversion round trip vanishes.
+                # Not for a ``ushri``: typed ``i``, it holds a uint32,
+                # which only the conversion brings back into int32.
                 return operand.args[0]
         if op in _D_TO_I_COMPARE:
             left, right = args

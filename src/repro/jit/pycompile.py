@@ -4,7 +4,7 @@ The step machine in :mod:`repro.jit.native` interprets one
 :class:`~repro.jit.native.NativeInsn` at a time — faithful, but it pays
 dispatch-loop wall-clock cost on every simulated instruction.  This
 module is the second backend: each COMPILED fragment's straight-line
-``NativeInsn`` sequence is translated once into real Python source (one
+``NativeInsn`` sequence is translated into real Python source (one
 function per fragment), assembled with ``compile()``/``exec()``, cached
 on the fragment, and re-entered on every subsequent trace invocation.
 
@@ -25,23 +25,25 @@ Emission strategy (see docs/INTERNALS.md section 12):
 * helper/FFI calls, ``calltree`` sites, exit records, trace types, and
   non-trivial immediates dispatch through a preloaded **constants
   tuple** unpacked into locals at function entry;
-* a root fragment's ``loopjmp`` becomes ``continue`` on a ``while``
-  loop around the body; ``jtree`` returns a transfer request.
+* a trunk's ``loopjmp`` becomes ``continue`` on a ``while`` loop
+  around the body; ``jtree`` returns a transfer request.
 
-**Direct fragment linking**: once a tree has stitched branch fragments,
-the whole tree is compiled again as one "megafunction"
-(:class:`_TreeEmitter`) with every LINKED branch body inlined at its
-guard site, so hot trunk<->branch transitions stay inside a single
-Python frame instead of surfacing an exit tuple to the driver on every
-transfer.  The megafunction is cached on the tree and
-rebuilt only once the tree's link count (``link_version``) has at
-least doubled since the last build, so a tree that grows n links is
-compiled O(log n) times.  A megafunction that lacks the newest links
-stays correct: exits it did not inline keep the driver's stitch path,
-which follows ``exit.target`` at run time.  Retirement drops it with
-the fragments it inlines.  A megafunction build that fails (the
-``pycompile.link`` fault site) leaves the tree on per-fragment
-dispatch, which is observationally identical.
+**Direct fragment linking** (the paper's trace stitching): a
+fragment's function inlines, at its guard, the body of every LINKED
+branch below it, transitively, so hot trunk<->branch transitions stay
+inside one Python frame instead of surfacing an exit tuple to the
+driver.  An inlined ``jtree`` in a trunk's function breaks out of the
+loop to an outer ``while 1:`` that re-runs the prologue (emitted only
+when something is inlined); in a branch's function it returns the
+transfer request.  :func:`function_for` builds a branch's function
+once and rebuilds a trunk's only once the tree's link count has
+reached twice the count at its last build, so a tree that grows n
+links is compiled O(log n) times.  A function that lacks the newest
+links stays correct: exits it did not inline keep the driver's stitch
+path, which follows ``exit.target`` at run time.  Retirement drops a
+fragment's function.  A rebuild that fails (the ``pycompile.link``
+fault site) keeps the trunk's last function, which is
+observationally identical.
 
 **Cycle-accounting contract**: the generated function charges *exactly*
 the same simulated cycles as the step machine, and the ledger and the
@@ -138,14 +140,14 @@ def _settle(charge, cycles, run, count=None, tail=0):
 class ExitRecord:
     """What one guard's failure arm hands the exit helper :func:`_leave`.
 
-    ``fragment`` owns the guard (inside a megafunction, the inlined
-    branch rather than the trunk).  ``run`` is the guard's run cost
+    ``fragment`` owns the guard (an inlined branch rather than the
+    fragment whose function it is).  ``run`` is the guard's run cost
     list: the step machine made its flush checks after the first
     ``count`` of them, and the guard's own cost ``tail`` was added after
     the last.  ``offset`` is how far the guard sits past the function's
     last ``executed`` update.  ``hole`` marks a ``gtag`` exit, whose
     boxed result reads an array hole (None) as undefined.  ``inlined``
-    marks an exit whose branch the megafunction inlines at the guard.
+    marks an exit whose branch the function inlines at the guard.
     """
 
     __slots__ = ("exit", "fragment", "run", "count", "tail", "offset",
@@ -263,7 +265,8 @@ class _ConstPool:
 
 
 class _Emitter:
-    """Translates one fragment's NativeInsn list into Python source."""
+    """Translates one fragment's NativeInsn list into one Python function,
+    with the LINKED branches below it inlined at their guards."""
 
     def __init__(self, fragment):
         self.fragment = fragment
@@ -273,7 +276,33 @@ class _Emitter:
         #: Native index of the loop boundary: instructions before it are
         #: the hoisted entry prologue, emitted once outside ``while 1:``.
         self.loop_start = getattr(fragment, "loop_start", 0) or 0
+        #: id(SideExit) -> branch Fragment inlined at that guard.
+        self._inline_map = {}
+        self._collect_links(fragment, {id(fragment)})
+        #: Whether an inlined ``jtree`` breaks out to an outer loop.
+        self.reenters = False
         self.begin_run()
+
+    def _collect_links(self, fragment, seen) -> None:
+        """Map every inlinable exit of ``fragment``, transitively."""
+        for insn in fragment.native:
+            exit = insn.exit
+            if exit is None or insn.op == "call":
+                continue  # exception exits never stitch
+            target = exit.target
+            if (
+                target is None
+                or target.state is not _LINKED
+                or exit.kind == exitmod.INNER
+                or not target.native
+                or target.loop_start
+                or target.native[-1].op not in ("jtree", "x")
+                or id(target) in seen
+            ):
+                continue  # un-inlinable: keep the driver's STITCH path
+            seen.add(id(target))
+            self._inline_map[id(exit)] = target
+            self._collect_links(target, seen)
 
     def _executed_offset(self, index: int) -> int:
         """Instructions executed past the last ``executed`` update.
@@ -359,11 +388,6 @@ class _Emitter:
 
     # -- exit sequences ----------------------------------------------------
 
-    def _inline_target(self, exit):
-        """The branch fragment to inline at this exit (tree emitter
-        only); None means surface the exit through the driver."""
-        return None
-
     def exit_body(self, insn, index: int, value: Optional[str] = None,
                   hole: bool = False) -> None:
         """The guard-failure suite, emitted at the current indent.
@@ -371,12 +395,11 @@ class _Emitter:
         ``value`` names the register holding the event's
         ``boxed_result``, if any; ``hole`` is as in :class:`ExitRecord`.
         A plain exit is one ``return`` through :func:`_leave`.  When the
-        exit's target is inlined (the tree emitter's direct linking),
-        the branch body follows in place unless :func:`_leave` returned
-        a result; registers stay locals, which the branch does not read
-        before writing.
+        exit's target is inlined, the branch body follows in place
+        unless :func:`_leave` returned a result; registers stay locals,
+        which the branch does not read before writing.
         """
-        branch = self._inline_target(insn.exit)
+        branch = self._inline_map.get(id(insn.exit))
         # The guard's cost is the run's last: the step machine checked
         # for a flush after each instruction before it.
         count = len(self.run) - 1
@@ -802,7 +825,7 @@ class _Emitter:
         self.settle()
         self.emit(f"cycles += {spec.cost}")
         if spec.accesses_state:
-            self.emit("cycles += flush_globals()")
+            self.emit("cycles += area.flush(vm)")
         if spec.kind == "helper":
             fn = self.const(spec.fn)
             call = f"{fn}(vm" + "".join(f", {s}" for s in srcs) + ")"
@@ -865,48 +888,65 @@ class _Emitter:
 
     def _op_jtree(self, insn, index):
         self._edge(insn, index, is_loopjmp=False)
-        self.emit(f"return ({TRANSFER}, None, cycles, executed)")
+        if self.reenters:
+            # Re-enter the tree: break out of the loop to the outer
+            # ``while 1:``, which re-runs the hoisted prologue, exactly
+            # the driver's TRANSFER re-call minus the tuple round-trip
+            # (cycles simply stay in their local).
+            self.emit("break")
+        else:
+            self.emit(f"return ({TRANSFER}, None, cycles, executed)")
 
     # -- assembly ----------------------------------------------------------
+
+    def _emit_inline(self, branch) -> None:
+        """The branch body, emitted in place at its guard site."""
+        saved = (self.fragment, self.loop_start,
+                 self.run, self._run_ref, self.pending)
+        self.fragment = branch
+        self.loop_start = 0
+        self.begin_run()
+        for index, insn in enumerate(branch.native):
+            self.emit_insn(insn, index)
+        (self.fragment, self.loop_start,
+         self.run, self._run_ref, self.pending) = saved
 
     def source(self) -> str:
         insns = self.fragment.native
         if not insns:
             raise PyEmitError("pycompile: empty fragment")
         loops = insns[-1].op == "loopjmp"
-        loop_start = self.loop_start if loops else 0
-        self.loop_start = loop_start
-        if loops and loop_start:
-            # Hoisted entry prologue: runs once per tree entry, then the
-            # executed counter advances past it and the loop body takes
-            # over (the back edge re-enters at the ``while 1:``).
-            for index in range(loop_start):
-                self.emit_insn(insns[index], index)
+        if not loops:
+            self.loop_start = 0
+        # Only a looping function with something inlined needs the
+        # outer loop that an inlined ``jtree`` breaks to.
+        self.reenters = loops and bool(self._inline_map)
+        self.indent = 1 + self.reenters
+        # Hoisted entry prologue: runs once per tree entry, then the
+        # executed counter advances past it and the loop body takes
+        # over (the back edge re-enters at the inner ``while 1:``).
+        for index in range(self.loop_start):
+            self.emit_insn(insns[index], index)
+        if self.loop_start:
             self.settle()
-            self.emit(f"executed += {loop_start}")
+            self.emit(f"executed += {self.loop_start}")
+        if loops:
             self.emit("while 1:")
-            self.indent = 2
-            for index in range(loop_start, len(insns)):
-                self.emit_insn(insns[index], index)
-        else:
-            if loops:
-                self.indent = 2
-            for index, insn in enumerate(insns):
-                self.emit_insn(insn, index)
+            self.indent += 1
+        for index in range(self.loop_start, len(insns)):
+            self.emit_insn(insns[index], index)
         # The step machine would fault on a fragment without a terminal;
         # mirror its IndexError rather than silently returning None.
-        terminal = insns[-1].op
-        if terminal not in ("loopjmp", "jtree", "x"):
+        if insns[-1].op not in ("loopjmp", "jtree", "x"):
             self.emit("raise IndexError('list index out of range')")
-        body = self.lines
-        header = self.header_lines("_fragment_fn")
-        if loops and not self.loop_start:
+        header = self.header_lines()
+        if self.reenters:
             header.append("    while 1:")
-        return "\n".join(header + body) + "\n"
+        return "\n".join(header + self.lines) + "\n"
 
-    def header_lines(self, fn_name: str) -> List[str]:
+    def header_lines(self) -> List[str]:
         """The function header: consts unpack + machine-state hoists."""
-        header: List[str] = [f"def {fn_name}(machine, executed, cycles):"]
+        header: List[str] = ["def _fragment_fn(machine, executed, cycles):"]
 
         def hoist(text: str) -> None:
             header.append("    " + text)
@@ -926,132 +966,26 @@ class _Emitter:
         hoist("area_types = area.types")
         hoist("area_dirty = area.dirty")
         hoist("loop_edge = machine._loop_edge")
-        hoist("flush_globals = machine._flush_globals")
         hoist("run_inner = machine._run_inner_tree")
         return header
 
 
-class _TreeEmitter(_Emitter):
-    """Emits one direct-linked "megafunction" for a whole trace tree.
-
-    Layout: an outer ``while 1:`` is the tree entry (and every ``jtree``
-    re-entry), running the trunk's hoisted prologue; an inner ``while
-    1:`` is the trunk loop body.  Every side exit whose target is a
-    LINKED branch fragment gets that branch's body inlined at the guard
-    site (recursively — the link graph is a tree), preceded by the exact
-    bookkeeping ``NativeMachine._stitch`` performs, so hot trunk<->branch
-    transitions never surface an exit tuple to the driver.  Registers
-    are Python locals that a failed guard abandons: no fragment reads a
-    register it did not write itself, so an inlined branch needs none
-    of the trunk's, and every exit, inlined or not, goes through the
-    shared exit helper :func:`_leave`.
-
-    Exits whose targets are not linked, or were linked after this
-    build, keep the plain STITCH path; the driver handles them and
-    re-enters the megafunction at the next trunk ``jtree``.  Simulated cycles, events, and stats are
-    byte-identical to per-fragment dispatch by construction.
-    """
-
-    def __init__(self, tree):
-        self.tree = tree
-        #: id(SideExit) -> branch Fragment inlined at that guard.
-        self._inline_map = {}
-        self._inline_fragments: List[object] = []
-        self._collect_links(tree.fragment, {id(tree.fragment)})
-        super().__init__(tree.fragment)
-
-    def _collect_links(self, fragment, seen) -> None:
-        """Map every inlinable exit of ``fragment``, transitively."""
-        for insn in fragment.native:
-            exit = insn.exit
-            if exit is None or insn.op == "call":
-                continue  # exception exits never stitch
-            target = exit.target
-            if (
-                target is None
-                or target.state is not FragmentState.LINKED
-                or exit.kind == exitmod.INNER
-                or not target.native
-                or (getattr(target, "loop_start", 0) or 0) != 0
-                or target.native[-1].op not in ("jtree", "x")
-                or id(target) in seen
-            ):
-                continue  # un-inlinable: keep the driver's STITCH path
-            seen.add(id(target))
-            self._inline_map[id(exit)] = target
-            self._inline_fragments.append(target)
-            self._collect_links(target, seen)
-
-    def _inline_target(self, exit):
-        return self._inline_map.get(id(exit))
-
-    def _emit_inline(self, branch) -> None:
-        """The branch body, emitted in place at its guard site."""
-        saved = (self.fragment, self.loop_start,
-                 self.run, self._run_ref, self.pending)
-        self.fragment = branch
-        self.loop_start = 0
-        self.begin_run()
-        for index, insn in enumerate(branch.native):
-            self.emit_insn(insn, index)
-        if branch.native[-1].op not in ("jtree", "x"):
-            self.emit("raise IndexError('list index out of range')")
-        (self.fragment, self.loop_start,
-         self.run, self._run_ref, self.pending) = saved
-
-    def _op_loopjmp(self, insn, index):
-        if self.fragment is not self.tree.fragment:
-            raise PyEmitError("pycompile: loopjmp inside an inlined branch")
-        self._edge(insn, index, is_loopjmp=True)
-        self.emit("continue")
-
-    def _op_jtree(self, insn, index):
-        # Re-enter the tree: break out of the trunk loop to the outer
-        # ``while 1:``, which re-runs the hoisted prologue — exactly the
-        # driver's TRANSFER re-call, minus the tuple round-trip (cycles
-        # simply stay in their local).
-        self._edge(insn, index, is_loopjmp=False)
-        self.emit("break")
-
-    def source(self) -> str:
-        trunk = self.fragment
-        insns = trunk.native
-        if not insns:
-            raise PyEmitError("pycompile: empty fragment")
-        loops = insns[-1].op == "loopjmp"
-        loop_start = self.loop_start if loops else 0
-        self.loop_start = loop_start
-        self.indent = 2
-        for index in range(loop_start):
-            self.emit_insn(insns[index], index)
-        if loop_start:
-            self.settle()
-            self.emit(f"executed += {loop_start}")
-        self.emit("while 1:")
-        self.indent = 3
-        for index in range(loop_start, len(insns)):
-            self.emit_insn(insns[index], index)
-        terminal = insns[-1].op
-        if terminal not in ("loopjmp", "jtree", "x"):
-            self.emit("raise IndexError('list index out of range')")
-        body = self.lines
-        header = self.header_lines("_tree_fn")
-        header.append("    while 1:")
-        return "\n".join(header + body) + "\n"
-
-
-def emit_fragment(fragment) -> Tuple[str, tuple]:
-    """Translate ``fragment.native`` to ``(python source, consts tuple)``."""
+def _emit(fragment) -> Tuple[str, tuple]:
     emitter = _Emitter(fragment)
     source = emitter.source()
     return source, emitter.pool.tuple()
 
 
+def emit_fragment(fragment) -> Tuple[str, tuple]:
+    """``fragment``'s function, with the LINKED branches below it
+    inlined: ``(python source, consts tuple)``."""
+    return _emit(fragment)
+
+
 def emit_tree(tree) -> Tuple[str, tuple]:
-    """Translate a whole tree to its megafunction's source + consts."""
-    emitter = _TreeEmitter(tree)
-    source = emitter.source()
-    return source, emitter.pool.tuple()
+    """The trunk's function of ``tree`` (a rebuild), as
+    :func:`emit_fragment`."""
+    return _emit(tree.fragment)
 
 
 def _contain_pycompile_failure(vm, fragment, error: BaseException) -> None:
@@ -1078,17 +1012,19 @@ def _contain_pycompile_failure(vm, fragment, error: BaseException) -> None:
     )
 
 
-def _build_py(vm, tree, site: str, emit, label: str, fn_name: str,
-              on_failure):
-    """Emit, compile and exec one Python function; ``(fn, consts)``, or
-    ``(None, None)`` after ``on_failure(error)`` contained a failure.
+def _build_py(vm, fragment, site: str, emit, label: str):
+    """Emit, compile and exec ``fragment``'s function and cache it on
+    the fragment with the tree's link count; returns it, or None after
+    latching ``py_failed`` and containing the failure.  A failed build
+    leaves any earlier function in place.
 
     Lazy compilation runs inside the monitor's PHASE_NATIVE bracket, so
     the build pushes PHASE_COMPILE: without it the one-time emission
     wall would bill to the native phase the wall-clock frontier
-    measures.  The wall is attributed to ``tree``'s loop profile and
+    measures.  The wall is attributed to the tree's loop profile and
     observed by the pycompile wall histogram.
     """
+    tree = getattr(fragment, "tree", None)
     started = time.perf_counter()
     profiler = vm.profiler
     if profiler is not None:
@@ -1099,10 +1035,11 @@ def _build_py(vm, tree, site: str, emit, label: str, fn_name: str,
         source, consts = emit()
         namespace = {"_consts": consts}
         exec(compile(source, f"<pycompile:{label}>", "exec"), namespace)
-        fn = namespace[fn_name]
+        fn = namespace["_fragment_fn"]
     except Exception as error:
-        on_failure(error)
-        return None, None
+        fragment.py_failed = True
+        _contain_pycompile_failure(vm, fragment, error)
+        return None
     finally:
         if profiler is not None:
             profiler.exit()
@@ -1111,119 +1048,81 @@ def _build_py(vm, tree, site: str, emit, label: str, fn_name: str,
         profiler.note_pycompile(tree, elapsed)
     if vm.metrics is not None:
         vm.metrics.pycompile_wall.observe(elapsed)
-    return fn, consts
+    fragment.py_func = fn
+    fragment.py_consts = consts
+    fragment.py_links = getattr(tree, "link_version", 0)
+    return fn
 
 
 def compile_fragment_py(vm, fragment):
-    """Compile ``fragment`` to a Python callable; None on failure.
+    """Build ``fragment``'s function (its first build); None on failure.
 
-    The callable and its constants tuple are cached on the fragment
+    The function and its constants tuple are cached on the fragment
     (``py_func`` / ``py_consts``); :meth:`repro.core.tree.Fragment
     .retire` drops them, so a RETIRED fragment can never run compiled.
     Failures are contained through the ``pycompile`` firewall boundary
     and latched in ``py_failed`` so a broken fragment is not recompiled
     on every invocation.
     """
-
-    def failed(error):
-        try:
-            fragment.py_failed = True
-        except AttributeError:
-            pass  # a stub without the latch still falls back correctly
-        _contain_pycompile_failure(vm, fragment, error)
-
-    fn, consts = _build_py(
-        vm, getattr(fragment, "tree", None), sites.PYCOMPILE_EMIT,
-        lambda: emit_fragment(fragment), repr(fragment), "_fragment_fn",
-        failed,
-    )
+    fn = _build_py(vm, fragment, sites.PYCOMPILE_EMIT,
+                   lambda: emit_fragment(fragment), repr(fragment))
     if fn is not None:
-        fragment.py_func = fn
-        fragment.py_consts = consts
         vm.stats.tracing.pycompile_fragments += 1
     return fn
 
 
 def compile_tree_py(vm, tree):
-    """Compile ``tree``'s direct-linked megafunction; None on failure.
+    """Rebuild the trunk's function of ``tree`` with the branches linked
+    since; None on failure.
 
-    Cached on the tree (``direct_fn`` / ``direct_consts``) together
-    with the link count it was built at (``direct_link_version``), which
-    :func:`direct_fn_for` uses to decide when a rebuild pays off;
-    :meth:`repro.core.tree.TraceTree.retire` drops it with the
-    fragments it inlines.  Failures are contained through the same
-    ``pycompile`` firewall boundary as per-fragment emission and
-    latched in ``direct_failed`` — losing direct linking only costs
-    performance; per-fragment dispatch still runs the tree.
+    Also the first build of a trunk whose tree already has links (a
+    store preload).  Cached like :func:`compile_fragment_py`'s build;
+    a failure latches the trunk's ``py_failed`` and keeps its last
+    function, whose exits that lack the newer links still reach their
+    branches through the driver's stitch.
     """
-
-    def failed(error):
-        tree.direct_failed = True
-        _contain_pycompile_failure(vm, tree.fragment, error)
-
-    fn, consts = _build_py(
-        vm, tree, sites.PYCOMPILE_LINK, lambda: emit_tree(tree),
-        f"tree@{tree.header_pc}", "_tree_fn", failed,
-    )
+    fn = _build_py(vm, tree.fragment, sites.PYCOMPILE_LINK,
+                   lambda: emit_tree(tree), f"tree@{tree.header_pc}")
     if fn is not None:
-        tree.direct_fn = fn
-        tree.direct_consts = consts
-        tree.direct_link_version = tree.link_version
         vm.stats.tracing.pycompile_tree_builds += 1
     return fn
 
 
-def _tree_has_links(tree) -> bool:
-    """Whether any branch is stitched (a megafunction would help)."""
-    for branch in tree.branches:
-        if branch.state is _LINKED:
-            exit = branch.anchor_exit
-            if exit is not None and exit.target is branch:
-                return True
-    return False
+def function_for(vm, fragment):
+    """The fragment's function, built lazily; None = run stepped.
 
-
-def direct_fn_for(vm, tree):
-    """The tree's megafunction; None = use per-fragment dispatch
-    (unlinked tree, failure latch, retired trunk).
-
-    The first build happens at the first stitched link, and the next
-    only once the tree's link count (``link_version``) has at least
-    doubled since the last build, so a tree that grows n links is built
-    at most floor(log2 n) + 1 times and emits about twice its final
-    megafunction's source in total.  Until then the megafunction lacks
-    the newest links, which is safe: an exit's target is set only once,
-    so every exit it inlined still leads to the same LINKED branch, and
-    every exit it did not inline goes through :func:`_leave`, which
-    follows ``exit.target`` at run time and hands the driver a STITCH.
+    A branch's function is built once, when the driver first stitches
+    into it.  A trunk's is built at its first run and rebuilt once the
+    tree's link count (``link_version``) reaches ``max(1, 2 *
+    py_links)``, ``py_links`` being the count at the last build: at 1,
+    2, 4, ... links, so a tree that grows n links is built at most
+    floor(log2 n) + 2 times and emits about twice its final function's
+    source in total.  Until then the function lacks the newest links,
+    which is safe: an exit's target is set only once, so every exit it
+    inlined still leads to the same LINKED branch, and every exit it did
+    not inline goes through :func:`_leave`, which follows
+    ``exit.target`` at run time and hands the driver a STITCH.  After a
+    failed rebuild the trunk keeps its last function for good; after a
+    failed first build, and for a RETIRED fragment, it runs stepped.
     """
-    if tree.direct_failed or tree.fragment.py_failed:
-        # A trunk whose own emission failed would fail inside the
-        # megafunction too; keep the whole tree on the fallback path.
-        return None
-    fn = tree.direct_fn
-    if fn is not None and tree.link_version < 2 * tree.direct_link_version:
-        return fn
-    if tree.fragment.state is _RETIRED:
-        return None
-    if not _tree_has_links(tree):
-        # A single-fragment tree gains nothing over its trunk callable;
-        # leave the version stale so the first stitched branch builds.
-        return None
-    return compile_tree_py(vm, tree)
-
-
-def compiled_fn_for(vm, fragment):
-    """The fragment's cached callable, compiling lazily; None = step."""
     fn = getattr(fragment, "py_func", None)
+    tree = getattr(fragment, "tree", None)
+    trunk = tree is not None and fragment is tree.fragment
     if fn is not None:
-        return fn
+        if not trunk or fragment.py_failed:
+            return fn
+        links = tree.link_version
+        if links < 2 * fragment.py_links or not links:
+            return fn
+        return compile_tree_py(vm, tree) or fn
     if getattr(fragment, "py_failed", False):
         return None
-    if getattr(fragment, "state", None) is FragmentState.RETIRED:
+    if getattr(fragment, "state", None) is _RETIRED:
         # A flush may retire fragments an in-flight machine still
         # reaches by stitch/jtree; they run stepped, never re-compiled.
         return None
+    if trunk and tree.link_version:
+        return compile_tree_py(vm, tree)
     return compile_fragment_py(vm, fragment)
 
 
@@ -1233,7 +1132,7 @@ def run_compiled(machine, fragment):
     Follows the same stitched transfers and ``jtree`` re-entries as
     :meth:`repro.jit.native.NativeMachine.run_step`, carrying the
     instruction counter and cycle accumulator across fragments.  Any
-    fragment without a usable callable (compile failure, retirement)
+    fragment without a usable function (compile failure, retirement)
     drops the rest of the run into the step machine with the counters
     intact — observable state is identical either way.
     """
@@ -1241,13 +1140,8 @@ def run_compiled(machine, fragment):
     executed = 0
     cycles = 0
     vm = machine.vm
-    tree = machine.tree
     while True:
-        fn = None
-        if fragment is tree.fragment:
-            fn = direct_fn_for(vm, tree)
-        if fn is None:
-            fn = compiled_fn_for(vm, fragment)
+        fn = function_for(vm, fragment)
         if fn is None:
             machine.backend_used = "step"
             return machine.run_step(fragment, executed=executed, cycles=cycles)

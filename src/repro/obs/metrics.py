@@ -284,7 +284,7 @@ class MetricsRegistry:
         self.fragment_transfers = self.counter(
             "repro_fragment_transfers_total",
             "Fragment-to-fragment transfers that stayed native, by mode "
-            "(direct = inside a direct-linked megafunction; stitched = "
+            "(direct = into a branch inlined in the function; stitched = "
             "mediated by the backend driver's stitch loop).",
             ("mode",),
         )
@@ -355,8 +355,8 @@ class MetricsRegistry:
         # -- pycompile ---------------------------------------------------------
         self.pycompile_fragments = self.counter(
             "repro_pycompile_fragments_total",
-            "Python functions successfully compiled: fragment functions "
-            "and direct-link megafunction builds.",
+            "Python functions successfully compiled: first builds of "
+            "fragment functions and rebuilds of trunk functions.",
         )
         self.pycompile_failures = self.counter(
             "repro_pycompile_failures_total",
@@ -364,8 +364,8 @@ class MetricsRegistry:
         )
         self.pycompile_wall = self.histogram(
             "repro_pycompile_wall_seconds",
-            "Wall seconds per Python compilation (fragment function or "
-            "megafunction build).",
+            "Wall seconds per Python compilation (first build or trunk "
+            "rebuild).",
             COMPILE_WALL_BUCKETS,
         )
 

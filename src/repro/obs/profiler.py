@@ -397,8 +397,8 @@ class PhaseProfiler:
         self.guard_profile(exit).exits += 1
 
     def record_stitch(self, exit) -> None:
-        """One guard failure that transferred into a branch trace (inside
-        a direct-linked megafunction or through the driver's stitch loop)."""
+        """One guard failure that transferred into a branch trace (inlined
+        in the generated function or through the driver's stitch loop)."""
         if exit.tree is None:
             return
         self.guard_profile(exit).stitched += 1
@@ -409,8 +409,8 @@ class PhaseProfiler:
         self.lir_retained += retained
 
     def note_pycompile(self, tree, seconds: float) -> None:
-        """One fragment function or megafunction compiled to Python for
-        ``tree`` (wall cost)."""
+        """One fragment function (first build or rebuild) compiled to
+        Python for ``tree`` (wall cost)."""
         self.loop_profile(tree).compile_wall += seconds
 
     def note_safe_mode(self) -> None:

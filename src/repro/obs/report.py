@@ -120,7 +120,7 @@ def profile_report(vm, limit_loops: int = 20, limit_deopts: int = 10) -> str:
     if tracing.stitched_transfers or tracing.side_exits_taken:
         sections.append(
             f"trace transitions: {tracing.direct_transfers:,} direct "
-            f"(linked in the megafunction), {tracing.driver_transfers:,} "
+            f"(into inlined branches), {tracing.driver_transfers:,} "
             f"monitor-stitched, {tracing.side_exits_taken:,} exits "
             f"surfaced to the interpreter"
         )

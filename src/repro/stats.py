@@ -90,8 +90,8 @@ class TraceStats:
     #: Transfers into a branch trace mediated by the backend driver's
     #: stitch loop (``NativeMachine._stitch``).
     driver_transfers: int = 0
-    #: Transfers into a branch trace inlined in a direct-linked
-    #: megafunction (py backend).
+    #: Transfers into a branch trace inlined in the generated function
+    #: (py backend).
     direct_transfers: int = 0
     loop_iterations_native: int = 0
     oracle_marks: int = 0
@@ -104,8 +104,10 @@ class TraceStats:
     compiled_code_bytes: int = 0
     #: Flush reason -> fragments those flushes retired (FLUSH payload sum).
     flush_retired: Dict[str, int] = field(default_factory=dict)
-    #: Python functions compiled by the py backend: fragment functions
-    #: and direct-link megafunction builds.
+    #: Python functions compiled by the py backend: first builds of
+    #: fragment functions, and rebuilds of a trunk's function to inline
+    #: newer links (with a preloaded trunk's first build, which already
+    #: has links).
     pycompile_fragments: int = 0
     pycompile_tree_builds: int = 0
     safe_mode: bool = False

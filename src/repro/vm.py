@@ -70,7 +70,6 @@ class VMConfig:
     enable_tracing: bool = True
     enable_nesting: bool = True
     enable_oracle: bool = True
-    enable_stitching: bool = True
     enable_blacklisting: bool = True
     enable_cse: bool = True
     enable_exprsimp: bool = True

@@ -4,13 +4,8 @@ The ``py`` backend compiles each fragment's ``NativeInsn`` sequence to a
 real Python function; the ``step`` backend walks the same instructions
 one at a time.  The contract is that they are observationally identical
 in the simulated world: same results, same cycle ledgers, same stats
-summaries, and the same trace-lifecycle event stream.
-
-The one permitted difference is the global side-exit id counter
-(``repro.core.exits._exit_ids``), which is shared across VM instances
-within a process — two *same-backend* runs also disagree on raw exit
-ids.  Events are therefore compared after renumbering exit ids in
-first-seen order.
+summaries, and the same trace-lifecycle event stream, raw side-exit
+ids included (each VM's monitor numbers its exits from 1).
 
 Equal totals do not pin *when* the native cycle accumulator is flushed
 to the ledger, so the suite also compares the ledger (and accumulator)
@@ -110,18 +105,11 @@ def _first_difference(left, right):
 
 
 def _normalized_events(vm):
-    """(kind, payload-json) pairs with exit ids renumbered first-seen."""
-    renumber = {}
-    normalized = []
-    for event in vm.events.events:
-        payload = dict(event.payload)
-        for key, value in payload.items():
-            if key.endswith("exit_id") and isinstance(value, int):
-                payload[key] = renumber.setdefault(value, len(renumber) + 1)
-        normalized.append(
-            (event.kind, json.dumps(payload, sort_keys=True, default=repr))
-        )
-    return normalized
+    """(kind, payload-json) pairs."""
+    return [
+        (event.kind, json.dumps(event.payload, sort_keys=True, default=repr))
+        for event in vm.events.events
+    ]
 
 
 def _side_exit_sequence(events):
@@ -266,8 +254,8 @@ def _observables(result, vm):
 def _assert_identical_across_knob_matrix(source: str, name: str):
     """Every knob combination, on both backends, is observationally
     identical to the default py-backend run: same result, cycles (total
-    and per activity), summaries, output, and (renumbered) event stream,
-    less what the fault plan itself reports."""
+    and per activity), summaries, output, and event stream, less what
+    the fault plan itself reports."""
     baseline = _observables(*_run(source, "py"))
     for overrides in _knob_matrix():
         for backend in ("py", "step"):

@@ -5,6 +5,7 @@ entry prologue, and the ``LIns`` classification edge cases the passes
 lean on (NaN / -0.0 immediates, softfloat helper calls, guard-vs-load
 classification)."""
 
+import itertools
 import math
 from types import SimpleNamespace
 
@@ -24,8 +25,13 @@ def make_tree():
     return SimpleNamespace(opt_vn=None, entry_exit=None)
 
 
+#: Exit ids, as a monitor numbers them: snapshots are kept per id.
+_exit_ids = itertools.count(1)
+
+
 def make_exit(live=(), kind=BRANCH):
-    return SideExit(kind=kind, pc=0, frames=(), stack_depth0=0, livemap=tuple(live))
+    return SideExit(kind=kind, pc=0, frames=(), stack_depth0=0,
+                    livemap=tuple(live), exit_id=next(_exit_ids))
 
 
 def loop_end():

@@ -12,7 +12,8 @@ different shapes behind one variable, a property added mid-loop and
 slots that flip between int and double fail shape and type guards.
 """
 
-from hypothesis import given, settings, strategies as st
+import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from tests.helpers import (
     ALL_ENGINES,
@@ -261,8 +262,29 @@ def test_random_shape_loops_agree_methodjit(source):
     assert results["baseline"] == results["methodjit"], source
 
 
+#: ``a >>> 0`` of a negative ``a`` is above INT_MAX: its ``i2d`` must not
+#: fold away under a ``d2i32`` (``| 0``, ``^``, ``&``), which wraps it.
+_UINT32_LOOPS = {
+    op: "var a = -1, s = 0;"
+    f" for (var i = 0; i < 10; i++) {{ s = s + ((a >>> 0) {op}); }} s;"
+    for op in ("| 0", "^ 1", "& -1")
+}
+
+
+@pytest.mark.parametrize("op", sorted(_UINT32_LOOPS))
+def test_uint32_result_is_wrapped_on_trace(op):
+    assert_tracing_agrees_on_both_backends(_UINT32_LOOPS[op])
+
+
 @given(heap_loop_programs())
 @settings(max_examples=100, deadline=None)
+@example(
+    "function twist(n) { if (n % 2) return n * 3; return n - 1; }"
+    "var o = {x: 1, y: 2};var arr = [1, 2, 3, 4];var a = 0, b = 1, c = 2;"
+    "for (var i = 0; i < 5; i++) { o.x = (-(-a));"
+    " a = twist(((-a) | (a >>> 0.5))); }"
+    "'' + a + '|' + b + '|' + c + '|' + o.x + '|' + o.y + '|' + arr.join(',');"
+)
 def test_random_heap_loops_agree(source):
     assert_tracing_agrees_on_both_backends(source)
 
@@ -324,7 +346,6 @@ def test_random_loops_agree_with_ablations(source):
         enable_dce=False,
         enable_nesting=False,
         enable_oracle=False,
-        enable_stitching=False,
     )
     assert repr(TracingVM(config).run(source)) == expected, source
 

@@ -100,7 +100,7 @@ def test_emitted_exits_are_one_line_and_skip_machine_registers(monkeypatch):
         assert banned not in text, banned
     leaves = [line.strip() for line in text.splitlines() if "leave(" in line]
     plain = [line for line in leaves if line.startswith("return leave(machine, ")]
-    # An exit whose branch the megafunction inlines falls into it.
+    # An exit whose branch the function inlines falls into it.
     inlined = [line for line in leaves if line.startswith("out = leave(machine, ")]
     assert plain and inlined
     assert len(plain) + len(inlined) == len(leaves)
@@ -158,6 +158,54 @@ def test_megafunction_rebuilds_grow_logarithmically_with_links():
     assert 1 < section["tree_builds"] <= links.bit_length(), (links, section)
     # Megafunction builds are not fragment functions.
     assert section["fragments"] == vm.stats.tracing.pycompile_fragments
+
+
+BRANCHY_LOOP = (
+    "var a = 0;"
+    "for (var i = 0; i < 500; i++) { if (i % 2) a += 1; else a += 2; } a;"
+)
+
+
+def test_trunk_function_grows_an_outer_loop_only_when_it_inlines(monkeypatch):
+    """A trunk's first build, before any link, is one loop; its rebuild
+    inlines the branch, whose ``jtree`` breaks out to an outer loop
+    instead of returning a transfer."""
+    from repro.jit import pycompile
+
+    built = []
+    for name in ("emit_fragment", "emit_tree"):
+        emit = getattr(pycompile, name)
+
+        def capturing(owner, emit=emit, name=name):
+            source, consts = emit(owner)
+            built.append((name, source))
+            return source, consts
+
+        monkeypatch.setattr(pycompile, name, capturing)
+    vm = _py_vm()
+    vm.run(BRANCHY_LOOP)
+    (tree,) = vm.monitor.cache.all_trees()
+    assert tree.link_version == 1 and tree.fragment.py_links == 1
+    assert [name for name, _source in built] == ["emit_fragment", "emit_tree"]
+    (_, first), (_, rebuilt) = built
+    assert first.count("while 1:") == 1 and "break" not in first
+    assert rebuilt.count("while 1:") == 2 and "break" in rebuilt
+    assert f"return ({pycompile.TRANSFER}," not in rebuilt
+
+
+def test_failed_rebuild_keeps_the_trunks_last_function():
+    """A ``pycompile.link`` fault fails the rebuild at the first link:
+    the trunk keeps its first build's function, latched so it is not
+    rebuilt again, and reaches its branch through the driver."""
+    vm = _py_vm(fault_plan=FaultPlan.parse(["pycompile.link:*"]))
+    assert repr(vm.run(BRANCHY_LOOP)) == repr(_py_vm().run(BRANCHY_LOOP))
+    (tree,) = vm.monitor.cache.all_trees()
+    trunk = tree.fragment
+    assert tree.link_version == 1 and trunk.py_links == 0
+    assert trunk.py_failed and trunk.py_func is not None
+    assert vm.stats.tracing.pycompile_tree_builds == 0
+    assert vm.stats.tracing.direct_transfers == 0
+    assert vm.stats.tracing.driver_transfers > 0
 
 
 def test_emit_empty_fragment_raises():

@@ -43,18 +43,6 @@ class TestTraceTrees:
         )
         assert vm.stats.tracing.recordings_started == 0
 
-    def test_stitching_disabled_still_correct(self):
-        source = (
-            "var a = 0; for (var i = 0; i < 200; i++) { if (i % 2) a += 1; else a += 2; } a;"
-        )
-        _r1, base = run_baseline(source)
-        _r2, vm = run_tracing(source, VMConfig(enable_stitching=False))
-        assert vm.stats.tracing.branch_traces == 0
-        assert base.run if True else None  # result equality checked below
-        assert repr(TracingVM(VMConfig(enable_stitching=False)).run(source)) == repr(
-            base.run(source)
-        )
-
 
 class TestNestedTrees:
     NESTED = (

@@ -21,7 +21,6 @@ class TestConfigDefaults:
             "enable_tracing",
             "enable_nesting",
             "enable_oracle",
-            "enable_stitching",
             "enable_blacklisting",
             "enable_cse",
             "enable_exprsimp",
