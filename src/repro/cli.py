@@ -224,6 +224,23 @@ def telemetry_of(vm) -> tuple:
         profiler=vm.profiler, program=program)
 
 
+def refuse_methodjit_telemetry(args) -> None:
+    """Exit with a one-line error when the method JIT is asked for
+    telemetry: it has no profiler, metrics registry or span recorder."""
+    if args.engine != "methodjit":
+        return
+    asked = [
+        "--" + name.replace("_", "-")
+        for name in ("profile", "profile_json", "timeline", "metrics_json",
+                     "metrics_prom", "trace_export")
+        if getattr(args, name, None)
+    ]
+    if asked:
+        raise SystemExit(
+            f"repro: --engine methodjit does not support {', '.join(asked)}"
+        )
+
+
 def write_telemetry(args, program: str, metrics, chrome_trace) -> int:
     """Write the telemetry artifacts the flags asked for; 0 on success.
 
@@ -424,7 +441,7 @@ def dump_traces(vm: TracingVM, out) -> None:
 def run_batch(argv: list, out) -> int:
     """The ``batch`` subcommand: one supervised VM over an
     admission-controlled queue of jobs."""
-    from repro.exec import Fleet, Job
+    from repro.exec import Job, Supervisor
     from repro.suite.programs import PROGRAMS
 
     parser = argparse.ArgumentParser(
@@ -485,7 +502,7 @@ def run_batch(argv: list, out) -> int:
         "--dump-events",
         metavar="FILE",
         help=(
-            "write the events as JSONL to FILE: the fleet's scheduler "
+            "write the events as JSONL to FILE: the scheduler's "
             "stream, then every VM's stream (a respawn adds one)"
         ),
     )
@@ -500,7 +517,7 @@ def run_batch(argv: list, out) -> int:
         ),
     )
     fleet_group = parser.add_argument_group(
-        "fleet (see docs/INTERNALS.md, The fleet: one VM per batch)"
+        "fleet (see docs/INTERNALS.md, Batches: one VM, one queue)"
     )
     fleet_group.add_argument(
         "--rate",
@@ -544,6 +561,7 @@ def run_batch(argv: list, out) -> int:
     add_store_arguments(parser)
     add_limit_arguments(parser)
     args = parser.parse_args(argv)
+    refuse_methodjit_telemetry(args)
     for flag, value, least in (
         ("--shed-after", args.shed_after, 1),
         ("--max-retries", args.max_retries, 0),
@@ -604,7 +622,7 @@ def run_batch(argv: list, out) -> int:
         batch_config = VMConfig()
         batch_config.trace_store = args.trace_store
         batch_config.trace_store_budget = args.trace_store_budget
-    fleet = Fleet(
+    supervisor = Supervisor(
         engine=args.engine,
         config=batch_config,
         limits=build_limits(args),
@@ -620,8 +638,8 @@ def run_batch(argv: list, out) -> int:
         capture_metrics=bool(args.metrics_json or args.metrics_prom),
         capture_spans=args.trace_export is not None,
     )
-    results = fleet.run(jobs)
-    tenants = fleet.tenant_summary()
+    results = supervisor.run(jobs)
+    tenants = supervisor.tenant_summary()
 
     print(
         f"{'job':28} {'tenant':12} {'status':14} {'try':>3} "
@@ -646,7 +664,7 @@ def run_batch(argv: list, out) -> int:
     )
     print("-" * 90, file=out)
     print(f"{len(results)} jobs: {summary}", file=out)
-    counts = fleet.counts()
+    counts = supervisor.counts()
     fleet_line = ", ".join(
         f"{counts.get(kind, 0)} {label}"
         for kind, label in (
@@ -672,15 +690,16 @@ def run_batch(argv: list, out) -> int:
                 f"{usage.output_bytes:>8,}",
                 file=out,
             )
-    degraded = fleet.degraded_tenants
+    degraded = supervisor.degraded_tenants
     if degraded:
         names = ", ".join(sorted(degraded))
         print(f"degraded tenants (interp-only): {names}", file=out)
-    if write_telemetry(args, "batch", fleet.metrics, fleet.chrome_trace):
+    if write_telemetry(args, "batch", supervisor.metrics,
+                       supervisor.chrome_trace):
         return 1
     if args.dump_events:
         try:
-            count = fleet.write_events(args.dump_events)
+            count = supervisor.write_events(args.dump_events)
         except OSError as error:
             print(f"repro: cannot write {args.dump_events}: {error}",
                   file=sys.stderr)
@@ -731,6 +750,8 @@ def main(argv: Optional[list] = None, out=None) -> int:
         for site in ALL_FAULT_SITES:
             print(f"{site:22}  {SITE_HELP[site]}", file=out)
         return 0
+    if not args.compare:
+        refuse_methodjit_telemetry(args)
     config = build_config(args)
     source = load_source(args)
 

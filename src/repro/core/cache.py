@@ -152,12 +152,9 @@ class TraceCache:
 
     # -- registration -------------------------------------------------------------
 
-    def register_tree(self, tree) -> bool:
-        """Link a freshly compiled root tree into the cache.
-
-        Returns True if the tree is resident afterwards (always: a
-        budget overflow flushes *around* the new tree).
-        """
+    def register_tree(self, tree) -> None:
+        """Link a freshly compiled root tree into the cache (a budget
+        overflow flushes *around* the new tree, so it stays resident)."""
         if self.faults is not None:
             self.faults.fire(fault_sites.LINK_REGISTER)
         fragment = tree.fragment
@@ -173,15 +170,10 @@ class TraceCache:
             cache_size=self.code_size_used,
         )
         self._check_budget(keep=tree)
-        return True
 
-    def register_branch(self, tree, fragment) -> bool:
-        """Link a compiled branch fragment onto its tree.
-
-        Returns True if the fragment's tree is still resident after any
-        budget-overflow flush (the caller only stitches the guard when
-        it is).
-        """
+    def register_branch(self, tree, fragment) -> None:
+        """Link a compiled branch fragment onto its tree (a budget
+        overflow flushes *around* the tree, so it stays resident)."""
         if self.faults is not None:
             self.faults.fire(fault_sites.LINK_REGISTER)
         fragment.state = FragmentState.LINKED
@@ -197,7 +189,6 @@ class TraceCache:
             cache_size=self.code_size_used,
         )
         self._check_budget(keep=tree)
-        return True
 
     def _insert_tree(self, tree) -> None:
         self._trees.setdefault(self.key(tree.code, tree.header_pc), []).append(tree)

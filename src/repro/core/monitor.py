@@ -18,7 +18,6 @@ executes a ``LOOPHEADER`` no-op.  Depending on state, the monitor:
 
 from __future__ import annotations
 
-import itertools
 import time
 from typing import Dict, List, Optional
 
@@ -34,6 +33,7 @@ from repro.core.tree import TraceTree
 from repro.core.typemap import (
     TraceType,
     box_for_type,
+    entry_matches,
     read_location,
     type_of_box,
     unbox_for_type,
@@ -87,11 +87,11 @@ class TraceMonitor:
         #: nested trees can exchange globals through one area).
         self.global_slot_of: Dict[str, int] = {}
         self.global_names: List[str] = []
-        #: Side-exit ids, numbered per VM: an outer tree's calltree
-        #: guard compares against an inner exit's id, so the numbers
-        #: reach the compiled code and must not depend on what ran
-        #: before in the process.
-        self.exit_ids = itertools.count(1)
+        #: The next side-exit id, numbered per VM (the recorder bumps
+        #: it): an outer tree's calltree guard compares against an inner
+        #: exit's id, so the numbers reach the compiled code and must
+        #: not depend on what ran before in the process.
+        self.next_exit_id = 1
 
     # -- global slots -----------------------------------------------------------
 
@@ -343,12 +343,11 @@ class TraceMonitor:
                 guards_elim=fragment.opt_stats.guards_eliminated,
                 hoisted=fragment.opt_stats.hoisted,
             )
-            linked = self.cache.register_branch(tree, fragment)
-            if linked:
-                recorder.anchor_exit.target = fragment
-                # Count the link; the trunk's Python function is rebuilt
-                # once the count has doubled since its last build.
-                tree.link_version += 1
+            self.cache.register_branch(tree, fragment)
+            recorder.anchor_exit.target = fragment
+            # Count the link; the trunk's Python function is rebuilt
+            # once the count has doubled since its last build.
+            tree.link_version += 1
         else:
             fragment.bytecount = recorder.bytecodes_recorded
             tree.compile_fragment(fragment, lir, self.config)
@@ -483,12 +482,7 @@ class TraceMonitor:
 
     def _tree_matches(self, tree: TraceTree, frames, base_index: int) -> bool:
         vm = self.vm
-        for loc, trace_type in tree.entry_typemap:
-            actual = type_of_box(read_location(vm, frames, base_index, loc))
-            if actual is trace_type:
-                continue
-            if trace_type is TraceType.DOUBLE and actual is TraceType.INT:
-                continue
+        if not entry_matches(vm, frames, base_index, tree.entry_typemap):
             return False
         for name, _gslot, trace_type in tree.global_imports:
             actual = type_of_box(vm.globals.get(name, UNDEFINED))

@@ -325,8 +325,9 @@ class Recorder:
             bytecode_progress=self.bytecodes_recorded,
             result_loc=result_loc,
             anchor_resume_pc=(pc if is_anchor_top else anchor.resume_pc),
-            exit_id=next(self.monitor.exit_ids),
+            exit_id=self.monitor.next_exit_id,
         )
+        self.monitor.next_exit_id += 1
         return exit
 
     def _live_entry(self, loc: tuple, value: LIns):
@@ -382,8 +383,8 @@ class Recorder:
     # ------------------------------------------------------------------
 
     def record_op(self, interp, frame, pc: int, opcode: int, arg) -> bool:
-        """Record one bytecode.  Returns True if the interpreter must
-        call :meth:`record_result` after executing it.
+        """Record one bytecode.  Returns a true value if the interpreter
+        must call :meth:`record_result` after executing it.
 
         Dispatch is a per-opcode method table (:data:`_RECORD`), not an
         opcode chain — one list index per recorded bytecode.  The
@@ -457,10 +458,6 @@ class Recorder:
         self.set_local(arg, self.top.stack[-1])
         return False
 
-    def _rec_getglobal(self, frame, pc, opcode, arg) -> bool:
-        self.record_getglobal(frame.code.names[arg])
-        return False
-
     def _rec_setglobal(self, frame, pc, opcode, arg) -> bool:
         self.set_global(frame.code.names[arg], self.top.stack[-1])
         return False
@@ -495,38 +492,10 @@ class Recorder:
         )
         return False
 
-    def _rec_arith(self, frame, pc, opcode, arg) -> bool:
-        self.record_arith(frame, pc, opcode)
-        return False
-
-    def _rec_div(self, frame, pc, opcode, arg) -> bool:
-        self.record_div(frame, pc)
-        return False
-
-    def _rec_mod(self, frame, pc, opcode, arg) -> bool:
-        self.record_mod(frame, pc)
-        return False
-
-    def _rec_neg(self, frame, pc, opcode, arg) -> bool:
-        self.record_neg(frame, pc)
-        return False
-
     def _rec_tonum(self, frame, pc, opcode, arg) -> bool:
         operand = frame.stack[-1]
         if operand.tag not in (TAG_INT, TAG_DOUBLE):
             raise TraceAbort("tonum-on-non-number")
-        return False
-
-    def _rec_bitop(self, frame, pc, opcode, arg) -> bool:
-        self.record_bitop(frame, pc, opcode)
-        return False
-
-    def _rec_relop(self, frame, pc, opcode, arg) -> bool:
-        self.record_relop(frame, pc, opcode)
-        return False
-
-    def _rec_equality(self, frame, pc, opcode, arg) -> bool:
-        self.record_equality(frame, pc, opcode)
         return False
 
     def _rec_not(self, frame, pc, opcode, arg) -> bool:
@@ -534,38 +503,8 @@ class Recorder:
         self.push(self.emit("notb", (self.to_bool(value),), type="b"))
         return False
 
-    def _rec_typeof(self, frame, pc, opcode, arg) -> bool:
-        self.record_typeof(frame)
-        return False
-
     def _rec_jump(self, frame, pc, opcode, arg) -> bool:
         # Straight-line on trace; the loop edge closes at the header.
-        return False
-
-    def _rec_branch(self, frame, pc, opcode, arg) -> bool:
-        self.record_branch(frame, pc, opcode, arg)
-        return False
-
-    def _rec_shortcircuit(self, frame, pc, opcode, arg) -> bool:
-        self.record_shortcircuit(frame, pc, opcode, arg)
-        return False
-
-    def _rec_getprop(self, frame, pc, opcode, arg) -> bool:
-        return self.record_getprop(frame, pc, frame.code.names[arg])
-
-    def _rec_setprop(self, frame, pc, opcode, arg) -> bool:
-        self.record_setprop(frame, pc, frame.code.names[arg])
-        return False
-
-    def _rec_getelem(self, frame, pc, opcode, arg) -> bool:
-        return self.record_getelem(frame, pc)
-
-    def _rec_setelem(self, frame, pc, opcode, arg) -> bool:
-        self.record_setelem(frame, pc)
-        return False
-
-    def _rec_initprop(self, frame, pc, opcode, arg) -> bool:
-        self.record_initprop(frame, pc, frame.code.names[arg])
         return False
 
     def _rec_delprop(self, frame, pc, opcode, arg) -> bool:
@@ -578,17 +517,6 @@ class Recorder:
 
     def _rec_newobj(self, frame, pc, opcode, arg) -> bool:
         self.push(self.emit("call", (), imm=helpers.NEW_OBJECT, type="o"))
-        return False
-
-    def _rec_newarr(self, frame, pc, opcode, arg) -> bool:
-        self.record_newarr(frame, pc, arg)
-        return False
-
-    def _rec_call(self, frame, pc, opcode, arg) -> bool:
-        return self.record_call(frame, pc, opcode, arg)
-
-    def _rec_return(self, frame, pc, opcode, arg) -> bool:
-        self.record_return(opcode)
         return False
 
     def _rec_throw(self, frame, pc, opcode, arg) -> bool:
@@ -604,7 +532,8 @@ class Recorder:
     # Globals
     # ------------------------------------------------------------------
 
-    def record_getglobal(self, name: str) -> None:
+    def record_getglobal(self, frame, pc: int, opcode: int, arg) -> None:
+        name = frame.code.names[arg]
         existing = self.globals_abs.get(name)
         if existing is not None:
             self.push(existing)
@@ -641,7 +570,7 @@ class Recorder:
     # Arithmetic
     # ------------------------------------------------------------------
 
-    def record_arith(self, frame, pc: int, opcode: int) -> None:
+    def record_arith(self, frame, pc: int, opcode: int, arg) -> None:
         right_box, left_box = frame.stack[-1], frame.stack[-2]
         right, left = self.top.stack[-1], self.top.stack[-2]
         if opcode == op.ADD and (
@@ -699,7 +628,7 @@ class Recorder:
             return self.emit("const", imm="null", type="s")
         raise TraceAbort("stringify-object")
 
-    def record_div(self, frame, pc: int) -> None:
+    def record_div(self, frame, pc: int, opcode: int, arg) -> None:
         right_box, left_box = frame.stack[-1], frame.stack[-2]
         if not _is_numeric(left_box) or not _is_numeric(right_box):
             raise TraceAbort("div-on-non-number")
@@ -710,7 +639,7 @@ class Recorder:
         )
         self.push(result)
 
-    def record_mod(self, frame, pc: int) -> None:
+    def record_mod(self, frame, pc: int, opcode: int, arg) -> None:
         right_box, left_box = frame.stack[-1], frame.stack[-2]
         if not _is_numeric(left_box) or not _is_numeric(right_box):
             raise TraceAbort("mod-on-non-number")
@@ -721,7 +650,7 @@ class Recorder:
         )
         self.push(result)
 
-    def record_neg(self, frame, pc: int) -> None:
+    def record_neg(self, frame, pc: int, opcode: int, arg) -> None:
         operand_box = frame.stack[-1]
         if not _is_numeric(operand_box):
             raise TraceAbort("neg-on-non-number")
@@ -740,7 +669,7 @@ class Recorder:
             result = self.emit("negd", (self.ensure_d(operand),), type="d")
         self.push(result)
 
-    def record_bitop(self, frame, pc: int, opcode: int) -> None:
+    def record_bitop(self, frame, pc: int, opcode: int, arg) -> None:
         # The fits-31-bit exit re-executes the operation generically, so
         # snapshot before consuming the operands.
         exit = self.make_exit(exitkind.OVERFLOW, pc)
@@ -787,7 +716,7 @@ class Recorder:
     # Comparisons
     # ------------------------------------------------------------------
 
-    def record_relop(self, frame, pc: int, opcode: int) -> None:
+    def record_relop(self, frame, pc: int, opcode: int, arg) -> None:
         right_box, left_box = frame.stack[-1], frame.stack[-2]
         right, left = self.top.stack[-1], self.top.stack[-2]
         if left_box.tag == TAG_STRING and right_box.tag == TAG_STRING:
@@ -810,7 +739,7 @@ class Recorder:
                 )
             )
 
-    def record_equality(self, frame, pc: int, opcode: int) -> None:
+    def record_equality(self, frame, pc: int, opcode: int, arg) -> None:
         right_box, left_box = frame.stack[-1], frame.stack[-2]
         right, left = self.top.stack[-1], self.top.stack[-2]
         strict = opcode in (op.STRICTEQ, op.STRICTNE)
@@ -851,7 +780,7 @@ class Recorder:
             result = self.emit("const", imm=outcome, type="b")
         self.push(result)
 
-    def record_typeof(self, frame) -> None:
+    def record_typeof(self, frame, pc: int, opcode: int, arg) -> None:
         operand_box = frame.stack[-1]
         operand = self.pop()
         if operand.type == "o":
@@ -905,7 +834,8 @@ class Recorder:
     # Property access
     # ------------------------------------------------------------------
 
-    def record_getprop(self, frame, pc: int, name: str) -> bool:
+    def record_getprop(self, frame, pc: int, opcode: int, arg) -> bool:
+        name = frame.code.names[arg]
         obj_box = frame.stack[-1]
         if obj_box.tag == TAG_STRING:
             obj = self.pop()
@@ -957,7 +887,8 @@ class Recorder:
         same = self.emit("eqi", (shape, self.const_i(obj.shape_id)), type="b")
         self.guard_true(same, exit)
 
-    def record_setprop(self, frame, pc: int, name: str) -> None:
+    def record_setprop(self, frame, pc: int, opcode: int, arg) -> None:
+        name = frame.code.names[arg]
         value_box, obj_box = frame.stack[-1], frame.stack[-2]
         if obj_box.tag != TAG_OBJECT:
             raise TraceAbort("setprop-on-primitive")
@@ -984,7 +915,7 @@ class Recorder:
             self.guard_true(status, exit)
         self.push(value)
 
-    def record_getelem(self, frame, pc: int) -> bool:
+    def record_getelem(self, frame, pc: int, opcode: int, arg) -> bool:
         index_box, obj_box = frame.stack[-1], frame.stack[-2]
         exit = self.make_exit(exitkind.OOB, pc)
         if obj_box.tag == TAG_OBJECT and isinstance(obj_box.payload, JSArray):
@@ -1032,7 +963,7 @@ class Recorder:
             return self.emit("d2i", (index,), type="i", exit=exit)
         raise TraceAbort("non-numeric-index")
 
-    def record_setelem(self, frame, pc: int) -> None:
+    def record_setelem(self, frame, pc: int, opcode: int, arg) -> None:
         value_box = frame.stack[-1]
         index_box = frame.stack[-2]
         obj_box = frame.stack[-3]
@@ -1055,7 +986,8 @@ class Recorder:
         self.guard_true(status, exit)
         self.push(value)
 
-    def record_initprop(self, frame, pc: int, name: str) -> None:
+    def record_initprop(self, frame, pc: int, opcode: int, arg) -> None:
+        name = frame.code.names[arg]
         value_abs = self.top.stack[-1]
         if value_abs.type == "x":
             raise TraceAbort("boxed-store")
@@ -1069,7 +1001,7 @@ class Recorder:
         )
         self.guard_true(status, exit)
 
-    def record_newarr(self, frame, pc: int, count: int) -> None:
+    def record_newarr(self, frame, pc: int, opcode: int, count: int) -> None:
         elements = []
         for _ in range(count):
             elements.append(self.pop())
@@ -1269,7 +1201,7 @@ class Recorder:
             return self.emit("const", imm=False, type="b")
         raise TraceAbort("ffi-missing-object-arg")
 
-    def record_return(self, opcode: int) -> None:
+    def record_return(self, frame, pc: int, opcode: int, arg) -> None:
         if self.depth == 0:
             raise TraceAbort("return-from-anchor-frame")
         if opcode == op.RETURN:
@@ -1519,7 +1451,11 @@ class Recorder:
 
 
 def _build_record_table():
-    """The opcode -> record-handler table (None = unrecordable)."""
+    """The opcode -> record-handler table (None = unrecordable).
+
+    Every handler takes ``(self, frame, pc, opcode, arg)`` and returns
+    True when it wants :meth:`Recorder.record_result` called after the
+    bytecode runs; False or None means it does not."""
     table = [None] * op.N_OPCODES
     table[op.NOP] = Recorder._rec_nop
     table[op.LOOPHEADER] = Recorder._rec_nop
@@ -1533,44 +1469,44 @@ def _build_record_table():
     table[op.THIS] = Recorder._rec_this
     table[op.GETLOCAL] = Recorder._rec_getlocal
     table[op.SETLOCAL] = Recorder._rec_setlocal
-    table[op.GETGLOBAL] = Recorder._rec_getglobal
+    table[op.GETGLOBAL] = Recorder.record_getglobal
     table[op.SETGLOBAL] = Recorder._rec_setglobal
     table[op.POP] = Recorder._rec_pop
     table[op.POPV] = Recorder._rec_pop
     table[op.DUP] = Recorder._rec_dup
     table[op.SWAP] = Recorder._rec_swap
     for opcode in (op.ADD, op.SUB, op.MUL):
-        table[opcode] = Recorder._rec_arith
-    table[op.DIV] = Recorder._rec_div
-    table[op.MOD] = Recorder._rec_mod
-    table[op.NEG] = Recorder._rec_neg
+        table[opcode] = Recorder.record_arith
+    table[op.DIV] = Recorder.record_div
+    table[op.MOD] = Recorder.record_mod
+    table[op.NEG] = Recorder.record_neg
     table[op.TONUM] = Recorder._rec_tonum
     for opcode in (op.BITAND, op.BITOR, op.BITXOR, op.SHL, op.SHR, op.USHR, op.BITNOT):
-        table[opcode] = Recorder._rec_bitop
+        table[opcode] = Recorder.record_bitop
     for opcode in (op.LT, op.LE, op.GT, op.GE):
-        table[opcode] = Recorder._rec_relop
+        table[opcode] = Recorder.record_relop
     for opcode in (op.EQ, op.NE, op.STRICTEQ, op.STRICTNE):
-        table[opcode] = Recorder._rec_equality
+        table[opcode] = Recorder.record_equality
     table[op.NOT] = Recorder._rec_not
-    table[op.TYPEOF] = Recorder._rec_typeof
+    table[op.TYPEOF] = Recorder.record_typeof
     table[op.JUMP] = Recorder._rec_jump
     for opcode in (op.IFFALSE, op.IFTRUE):
-        table[opcode] = Recorder._rec_branch
+        table[opcode] = Recorder.record_branch
     for opcode in (op.ANDJMP, op.ORJMP):
-        table[opcode] = Recorder._rec_shortcircuit
-    table[op.GETPROP] = Recorder._rec_getprop
-    table[op.SETPROP] = Recorder._rec_setprop
-    table[op.GETELEM] = Recorder._rec_getelem
-    table[op.SETELEM] = Recorder._rec_setelem
-    table[op.INITPROP] = Recorder._rec_initprop
+        table[opcode] = Recorder.record_shortcircuit
+    table[op.GETPROP] = Recorder.record_getprop
+    table[op.SETPROP] = Recorder.record_setprop
+    table[op.GETELEM] = Recorder.record_getelem
+    table[op.SETELEM] = Recorder.record_setelem
+    table[op.INITPROP] = Recorder.record_initprop
     table[op.DELPROP] = Recorder._rec_delprop
     table[op.ITERKEYS] = Recorder._rec_iterkeys
     table[op.NEWOBJ] = Recorder._rec_newobj
-    table[op.NEWARR] = Recorder._rec_newarr
+    table[op.NEWARR] = Recorder.record_newarr
     for opcode in (op.CALL, op.CALLMETHOD, op.NEW):
-        table[opcode] = Recorder._rec_call
+        table[opcode] = Recorder.record_call
     for opcode in (op.RETURN, op.RETUNDEF):
-        table[opcode] = Recorder._rec_return
+        table[opcode] = Recorder.record_return
     table[op.THROW] = Recorder._rec_throw
     for opcode in (op.TRYPUSH, op.TRYPOP):
         table[opcode] = Recorder._rec_tryblock

@@ -1,8 +1,8 @@
 """Crash-safe persistent trace store (cross-process warm start).
 
 Hot traces are expensive to discover and cheap to reuse; without this
-module every fresh VM — a cold fleet start, and worst of all every
-worker respawn in :mod:`repro.exec.fleet` — re-records and re-compiles
+module every fresh VM — a cold batch start, and worst of all every
+VM respawn in :mod:`repro.exec.supervisor` — re-records and re-compiles
 the same loops.  :class:`TraceStore` persists LINKED trace trees to
 disk and lets a fresh VM preload them instead of re-tracing.  The py
 backend's generated Python is not stored: a warm VM builds it on first
@@ -532,7 +532,9 @@ def build_entry(vm, source: str, code, fingerprint: str) -> Tuple[dict, int, int
         "source": source,
         "global_names": list(monitor.global_names),
         "codes": [_code_sanity(c) for c in codes],
-        "exit_counter": max_exit_id,
+        # Past every id this VM handed out, aborted recordings
+        # included, so a warm VM numbers new exits like this one would.
+        "exit_counter": max(max_exit_id, monitor.next_exit_id - 1),
         "blacklist": blacklist_records,
         "blacklisted_headers": blacklisted_headers,
         "oracle": {
@@ -599,7 +601,12 @@ class _EntryLoader:
         except BaseException:
             self._rollback()
             raise
-        self._advance_exit_counter()
+        # New exits recorded by the warm VM must not collide with the
+        # preserved ids.
+        monitor = self.vm.monitor
+        monitor.next_exit_id = max(
+            monitor.next_exit_id, self.entry["exit_counter"] + 1
+        )
         return fragments
 
     # -- validation ---------------------------------------------------------------
@@ -724,15 +731,6 @@ class _EntryLoader:
             key = (id(self.codes[ci]), pc)
             self._hotness_saved.append((key, cache._hot_counters.get(key)))
             cache._hot_counters[key] = count
-
-    def _advance_exit_counter(self) -> None:
-        """New exits recorded by the warm VM must not collide with the
-        preserved ids; push the monitor's counter past them."""
-        monitor = self.vm.monitor
-        current = next(monitor.exit_ids)
-        monitor.exit_ids = itertools.count(
-            max(current, self.entry["exit_counter"] + 1)
-        )
 
     # -- rollback --------------------------------------------------------------------
 

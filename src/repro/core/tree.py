@@ -251,12 +251,6 @@ class TraceTree:
         self.entry_typemap.append((loc, trace_type))
         return slot
 
-    def entry_type_of(self, loc: tuple) -> Optional[TraceType]:
-        for existing_loc, trace_type in self.entry_typemap:
-            if existing_loc == loc:
-                return trace_type
-        return None
-
     def link_from(self, exit) -> Optional[PeerLink]:
         """The link that enters this tree from a type-unstable ``exit``.
 
@@ -303,10 +297,6 @@ class TraceTree:
 
     def global_type_of(self, name: str) -> Optional[TraceType]:
         return self._global_types.get(name)
-
-    def known_global_names(self) -> set:
-        """Every global this tree reads or writes."""
-        return set(self._global_types) | self.written_globals
 
     @property
     def import_slot_set(self) -> frozenset:

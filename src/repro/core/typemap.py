@@ -139,21 +139,6 @@ def box_for_type(raw, trace_type: TraceType) -> Box:
 TypeMapEntry = Tuple[tuple, TraceType]
 
 
-def typemap_of_frame(frame, include_this: bool = True) -> tuple:
-    """Current anchor-frame type map: every local (and ``this``).
-
-    The operand stack is empty at loop headers (the compiler only places
-    loops at statement level), so stack slots never appear in *entry*
-    type maps.
-    """
-    entries = []
-    for index, value in enumerate(frame.locals):
-        entries.append((("local", 0, index), type_of_box(value)))
-    if include_this and not frame.code.is_toplevel:
-        entries.append((("this", 0), type_of_box(frame.this_box)))
-    return tuple(entries)
-
-
 def read_location(vm, frames, base_index: int, loc: tuple) -> Box:
     """Read ``loc`` from live interpreter state.
 
@@ -169,26 +154,6 @@ def read_location(vm, frames, base_index: int, loc: tuple) -> Box:
     if kind == "global":
         return vm.globals.get(loc[1], UNDEFINED)
     raise VMInternalError(f"unknown location kind {loc!r}")
-
-
-def write_location(vm, frames, base_index: int, loc: tuple, value: Box) -> None:
-    """Write ``loc`` into live interpreter state."""
-    kind = loc[0]
-    if kind == "local":
-        frames[base_index + loc[1]].locals[loc[2]] = value
-    elif kind == "stack":
-        frame = frames[base_index + loc[1]]
-        stack = frame.stack
-        index = loc[2]
-        while len(stack) <= index:
-            stack.append(UNDEFINED)
-        stack[index] = value
-    elif kind == "this":
-        frames[base_index + loc[1]].this_box = value
-    elif kind == "global":
-        vm.globals[loc[1]] = value
-    else:
-        raise VMInternalError(f"unknown location kind {loc!r}")
 
 
 def entry_matches(

@@ -3,11 +3,11 @@
 This package hosts everything between the host and a guest script's
 right to keep running: :class:`ResourceLimits` declares a budget,
 :class:`ScriptMeter` bills a running VM against it (delivering typed
-guest faults through the preemption flag), :class:`Supervisor` runs
-job attempts on one VM with isolation, a retry policy, degradation and
-billing, and :class:`Fleet` — the only batch loop — admits and queues
-jobs for one supervised VM on the caller's thread, replacing the VM
-when it crashes or hangs.
+guest faults through the preemption flag), and :class:`Supervisor` —
+the only batch loop — admits and queues jobs for one VM on the
+caller's thread, running each with isolation, a retry policy,
+degradation and billing, and replacing the VM when it crashes or
+hangs.
 
 Import order matters: :mod:`repro.interp.interpreter` (and friends)
 import :mod:`repro.exec.limits` at module top, which executes this
@@ -30,20 +30,16 @@ from repro.exec.limits import (
 from repro.exec.supervisor import (
     Job,
     JobResult,
+    JobShed,
     JobUsage,
     Supervisor,
     TenantUsage,
+    TokenBucket,
     backoff_slots,
     status_of_fault,
 )
-from repro.exec.fleet import (
-    Fleet,
-    JobShed,
-    TokenBucket,
-)
 
 __all__ = [
-    "Fleet",
     "GuestFault",
     "Job",
     "JobResult",

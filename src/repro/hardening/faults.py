@@ -62,11 +62,11 @@ PYCOMPILE_EMIT = "pycompile.emit"
 #: codegen state exists, so the trunk keeps its last function).
 PYCOMPILE_LINK = "pycompile.link"
 
-#: Fleet scheduling: the batch VM dies abruptly at the moment it begins
-#: a job attempt (the fleet must respawn it and resubmit the job).
+#: Batch scheduling: the batch VM dies abruptly at the moment it begins
+#: a job attempt (the supervisor must respawn it and resubmit the job).
 FLEET_WORKER_CRASH = "fleet.worker_crash"
-#: Fleet scheduling: the batch VM wedges at the moment it begins a job
-#: attempt; the fleet replaces it at once (reason ``hang``) and
+#: Batch scheduling: the batch VM wedges at the moment it begins a job
+#: attempt; the supervisor replaces it at once (reason ``hang``) and
 #: resubmits the job.
 FLEET_WORKER_HANG = "fleet.worker_hang"
 
@@ -97,8 +97,9 @@ FAULT_SITES = (
 )
 
 #: Fleet-level injection sites: they fire at the scheduler boundary of
-#: :class:`repro.exec.fleet.Fleet` (never inside a VM) and are swept by
-#: the fleet chaos harness (``tests/test_fleet.py``, CI ``fleet-soak``).
+#: :class:`repro.exec.supervisor.Supervisor` (never inside a VM) and are
+#: swept by the fleet chaos harness (``tests/test_fleet.py``, CI
+#: ``batch-soak``).
 FLEET_FAULT_SITES = (
     FLEET_WORKER_CRASH,
     FLEET_WORKER_HANG,

@@ -146,9 +146,6 @@ class Gauge(Counter):
         key = self._key(labels)
         self.values[key] = self.values.get(key, 0) + amount
 
-    def dec(self, amount: float = 1, **labels) -> None:
-        self.inc(-amount, **labels)
-
 
 class Histogram(_Instrument):
     """Fixed-bucket distribution with a sum and a count per series."""

@@ -267,16 +267,17 @@ class SpanRecorder:
 
 
 class FleetSpanRecorder(SpanRecorder):
-    """Span recorder for :class:`repro.exec.fleet.Fleet`'s own lanes.
+    """Span recorder for the batch lanes of
+    :class:`repro.exec.supervisor.Supervisor`.
 
-    The fleet outlives any one simulated-cycle ledger — a respawn
-    starts a fresh VM — so its canonical timebase is **host wall-clock
-    microseconds since the recorder was created** (the fleet is the one
-    layer of the system that legitimately lives on host time).  Its
-    lanes are the job attempts and the fleet's instants.  Each VM's
-    queue-wait, job and phase spans stay on that VM's own
-    :class:`SpanRecorder`; :meth:`repro.exec.fleet.Fleet.chrome_trace`
-    joins them.
+    A batch outlives any one simulated-cycle ledger — a respawn starts
+    a fresh VM — so its canonical timebase is **host wall-clock
+    microseconds since the recorder was created** (batch scheduling is
+    the one layer of the system that legitimately lives on host time).
+    Its lanes are the job attempts and the scheduler's instants.  Each
+    VM's queue-wait, job and phase spans stay on that VM's own
+    :class:`SpanRecorder`, and
+    :meth:`repro.exec.supervisor.Supervisor.chrome_trace` joins them.
     """
 
     def __init__(self, clock=None, max_spans: int = 100_000,

@@ -187,15 +187,14 @@ def test_injected_fault_inside_quota_limited_job_keeps_typed_fault(site):
 
 
 def test_supervisor_contains_chaos_jobs():
-    from repro.exec import Fleet, Job, ResourceLimits
+    from repro.exec import Job, ResourceLimits, Supervisor
 
     config = VMConfig(chaos_seed=3, capture_events=True)
-    fleet = Fleet(
+    sup = Supervisor(
         config=config,
         limits=ResourceLimits(deadline_cycles=300_000),
     )
-    sup = fleet.supervisor
-    results = fleet.run([
+    results = sup.run([
         Job("fine", PROGRAMS_BY_NAME["bitops-bitwise-and"].source),
         Job("hang", "while (true) {}"),
     ])

@@ -1,9 +1,14 @@
 """Tests for the command-line interface."""
 
 import io
+import os
+import pathlib
+import subprocess
+import sys
 
 import pytest
 
+import repro
 from repro.cli import main
 
 
@@ -228,3 +233,69 @@ class TestFleetBatch:
         assert "events JSONL" in detect_and_validate(str(events))
         assert "metrics" in detect_and_validate(str(metrics))
         assert "Chrome trace" in detect_and_validate(str(trace))
+
+
+class TestMethodJITTelemetry:
+    """The method JIT has no profiler, metrics registry or span
+    recorder: asking it for their output is a one-line usage error,
+    refused before anything runs, never a traceback."""
+
+    SINGLE_RUN = [
+        ["--profile"],
+        ["--profile-json", "p.json"],
+        ["--timeline", "t.html"],
+        ["--metrics-json", "m.json"],
+        ["--metrics-prom", "m.prom"],
+        ["--trace-export", "t.json"],
+    ]
+    BATCH = [
+        ["--metrics-json", "m.json"],
+        ["--metrics-prom", "m.prom"],
+        ["--trace-export", "t.json"],
+    ]
+
+    @pytest.mark.parametrize("flags", SINGLE_RUN, ids=lambda f: f[0])
+    def test_single_run_refuses(self, flags, tmp_path, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        with pytest.raises(SystemExit, match=(
+                f"^repro: --engine methodjit does not support {flags[0]}$")):
+            run_cli(["--engine", "methodjit", *flags, "-e", "1;"])
+        assert not list(tmp_path.iterdir())
+
+    @pytest.mark.parametrize("flags", BATCH, ids=lambda f: f[0])
+    def test_batch_refuses(self, flags, tmp_path, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        job = tmp_path / "j.js"
+        job.write_text("1;")
+        with pytest.raises(SystemExit, match=(
+                f"^repro: --engine methodjit does not support {flags[0]}$")):
+            run_cli(["batch", "--engine", "methodjit", *flags, str(job)])
+        assert [p.name for p in tmp_path.iterdir()] == ["j.js"]
+
+    def test_every_refused_flag_is_named(self):
+        with pytest.raises(SystemExit, match=(
+                "does not support --profile, --metrics-prom$")):
+            run_cli(["--engine", "methodjit", "--profile",
+                     "--metrics-prom", "m.prom", "-e", "1;"])
+
+    def test_other_engines_and_compare_still_accept_the_flags(self, capsys):
+        status, _output = run_cli(["--engine", "baseline", "--profile",
+                                   "-e", "1;"])
+        assert status == 0
+        status, _output = run_cli(["--engine", "methodjit", "--compare",
+                                   "--profile", "-e", "1;"])
+        assert status == 0
+
+    def test_refusal_prints_no_traceback(self, tmp_path):
+        sieve = pathlib.Path(__file__).parent.parent / "examples" / "sieve.js"
+        env = dict(os.environ,
+                   PYTHONPATH=str(pathlib.Path(repro.__file__).parent.parent))
+        completed = subprocess.run(
+            [sys.executable, "-m", "repro", "--engine", "methodjit",
+             "--trace-export", str(tmp_path / "t.json"), str(sieve)],
+            capture_output=True, text=True, env=env, timeout=120,
+        )
+        assert completed.returncode == 1
+        assert completed.stderr.splitlines() == [
+            "repro: --engine methodjit does not support --trace-export"
+        ]

@@ -1,6 +1,6 @@
-"""The batch fleet: admission, the queue, VM respawn, chaos.
+"""The supervisor's batch layer: admission, the queue, VM respawn, chaos.
 
-The fleet's correctness contract is *convergence*: whatever fleet-level
+The batch layer's correctness contract is *convergence*: whatever fleet-level
 faults fire (VM kills and hangs), every job's canonical observation —
 (job_id, status, result, output) — must equal the no-chaos run.  Cycle
 bills legitimately differ (a replacement VM starts with an empty trace
@@ -10,13 +10,13 @@ cache), so they are excluded, exactly like wall-clock.
 import pytest
 
 from repro.exec import (
-    Fleet,
     Job,
     JobShed,
     ResourceLimits,
+    Supervisor,
     TokenBucket,
 )
-from repro.exec.fleet import (
+from repro.exec.supervisor import (
     SHED_DEADLINE,
     SHED_QUEUE_FULL,
     SHED_RATE,
@@ -73,22 +73,22 @@ class TestTokenBucket:
 class TestFleetBasics:
     def test_runs_batch_in_submission_order(self):
         jobs = mixed_jobs(9)
-        fleet = Fleet()
-        results = fleet.run(jobs)
+        sup = Supervisor()
+        results = sup.run(jobs)
         assert [r.job_id for r in results] == [j.job_id for j in jobs]
         assert all(r.status == "ok" for r in results)
 
     def test_reusable_across_batches(self):
-        fleet = Fleet()
-        first = fleet.run(mixed_jobs(4))
-        second = fleet.run(mixed_jobs(4))
+        sup = Supervisor()
+        first = sup.run(mixed_jobs(4))
+        second = sup.run(mixed_jobs(4))
         assert canonical(first) == canonical(second)
 
     def test_fleet_wide_tenant_summary(self):
         jobs = mixed_jobs(9)
-        fleet = Fleet()
-        fleet.run(jobs)
-        summary = fleet.tenant_summary()
+        sup = Supervisor()
+        sup.run(jobs)
+        summary = sup.tenant_summary()
         assert sorted(summary) == ["tenant-0", "tenant-1", "tenant-2"]
         assert all(usage.jobs == 3 and usage.ok == 3
                    for usage in summary.values())
@@ -100,11 +100,11 @@ class TestFleetBasics:
         from repro.vm import VMConfig
 
         config = VMConfig()
-        fleet = Fleet(config=config,
-                      fault_plan=FaultPlan({"fleet.worker_crash": 2}))
-        fleet.run(mixed_jobs(3))
-        dead, live = fleet.vms
-        assert live is fleet.supervisor.vm
+        sup = Supervisor(config=config,
+                         fault_plan=FaultPlan({"fleet.worker_crash": 2}))
+        sup.run(mixed_jobs(3))
+        dead, live = sup.vms
+        assert live is sup.vm
         assert len({id(config), id(dead.config), id(live.config)}) == 3
 
 
@@ -112,9 +112,9 @@ class TestAdmission:
     def test_rate_limit_sheds_typed_result(self):
         now = [100.0]
         jobs = [Job(f"s{i}", "1 + 1;", tenant="spammy") for i in range(5)]
-        fleet = Fleet(rates={"spammy": 2.0}, clock=lambda: now[0],
-                      capture_events=True)
-        results = fleet.run(jobs)
+        sup = Supervisor(rates={"spammy": 2.0}, clock=lambda: now[0],
+                         capture_events=True)
+        results = sup.run(jobs)
         shed = [r for r in results if r.status == STATUS_SHED]
         assert len(shed) == 3  # burst of 2 admitted, frozen clock: no refill
         for result in shed:
@@ -122,21 +122,21 @@ class TestAdmission:
             assert result.reason == SHED_RATE
             assert result.fault == "shed: rate"
             assert result.attempts == 0
-        assert fleet.counts()["job-shed"] == 3
+        assert sup.counts()["job-shed"] == 3
 
     def test_rate_limit_is_per_tenant(self):
         now = [100.0]
         jobs = [Job("a", "1;", tenant="limited"),
                 Job("b", "2;", tenant="limited"),
                 Job("c", "3;", tenant="free")]
-        fleet = Fleet(rates={"limited": 1.0}, clock=lambda: now[0])
-        results = fleet.run(jobs)
+        sup = Supervisor(rates={"limited": 1.0}, clock=lambda: now[0])
+        results = sup.run(jobs)
         assert [r.status for r in results] == ["ok", STATUS_SHED, "ok"]
 
     def test_bounded_queue_sheds_overflow(self):
         jobs = [Job(f"q{i}", HOT_LOOP + f" s + {i};") for i in range(8)]
-        fleet = Fleet(shed_after=3, capture_events=True)
-        results = fleet.run(jobs)
+        sup = Supervisor(shed_after=3, capture_events=True)
+        results = sup.run(jobs)
         reasons = [getattr(r, "reason", None) for r in results]
         assert reasons.count(SHED_QUEUE_FULL) == len(jobs) - 3
         # Shedding produced typed results, not tracebacks, and the
@@ -147,8 +147,8 @@ class TestAdmission:
         now = [50.0]
         jobs = [Job("late", "1;", not_after=49.0),
                 Job("fine", "2;", not_after=51.0)]
-        fleet = Fleet(clock=lambda: now[0])
-        results = fleet.run(jobs)
+        sup = Supervisor(clock=lambda: now[0])
+        results = sup.run(jobs)
         assert results[0].status == STATUS_SHED
         assert results[0].reason == SHED_DEADLINE
         assert results[1].status == "ok"
@@ -165,8 +165,8 @@ class TestAdmission:
 
         jobs = [Job("long", HOT_LOOP),
                 Job("stale", "1;", not_after=0.5)]
-        fleet = Fleet(clock=TickingClock(), capture_events=True)
-        results = fleet.run(jobs)
+        sup = Supervisor(clock=TickingClock(), capture_events=True)
+        results = sup.run(jobs)
         assert results[0].status == "ok"
         assert results[1].status == STATUS_SHED
         assert results[1].reason == SHED_DEADLINE
@@ -174,9 +174,9 @@ class TestAdmission:
     def test_sheds_never_reach_a_worker(self):
         now = [100.0]
         jobs = [Job(f"s{i}", "1 + 1;", tenant="spammy") for i in range(4)]
-        fleet = Fleet(rates={"spammy": 1.0}, clock=lambda: now[0])
-        fleet.run(jobs)
-        summary = fleet.tenant_summary()
+        sup = Supervisor(rates={"spammy": 1.0}, clock=lambda: now[0])
+        sup.run(jobs)
+        summary = sup.tenant_summary()
         usage = summary["spammy"]
         assert usage.jobs == 4 and usage.ok == 1 and usage.faulted == 3
         assert usage.cycles > 0  # only the admitted job billed cycles
@@ -186,28 +186,28 @@ class TestWorkerFaultTolerance:
     def test_crash_respawns_and_resubmits(self):
         jobs = mixed_jobs(6)
         plan = FaultPlan({"fleet.worker_crash": 1})
-        fleet = Fleet(fault_plan=plan, capture_events=True)
-        first_vm = fleet.supervisor.vm
-        results = fleet.run(jobs)
-        counts = fleet.counts()
+        sup = Supervisor(fault_plan=plan, capture_events=True)
+        first_vm = sup.vm
+        results = sup.run(jobs)
+        counts = sup.counts()
         assert all(r.status == "ok" for r in results)
         assert counts["worker-respawn"] == 1
         assert counts["worker-online"] == 2  # first VM + 1 respawn
         # The replacement is a fresh VM with the next id.
-        assert fleet.vms == [first_vm, fleet.supervisor.vm]
-        assert fleet.supervisor.vm is not first_vm
-        online = fleet.events.of_kind("worker-online")
+        assert sup.vms == [first_vm, sup.vm]
+        assert sup.vm is not first_vm
+        online = sup.events.of_kind("worker-online")
         assert [e.payload["replaces"] for e in online] == [None, 0]
 
     def test_hang_watchdog_replaces_wedged_worker(self):
         jobs = mixed_jobs(6)
         plan = FaultPlan({"fleet.worker_hang": 1})
-        fleet = Fleet(fault_plan=plan, capture_events=True)
-        results = fleet.run(jobs)
-        counts = fleet.counts()
+        sup = Supervisor(fault_plan=plan, capture_events=True)
+        results = sup.run(jobs)
+        counts = sup.counts()
         assert all(r.status == "ok" for r in results)
         assert counts["worker-respawn"] == 1
-        respawns = fleet.events.of_kind("worker-respawn")
+        respawns = sup.events.of_kind("worker-respawn")
         assert respawns[0].payload["reason"] == "hang"
 
     def test_repeated_crashes_exhaust_to_worker_lost(self):
@@ -215,21 +215,20 @@ class TestWorkerFaultTolerance:
         # and after max_requeues resubmissions it is reported lost —
         # a typed result, not a hang or a traceback.
         plan = FaultPlan({"fleet.worker_crash": "*"})
-        fleet = Fleet(max_requeues=2, fault_plan=plan, capture_events=True)
-        results = fleet.run([Job("doomed", "1 + 1;")])
-        counts = fleet.counts()
+        sup = Supervisor(max_requeues=2, fault_plan=plan, capture_events=True)
+        results = sup.run([Job("doomed", "1 + 1;")])
+        counts = sup.counts()
         assert results[0].status == STATUS_WORKER_LOST
         assert "max_requeues=2" in results[0].fault
         assert counts["worker-respawn"] == 3  # initial + 2 resubmits
-        summary = fleet.tenant_summary()
+        summary = sup.tenant_summary()
         assert summary["default"].faulted == 1
 
     def test_real_exception_in_attempt_is_a_crash(self):
         # A non-injected internal error escaping an attempt must also
         # respawn the worker and resubmit, not deadlock the batch.
-        fleet = Fleet(capture_events=True)
-        supervisor = fleet.supervisor
-        real = supervisor._run_attempt
+        sup = Supervisor(capture_events=True)
+        real = sup._run_attempt
         calls = {"n": 0}
 
         def flaky_attempt(job, attempt):
@@ -238,44 +237,44 @@ class TestWorkerFaultTolerance:
                 raise RuntimeError("host bug")
             return real(job, attempt)
 
-        supervisor._run_attempt = flaky_attempt
-        results = fleet.run([Job("survivor", "6 * 7;")])
+        sup._run_attempt = flaky_attempt
+        results = sup.run([Job("survivor", "6 * 7;")])
         assert results[0].status == "ok"
         assert results[0].result == "42"
-        assert fleet.counts()["worker-respawn"] == 1
+        assert sup.counts()["worker-respawn"] == 1
 
     def test_respawn_keeps_tenant_policy(self):
         # Degradation belongs to the supervisor, not to its VM: a tenant
         # degraded before a respawn still runs interp-only after it,
         # instead of breaching its compile quota again.
         loopy = "var s = 0; for (var i = 0; i < 300; i = i + 1) s = s + i; s;"
-        fleet = Fleet(limits=ResourceLimits(compile_quota=1),
-                      degrade_after=1, max_retries=0,
-                      fault_plan=FaultPlan.parse(["fleet.worker_crash:2"]))
-        first = fleet.run([Job("b0", loopy, tenant="t")])[0]
+        sup = Supervisor(limits=ResourceLimits(compile_quota=1),
+                         degrade_after=1, max_retries=0,
+                         fault_plan=FaultPlan.parse(["fleet.worker_crash:2"]))
+        first = sup.run([Job("b0", loopy, tenant="t")])[0]
         assert first.status == "quota"
-        assert fleet.degraded_tenants == {"t"}
-        second = fleet.run([Job("b1", loopy + " s;", tenant="t")])[0]
-        assert fleet.counts()["worker-respawn"] == 1
+        assert sup.degraded_tenants == {"t"}
+        second = sup.run([Job("b1", loopy + " s;", tenant="t")])[0]
+        assert sup.counts()["worker-respawn"] == 1
         assert second.engine_mode == "interp-only"
         assert second.status == "ok"
-        assert fleet.degraded_tenants == {"t"}
-        assert fleet.tenant_summary()["t"].jobs == 2
+        assert sup.degraded_tenants == {"t"}
+        assert sup.tenant_summary()["t"].jobs == 2
 
 
 class TestFleetChaosConvergence:
-    """The CI fleet-soak contract: any fleet fault converges to the
+    """The CI batch-soak contract: any fleet fault converges to the
     no-chaos per-job results."""
 
     @pytest.fixture(scope="class")
     def baseline(self):
-        fleet = Fleet()
-        return canonical(fleet.run(mixed_jobs()))
+        sup = Supervisor()
+        return canonical(sup.run(mixed_jobs()))
 
     @pytest.mark.parametrize("site", FLEET_FAULT_SITES)
     def test_single_fault_converges(self, site, baseline):
-        fleet = Fleet(fault_plan=FaultPlan({site: 1}))
-        got = canonical(fleet.run(mixed_jobs()))
+        sup = Supervisor(fault_plan=FaultPlan({site: 1}))
+        got = canonical(sup.run(mixed_jobs()))
         assert got == baseline
 
     def test_combined_chaos_converges(self, baseline):
@@ -283,10 +282,10 @@ class TestFleetChaosConvergence:
             "fleet.worker_crash": 1,
             "fleet.worker_hang": 2,
         })
-        fleet = Fleet(fault_plan=plan, capture_events=True)
-        got = canonical(fleet.run(mixed_jobs()))
+        sup = Supervisor(fault_plan=plan, capture_events=True)
+        got = canonical(sup.run(mixed_jobs()))
         assert got == baseline
-        assert fleet.counts()["worker-respawn"] >= 2
+        assert sup.counts()["worker-respawn"] >= 2
 
 
 class TestFleetObservability:
@@ -294,24 +293,24 @@ class TestFleetObservability:
         now = [100.0]
         jobs = [Job(f"s{i}", "1 + 1;", tenant="spammy") for i in range(4)]
         plan = FaultPlan({"fleet.worker_crash": 1})
-        fleet = Fleet(rates={"spammy": 1.0}, clock=lambda: now[0],
-                      fault_plan=plan, capture_metrics=True,
-                      capture_events=True)
-        fleet.run(jobs)
-        metrics = fleet.metrics
+        sup = Supervisor(rates={"spammy": 1.0}, clock=lambda: now[0],
+                         fault_plan=plan, capture_metrics=True,
+                         capture_events=True)
+        sup.run(jobs)
+        metrics = sup.metrics
         assert metrics.fleet_sheds.value(tenant="spammy", reason="rate") == 3
         assert metrics.fleet_respawns.value(reason="crash") == 1
 
     def test_metrics_include_every_worker_series(self):
-        """The fleet snapshot sums the counters of every VM, the dead
+        """The supervisor's snapshot sums the counters of every VM, the dead
         one included: the per-tenant job totals of a batch whose VM
         crashed midway equal those of a batch without the crash."""
 
         def jobs_series(plan):
-            fleet = Fleet(capture_metrics=True, fault_plan=plan)
-            fleet.run(mixed_jobs(9))
-            assert len(fleet.vms) == (1 if plan is None else 2)
-            doc = fleet.metrics.snapshot(program="fleet")
+            sup = Supervisor(capture_metrics=True, fault_plan=plan)
+            sup.run(mixed_jobs(9))
+            assert len(sup.vms) == (1 if plan is None else 2)
+            doc = sup.metrics.snapshot(program="fleet")
             family = next(
                 f for f in doc["counters"] if f["name"] == "repro_jobs_total"
             )
@@ -330,17 +329,17 @@ class TestFleetObservability:
         # not the sum of the dead and the live one, while counters
         # still count the jobs the dead VM ran.
         jobs = [Job(f"l{i}", HOT_LOOP + f" s + {i};") for i in range(3)]
-        fleet = Fleet(capture_metrics=True,
-                      fault_plan=FaultPlan.parse(["fleet.worker_crash:2"]))
-        fleet.run(jobs)
-        assert fleet.counts()["worker-respawn"] == 1
-        doc = fleet.metrics.snapshot(program="fleet")
+        sup = Supervisor(capture_metrics=True,
+                         fault_plan=FaultPlan.parse(["fleet.worker_crash:2"]))
+        sup.run(jobs)
+        assert sup.counts()["worker-respawn"] == 1
+        doc = sup.metrics.snapshot(program="fleet")
         series = {
             family["name"]: family["series"]
             for section in ("counters", "gauges")
             for family in doc[section]
         }
-        live = fleet.supervisor.vm
+        live = sup.vm
         assert live.monitor.cache.fragment_count == 2
         assert series["repro_cache_fragments"] == [
             {"labels": {}, "value": live.monitor.cache.fragment_count}
@@ -353,10 +352,10 @@ class TestFleetObservability:
         from repro.obs.spans import TRACK_JOBS
         from repro.obs.validate import validate_chrome_trace
 
-        fleet = Fleet(capture_spans=True,
-                      fault_plan=FaultPlan({"fleet.worker_crash": 2}))
-        fleet.run(mixed_jobs(4))
-        doc = fleet.spans.to_chrome_trace(program="test-fleet")
+        sup = Supervisor(capture_spans=True,
+                         fault_plan=FaultPlan({"fleet.worker_crash": 2}))
+        sup.run(mixed_jobs(4))
+        doc = sup.spans.to_chrome_trace(program="test-fleet")
         validate_chrome_trace(doc)
         lanes = {
             entry["args"]["name"]
@@ -373,19 +372,19 @@ class TestFleetObservability:
         from repro.obs.validate import validate_events_jsonl
 
         plan = FaultPlan({"fleet.worker_crash": 1})
-        fleet = Fleet(fault_plan=plan, capture_events=True)
-        fleet.run(mixed_jobs(4))
+        sup = Supervisor(fault_plan=plan, capture_events=True)
+        sup.run(mixed_jobs(4))
         path = tmp_path / "fleet-events.jsonl"
-        fleet.events.write_jsonl(str(path))
+        sup.events.write_jsonl(str(path))
         count = validate_events_jsonl(path.read_text())
         assert count >= 4  # worker-onlines + fault + respawn at minimum
 
     def test_clean_run_still_emits_events(self):
-        # worker-online for the first VM guarantees the fleet JSONL
+        # worker-online for the first VM guarantees the scheduler JSONL
         # artifact is never empty, which validate_events_jsonl requires.
-        fleet = Fleet(capture_events=True)
-        fleet.run(mixed_jobs(2))
-        assert len(fleet.events) >= 1
+        sup = Supervisor(capture_events=True)
+        sup.run(mixed_jobs(2))
+        assert len(sup.events) >= 1
 
 
 class TestFleetRetryDiscipline:
@@ -402,11 +401,11 @@ class TestFleetRetryDiscipline:
             "}"
             "total;"
         )
-        fleet = Fleet(config=config, limits=limits, max_retries=2,
-                      capture_events=True)
-        result = fleet.run([Job("pressured", nested)])[0]
+        sup = Supervisor(config=config, limits=limits, max_retries=2,
+                         capture_events=True)
+        result = sup.run([Job("pressured", nested)])[0]
         if result.attempts > 1:
-            retried = fleet.events.of_kind("job-retried")
+            retried = sup.events.of_kind("job-retried")
             assert retried and retried[0].payload["job"] == "pressured"
             assert retried[0].payload["backoff"] >= 1
         else:

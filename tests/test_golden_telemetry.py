@@ -45,7 +45,7 @@ import pathlib
 import re
 import tempfile
 
-from repro.exec import Fleet, Job, ResourceLimits
+from repro.exec import Job, ResourceLimits, Supervisor
 from repro.hardening import FaultPlan
 from repro.suite.programs import PROGRAMS
 from repro.vm import TracingVM, VMConfig
@@ -271,7 +271,7 @@ def _batch_jobs():
 def observe_batch() -> dict:
     """One supervised batch: the job table, per-job metrics deltas and
     the VM's exports."""
-    fleet = Fleet(
+    supervisor = Supervisor(
         config=VMConfig(code_cache_budget=400),
         limits=ResourceLimits(deadline_cycles=150_000),
         max_retries=2,
@@ -279,9 +279,9 @@ def observe_batch() -> dict:
         probation_after=1,
         capture_metrics=True,
     )
-    vm = fleet.supervisor.vm
+    vm = supervisor.vm
     vm.enable_profiling()
-    results = fleet.run(_batch_jobs())
+    results = supervisor.run(_batch_jobs())
     view = _vm_view(vm, "batch")
     view["table"] = [
         {
@@ -309,9 +309,9 @@ def observe_fleet() -> dict:
     crash.  Only the fleet's own families are pinned."""
     now = [100.0]
     jobs = [Job(f"s{i}", "1 + 1;", tenant="spammy") for i in range(4)]
-    fleet = Fleet(rates={"spammy": 1.0}, clock=lambda: now[0],
-                  fault_plan=FaultPlan({"fleet.worker_crash": 1}),
-                  capture_metrics=True)
+    fleet = Supervisor(rates={"spammy": 1.0}, clock=lambda: now[0],
+                       fault_plan=FaultPlan({"fleet.worker_crash": 1}),
+                       capture_metrics=True)
     results = fleet.run(jobs)
     snapshot = _snapshot_view(fleet.metrics, "fleet")
     return {

@@ -196,3 +196,31 @@ def test_no_link_while_a_recorder_is_attached(backend, monkeypatch):
     assert linked and not any(linked)
     aborts = vm.events.of_kind(eventkind.RECORD_ABORT)
     assert any(a.payload["reason"] == "inner-tree-side-exit" for a in aborts)
+
+
+#: The oracle ablation's loop (``benchmarks/test_oracle_ablation.py``):
+#: without the oracle, ``x`` enters as an int and is a double on trace,
+#: so the UNSTABLE exits carry a double that no peer's entry map takes
+#: natively; re-boxed, the integral double is an int again, and the
+#: monitor chains into the peer that matches it.
+ORACLE_ABLATION_LOOP = (
+    "var x = 0; for (var i = 0; i < 2000; i++) { x += 0.5; x += 0.5; } x;"
+)
+
+
+@pytest.mark.parametrize("backend", BACKENDS)
+def test_monitor_chains_an_unlinkable_unstable_exit_into_its_peer(backend):
+    """``TraceMonitor.execute_tree`` restores an UNSTABLE exit that could
+    not link natively and enters the matching peer at once.  A native
+    link emits no ``side-exit``, so an ``unstable-link`` right after a
+    ``side-exit`` of the same exit is the monitor's chain."""
+    result, vm = _run(ORACLE_ABLATION_LOOP, backend, enable_oracle=False)
+    assert repr(result) == repr(BaselineVM().run(ORACLE_ABLATION_LOOP))
+    events = vm.events.events
+    chained = [
+        link for exit, link in zip(events, events[1:])
+        if exit.kind == eventkind.SIDE_EXIT
+        and link.kind == eventkind.UNSTABLE_LINK
+        and exit.payload["exit_id"] == link.payload["exit_id"]
+    ]
+    assert chained, "no UNSTABLE exit was chained by the monitor"

@@ -63,20 +63,13 @@ def _config(store=None, backend="py", **overrides):
 
 
 def _normalized_events(vm, skip_store: bool):
-    """(kind, payload-json) pairs, exit ids renumbered first-seen."""
-    renumber = {}
-    normalized = []
-    for event in vm.events.events:
-        if skip_store and event.kind in STORE_KINDS:
-            continue
-        payload = dict(event.payload)
-        for key, value in payload.items():
-            if key.endswith("exit_id") and isinstance(value, int):
-                payload[key] = renumber.setdefault(value, len(renumber) + 1)
-        normalized.append(
-            (event.kind, json.dumps(payload, sort_keys=True, default=repr))
-        )
-    return normalized
+    """(kind, payload-json) pairs, raw exit ids included: a warm VM
+    numbers its new exits exactly as a second run in the writing VM."""
+    return [
+        (event.kind, json.dumps(event.payload, sort_keys=True, default=repr))
+        for event in vm.events.events
+        if not (skip_store and event.kind in STORE_KINDS)
+    ]
 
 
 def _second_run_reference(source: str, name: str, backend: str):
@@ -582,18 +575,16 @@ def _canonical(results):
 
 
 def test_supervisor_warm_start_from_store(tmp_path):
-    from repro.exec import Fleet
+    from repro.exec import Supervisor
 
-    config = _config(tmp_path)
-    cold_results = Fleet(config=_config(tmp_path)).run(_jobs())
+    cold_results = Supervisor(config=_config(tmp_path)).run(_jobs())
 
-    fleet = Fleet(config=_config(tmp_path))
-    warm = fleet.supervisor
+    warm = Supervisor(config=_config(tmp_path))
     sources, fragments = warm.warm_start_from_store()
     assert sources == len({p.source for p in PROGRAMS[:4]})
     assert fragments > 0
     assert warm.vm.monitor.cache.fragment_count > 0
-    warm_results = fleet.run(_jobs())
+    warm_results = warm.run(_jobs())
     assert _canonical(warm_results) == _canonical(cold_results)
 
 
@@ -608,13 +599,13 @@ def test_fleet_respawn_warm_starts_from_store(tmp_path):
     """A replacement VM preloads every stored source and announces it;
     the batch converges byte-identically even when the store feeds it a
     corrupt entry during the warm start."""
-    from repro.exec import Fleet
+    from repro.exec import Supervisor
 
     jobs = _jobs(6)
 
     def run_fleet(config, fleet_plan):
-        fleet = Fleet(config=config, fault_plan=fleet_plan,
-                      capture_events=True)
+        fleet = Supervisor(config=config, fault_plan=fleet_plan,
+                           capture_events=True)
         results = fleet.run(jobs)
         return fleet, _canonical(results)
 
@@ -634,10 +625,10 @@ def test_fleet_respawn_warm_starts_from_store(tmp_path):
 
 
 def test_fleet_initial_spawn_does_not_warm_start(tmp_path):
-    from repro.exec import Fleet
+    from repro.exec import Supervisor
 
     TracingVM(_config(tmp_path)).run(LOOP_SOURCE, name="loop")
-    fleet = Fleet(config=_config(tmp_path), capture_events=True)
+    fleet = Supervisor(config=_config(tmp_path), capture_events=True)
     fleet.run(_jobs(2))
     assert not fleet.events.of_kind(eventkind.WORKER_WARM_START)
 

@@ -17,7 +17,6 @@ from repro.errors import (
     ScriptTimeout,
 )
 from repro.exec import (
-    Fleet,
     Job,
     JobResult,
     JobUsage,
@@ -264,8 +263,8 @@ class TestVMReuse:
 
 class TestSupervisor:
     def test_queue_runs_all_jobs(self):
-        fleet = Fleet(limits=ResourceLimits(deadline_cycles=500_000))
-        results = fleet.run([
+        sup = Supervisor(limits=ResourceLimits(deadline_cycles=500_000))
+        results = sup.run([
             Job("sum", "var s = 0; for (var i = 0; i < 50; i = i + 1) s = s + i; s;"),
             Job("loop", INFINITE_LOOP),
             Job("boom", 'throw "nope";'),
@@ -282,18 +281,18 @@ class TestSupervisor:
         assert results[1].fault is not None
 
     def test_jobs_are_isolated(self):
-        fleet = Fleet()
+        sup = Supervisor()
         poison = Job("writer", 'var leak = "set by writer";', tenant="a")
         probe = Job("reader", "leak;", tenant="b")
-        results = fleet.run([poison, probe])
+        results = sup.run([poison, probe])
         # The writer's global did not survive into the reader's world.
         assert results[1].status == "js-error"
         assert "leak is not defined" in results[1].fault
         assert results[1].output == ()
 
     def test_output_is_per_job(self):
-        fleet = Fleet()
-        results = fleet.run([
+        sup = Supervisor()
+        results = sup.run([
             Job("a", 'print("from a");'),
             Job("b", 'print("from b");'),
         ])
@@ -301,10 +300,10 @@ class TestSupervisor:
         assert results[1].output == ("from b",)
 
     def test_usage_is_per_job_billing(self):
-        fleet = Fleet()
+        sup = Supervisor()
         heavy = "var a = []; for (var i = 0; i < 200; i = i + 1) a.push(i); a.length;"
         light = "1 + 1;"
-        results = fleet.run([Job("heavy", heavy), Job("light", light)])
+        results = sup.run([Job("heavy", heavy), Job("light", light)])
         assert results[0].usage.heap_cells > 100
         assert results[1].usage.heap_cells == 0
         assert 0 < results[1].usage.cycles < results[0].usage.cycles
@@ -312,9 +311,9 @@ class TestSupervisor:
     def test_shared_trace_cache_across_jobs(self):
         # The same source re-submitted re-uses the compiled Code, so
         # the second job enters traces recorded during the first.
-        fleet = Fleet()
+        sup = Supervisor()
         source = "var s = 0; for (var i = 0; i < 400; i = i + 1) s = s + i; s;"
-        first, second = fleet.run([Job("j1", source), Job("j2", source)])
+        first, second = sup.run([Job("j1", source), Job("j2", source)])
         assert first.result == second.result == str(sum(range(400)))
         assert second.usage.cycles < first.usage.cycles  # warm cache pays off
         # Job 2 may still compile a hot side-exit branch, but not the
@@ -322,9 +321,9 @@ class TestSupervisor:
         assert second.usage.compile_cycles < first.usage.compile_cycles
 
     def test_per_job_limit_override(self):
-        fleet = Fleet(limits=ResourceLimits(deadline_cycles=10**9))
+        sup = Supervisor(limits=ResourceLimits(deadline_cycles=10**9))
         tight = ResourceLimits(deadline_cycles=100_000)
-        results = fleet.run([
+        results = sup.run([
             Job("tight", INFINITE_LOOP, limits=tight),
             Job("fine", "2 + 2;"),
         ])
@@ -334,8 +333,8 @@ class TestSupervisor:
     def test_breach_detected_at_finish_still_counts(self):
         # The allocation breaches the quota but the program ends before
         # any safe point: the job is still marked as a quota kill.
-        fleet = Fleet(limits=ResourceLimits(heap_quota=2))
-        result = fleet.run([Job("job-0", "var a = [1, 2, 3, 4, 5, 6, 7, 8];")])[0]
+        sup = Supervisor(limits=ResourceLimits(heap_quota=2))
+        result = sup.run([Job("job-0", "var a = [1, 2, 3, 4, 5, 6, 7, 8];")])[0]
         assert result.status == "quota"
         assert result.result is None
 
@@ -344,12 +343,11 @@ class TestSupervisor:
         # coincides with them is retried with backoff and a
         # job-retried event.
         config = VMConfig(code_cache_budget=400, capture_events=True)
-        fleet = Fleet(
+        sup = Supervisor(
             config=config,
             limits=ResourceLimits(deadline_cycles=150_000),
             max_retries=2,
         )
-        sup = fleet.supervisor
         nested = (
             "var total = 0;"
             "for (var i = 0; i < 200; i = i + 1) {"
@@ -358,7 +356,7 @@ class TestSupervisor:
             "}"
             "total;"
         )
-        results = fleet.run([Job("pressured", nested)])
+        results = sup.run([Job("pressured", nested)])
         result = results[0]
         if result.attempts > 1:
             from repro.core import events as eventkind
@@ -387,20 +385,20 @@ class TestSupervisor:
 
     def test_tenant_degrades_to_interpreter_after_compile_breaches(self):
         loopy = "var s = 0; for (var i = 0; i < 300; i = i + 1) s = s + i; s;"
-        fleet = Fleet(
+        sup = Supervisor(
             limits=ResourceLimits(compile_quota=1),
             degrade_after=2,
             max_retries=0,
         )
         # Distinct sources so each job compiles (and breaches) afresh.
-        results = fleet.run([
+        results = sup.run([
             Job("a1", loopy, tenant="abuser"),
             Job("a2", loopy + " s;", tenant="abuser"),
             Job("a3", loopy + " s + 0;", tenant="abuser"),
         ])
         assert results[0].status == "quota"
         assert results[1].status == "quota"
-        assert "abuser" in fleet.degraded_tenants
+        assert "abuser" in sup.degraded_tenants
         # Demoted to interpreter-only: no compiling, so the job succeeds.
         assert results[2].status == "ok"
         assert results[2].engine_mode == "interp-only"
@@ -408,14 +406,14 @@ class TestSupervisor:
 
     def test_degradation_is_per_tenant(self):
         loopy = "var s = 0; for (var i = 0; i < 300; i = i + 1) s = s + i; s;"
-        fleet = Fleet(
+        sup = Supervisor(
             limits=ResourceLimits(compile_quota=1),
             degrade_after=1,
             max_retries=0,
         )
-        fleet.run([Job("bad", loopy, tenant="abuser")])
-        assert "abuser" in fleet.degraded_tenants
-        good = fleet.run([
+        sup.run([Job("bad", loopy, tenant="abuser")])
+        assert "abuser" in sup.degraded_tenants
+        good = sup.run([
             Job("good", loopy + " s;", tenant="citizen",
                 limits=ResourceLimits())
         ])[0]
@@ -424,19 +422,18 @@ class TestSupervisor:
 
     @pytest.mark.parametrize("engine", sorted(ENGINES))
     def test_supervisor_runs_on_every_engine(self, engine):
-        fleet = Fleet(
+        sup = Supervisor(
             engine=engine,
             limits=ResourceLimits(deadline_cycles=400_000),
         )
-        ok = fleet.run([Job("job-0", "var x = 6 * 7; x;")])[0]
+        ok = sup.run([Job("job-0", "var x = 6 * 7; x;")])[0]
         assert (ok.status, ok.result) == ("ok", "42")
-        hung = fleet.run([Job("hang", INFINITE_LOOP)])[0]
+        hung = sup.run([Job("hang", INFINITE_LOOP)])[0]
         assert hung.status == "timeout"
 
     def test_events_fold_into_stats(self):
-        fleet = Fleet(limits=ResourceLimits(deadline_cycles=100_000))
-        sup = fleet.supervisor
-        fleet.run([Job("job-0", INFINITE_LOOP)])
+        sup = Supervisor(limits=ResourceLimits(deadline_cycles=100_000))
+        sup.run([Job("job-0", INFINITE_LOOP)])
         tracing = sup.vm.stats.tracing
         assert tracing.script_deadlines == 1
         assert tracing.guest_faults == 1
@@ -504,8 +501,7 @@ class TestRetryBackoff:
         # Force the first attempt of the first job to "fail retryably"
         # and assert it does not run again immediately: the backoff
         # places it behind at least one other queued job.
-        fleet = Fleet(max_retries=1, backoff_seed=0)
-        sup = fleet.supervisor
+        sup = Supervisor(max_retries=1, backoff_seed=0)
         order = []
         real_attempt = sup._run_attempt
 
@@ -523,7 +519,7 @@ class TestRetryBackoff:
             Job("steady-1", "2 + 2;"),
             Job("steady-2", "3 + 3;"),
         ]
-        results = fleet.run(jobs)
+        results = sup.run(jobs)
         retry_position = order.index(("flaky", 2))
         # Backoff for attempt 1 is exactly 1 slot: one other job runs
         # before the retry (never front-of-queue).
@@ -536,8 +532,7 @@ class TestRetryBackoff:
     def test_retry_exhaustion_reports_last_fault(self):
         # Two attempts, two different faults: the surfaced JobResult
         # must carry the *last* attempt's fault, not the first's.
-        fleet = Fleet(max_retries=1)
-        sup = fleet.supervisor
+        sup = Supervisor(max_retries=1)
         faults = {
             1: ("timeout", "script exceeded its deadline (first attempt)"),
             2: ("quota", "script exceeded its compile-cycles quota (second)"),
@@ -552,7 +547,7 @@ class TestRetryBackoff:
             )
 
         sup._run_attempt = fake_attempt
-        result = fleet.run([Job("doomed", "1;")])[0]
+        result = sup.run([Job("doomed", "1;")])[0]
         assert result.attempts == 2
         assert result.status == "quota"
         assert result.fault == faults[2][1]
@@ -564,34 +559,34 @@ class TestTenantProbation:
 
     LOOPY = "var s = 0; for (var i = 0; i < 300; i = i + 1) s = s + i; s;"
 
-    def _degraded_fleet(self, probation_after=2):
-        fleet = Fleet(
+    def _degraded_supervisor(self, probation_after=2):
+        sup = Supervisor(
             limits=ResourceLimits(compile_quota=1),
             degrade_after=1,
             max_retries=0,
             probation_after=probation_after,
             capture_events=True,
         )
-        breach = fleet.run([Job("b0", self.LOOPY, tenant="t")])[0]
+        breach = sup.run([Job("b0", self.LOOPY, tenant="t")])[0]
         assert breach.status == "quota"
-        assert "t" in fleet.degraded_tenants
-        return fleet, fleet.supervisor
+        assert "t" in sup.degraded_tenants
+        return sup
 
-    def _clean_job(self, fleet, job_id):
+    def _clean_job(self, sup, job_id):
         # Interpreter-only jobs never compile, so a lifted compile
         # quota is irrelevant; give each a fresh source to prove it.
-        return fleet.run([
+        return sup.run([
             Job(job_id, f"{self.LOOPY} s + {job_id!r};", tenant="t")
         ])[0]
 
     def test_probation_after_clean_interp_jobs(self):
         from repro.core import events as eventkind
 
-        fleet, sup = self._degraded_fleet(probation_after=2)
-        first = self._clean_job(fleet, "c1")
+        sup = self._degraded_supervisor(probation_after=2)
+        first = self._clean_job(sup, "c1")
         assert first.engine_mode == "interp-only"
         assert "t" in sup.degraded_tenants  # one clean job is not enough
-        second = self._clean_job(fleet, "c2")
+        second = self._clean_job(sup, "c2")
         assert second.status == "ok"
         assert "t" not in sup.degraded_tenants
         assert "t" in sup.probation_tenants
@@ -601,12 +596,12 @@ class TestTenantProbation:
     def test_clean_jit_job_restores_tenant(self):
         from repro.core import events as eventkind
 
-        fleet, sup = self._degraded_fleet(probation_after=1)
-        self._clean_job(fleet, "c1")
+        sup = self._degraded_supervisor(probation_after=1)
+        self._clean_job(sup, "c1")
         assert "t" in sup.probation_tenants
         # On probation the JIT is back; an untraced (cold) source with a
         # lifted quota completes clean and closes the window.
-        ok = fleet.run([
+        ok = sup.run([
             Job("clean", "6 * 7;", tenant="t", limits=ResourceLimits())
         ])[0]
         assert ok.status == "ok"
@@ -622,10 +617,10 @@ class TestTenantProbation:
     def test_breach_on_probation_redegrades_immediately(self):
         from repro.core import events as eventkind
 
-        fleet, sup = self._degraded_fleet(probation_after=1)
-        self._clean_job(fleet, "c1")
+        sup = self._degraded_supervisor(probation_after=1)
+        self._clean_job(sup, "c1")
         assert "t" in sup.probation_tenants
-        relapse = fleet.run([Job("r0", self.LOOPY + " s;", tenant="t")])[0]
+        relapse = sup.run([Job("r0", self.LOOPY + " s;", tenant="t")])[0]
         assert relapse.status == "quota"
         assert "t" in sup.degraded_tenants
         assert "t" not in sup.probation_tenants
@@ -636,15 +631,15 @@ class TestTenantProbation:
         assert phases == ["enter", "redegraded"]
 
     def test_faulted_interp_job_resets_the_clean_counter(self):
-        fleet, sup = self._degraded_fleet(probation_after=2)
-        self._clean_job(fleet, "c1")
-        bad = fleet.run([
+        sup = self._degraded_supervisor(probation_after=2)
+        self._clean_job(sup, "c1")
+        bad = sup.run([
             Job("bad", INFINITE_LOOP, tenant="t",
                 limits=ResourceLimits(deadline_cycles=50_000))
         ])[0]
         assert bad.status == "timeout"
         # The streak restarted: one more clean job must not be enough.
-        self._clean_job(fleet, "c2")
+        self._clean_job(sup, "c2")
         assert "t" in sup.degraded_tenants
-        self._clean_job(fleet, "c3")
+        self._clean_job(sup, "c3")
         assert "t" in sup.probation_tenants

@@ -21,7 +21,7 @@ import pytest
 
 from repro import TracingVM, VMConfig
 from repro.cli import main as cli_main
-from repro.exec import Fleet, Job
+from repro.exec import Job, Supervisor
 from repro.obs.metrics import METRICS_SCHEMA_VERSION, MetricsRegistry
 from repro.obs.spans import SPANS_SCHEMA_VERSION, TRACK_PHASES
 from repro.obs.validate import ValidationError, detect_and_validate
@@ -320,10 +320,9 @@ class TestSupervisorTelemetry:
         ]
 
     def test_tenant_summary_aggregates_billing(self):
-        fleet = Fleet(capture_metrics=True)
-        supervisor = fleet.supervisor
-        results = fleet.run(self._jobs())
-        tenants = fleet.tenant_summary()
+        supervisor = Supervisor(capture_metrics=True)
+        results = supervisor.run(self._jobs())
+        tenants = supervisor.tenant_summary()
         assert sorted(tenants) == ["alpha", "beta"]
         assert tenants["alpha"].jobs == 2
         assert tenants["beta"].jobs == 1
@@ -338,7 +337,7 @@ class TestSupervisorTelemetry:
         assert metrics.meter_polls.total > 0
 
     def test_job_results_carry_metrics_delta(self):
-        results = Fleet(capture_metrics=True).run(self._jobs())
+        results = Supervisor(capture_metrics=True).run(self._jobs())
         hot = next(r for r in results if r.job_id == "a-1")
         assert hot.metrics is not None
         assert any("repro_" in name for name in hot.metrics)
@@ -346,13 +345,12 @@ class TestSupervisorTelemetry:
         assert any(
             name.startswith("repro_compiles_total") for name in hot.metrics
         )
-        plain = Fleet().run(self._jobs())
+        plain = Supervisor().run(self._jobs())
         assert all(r.metrics is None for r in plain)
 
     def test_batch_spans_cover_queue_and_jobs(self):
-        fleet = Fleet(capture_spans=True)
-        supervisor = fleet.supervisor
-        results = fleet.run(self._jobs())
+        supervisor = Supervisor(capture_spans=True)
+        results = supervisor.run(self._jobs())
         doc = supervisor.vm.span_recorder.to_chrome_trace(
             profiler=supervisor.vm.profiler
         )

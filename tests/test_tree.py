@@ -47,12 +47,6 @@ class TestEntryMap:
         assert slot1 == slot2
         assert len(tree.entry_typemap) == 1
 
-    def test_entry_type_of(self):
-        tree = make_tree()
-        tree.add_entry_location(("local", 0, 0), TraceType.DOUBLE)
-        assert tree.entry_type_of(("local", 0, 0)) is TraceType.DOUBLE
-        assert tree.entry_type_of(("local", 0, 9)) is None
-
     def test_global_imports_conflict_detected(self):
         import pytest
 
@@ -64,12 +58,6 @@ class TestEntryMap:
         assert len(tree.global_imports) == 1
         with pytest.raises(VMInternalError):
             tree.add_global_import("g", 0, TraceType.STRING)
-
-    def test_known_global_names_union(self):
-        tree = make_tree()
-        tree.add_global_import("read", 0, TraceType.INT)
-        tree.written_globals.add("written")
-        assert tree.known_global_names() == {"read", "written"}
 
     def test_import_slot_set_encodes_globals_negative(self):
         tree = make_tree()

@@ -10,9 +10,7 @@ from repro.core.typemap import (
     entry_matches,
     read_location,
     type_of_box,
-    typemap_of_frame,
     unbox_for_type,
-    write_location,
 )
 from repro.errors import VMInternalError
 from repro.interp.frames import Frame
@@ -81,20 +79,17 @@ class TestLocations:
     def test_read_write_local(self):
         vm, frame = make_frame()
         frames = [frame]
-        write_location(vm, frames, 0, ("local", 0, 0), make_number(9))
+        frame.locals[0] = make_number(9)
         assert read_location(vm, frames, 0, ("local", 0, 0)).payload == 9
 
-    def test_read_write_stack_extends(self):
+    def test_read_stack(self):
         vm, frame = make_frame()
-        frames = [frame]
-        write_location(vm, frames, 0, ("stack", 0, 2), make_number(5))
-        assert len(frame.stack) == 3
-        assert read_location(vm, frames, 0, ("stack", 0, 2)).payload == 5
+        frame.stack.extend([make_number(4), make_number(5)])
+        assert read_location(vm, [frame], 0, ("stack", 0, 1)).payload == 5
 
     def test_read_write_global(self):
         vm, frame = make_frame()
-        write_location(vm, [frame], 0, ("global", "gee"), make_number(1))
-        assert vm.globals["gee"].payload == 1
+        vm.globals["gee"] = make_number(1)
         assert read_location(vm, [frame], 0, ("global", "gee")).payload == 1
 
     def test_missing_global_reads_undefined(self):
@@ -103,14 +98,18 @@ class TestLocations:
 
     def test_this_location(self):
         vm, frame = make_frame()
-        write_location(vm, [frame], 0, ("this", 0), make_string("self"))
+        frame.this_box = make_string("self")
         assert read_location(vm, [frame], 0, ("this", 0)).payload == "self"
 
 
 class TestEntryMatching:
     def test_exact_match(self):
         vm, frame = make_frame()
-        entries = typemap_of_frame(frame)
+        entries = [
+            (("local", 0, 0), TraceType.INT),
+            (("local", 0, 1), TraceType.DOUBLE),
+            (("this", 0), TraceType.UNDEFINED),
+        ]
         assert entry_matches(vm, [frame], 0, entries)
 
     def test_promotion_allowed(self):
@@ -127,11 +126,6 @@ class TestEntryMatching:
         vm, frame = make_frame()
         entries = [(("local", 0, 0), TraceType.STRING)]
         assert not entry_matches(vm, [frame], 0, entries)
-
-    def test_typemap_of_frame_includes_this_for_functions(self):
-        _vm, frame = make_frame()
-        entries = typemap_of_frame(frame)
-        assert (("this", 0), TraceType.UNDEFINED) in entries
 
 
 class TestDescribe:
