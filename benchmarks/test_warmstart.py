@@ -27,11 +27,18 @@ links exactly as many fragments as the cold VM discovered is part of
 the benchmark — and behavioural identity of the warm fragments is the
 differential proof in ``tests/test_store.py``, not here.
 
-Writes ``BENCH_warmstart.json`` (schema v1, validated by
-``repro.obs.validate``, which machine-gates ``speedup >= 1.0``;
-uploaded by the ``warmstart`` CI job).  The gate here is the ISSUE's:
-warm-start suite wall clock at least ``MIN_SPEEDUP``x faster than cold
-start.
+The store is paid on the save side too: a run with a store persists
+its trees after it finishes, and since warm start reproduces the run
+counters exactly, every job rewrites its entry.  **persist** times one
+``TraceStore.persist`` of the cold VM's trees into an empty directory
+per program (building the entry, pickling, hashing, and the two
+fsynced atomic writes).
+
+Writes ``BENCH_warmstart.json`` (schema v2, validated by
+``repro.obs.validate``, which machine-gates ``speedup >= 1.0`` and the
+sums; uploaded by the ``warmstart`` CI job).  The gate here is that
+warm-start suite wall clock is at least ``MIN_SPEEDUP``x faster than
+cold start.
 """
 
 from __future__ import annotations
@@ -63,13 +70,15 @@ def _config(store_dir=None):
     return config
 
 
-def _sweep(store_dir):
-    """Per program: a cold VM re-traces it, a warm VM reloads it.
+def _sweep(store_dir, tmp_root):
+    """Per program: a cold VM re-traces it and persists its trees into
+    an empty directory under ``tmp_root``, a warm VM reloads it.
 
     Fresh VMs on both sides — cross-program cache state (budget
     flushes, blacklist carry-over) would otherwise make the cold
     rediscovery diverge from what the store holds.
     """
+    from repro.core.store import TraceStore
     from repro.suite.programs import PROGRAMS
     from repro.vm import TracingVM
 
@@ -77,9 +86,15 @@ def _sweep(store_dir):
     for program in PROGRAMS:
         cold_vm = TracingVM(_config())
         started = time.perf_counter()
-        cold_vm.run(program.source, name=program.name)
+        code = cold_vm.compile(program.source, name=program.name)
+        cold_vm.run_code(code)
         cold_seconds = time.perf_counter() - started
         fragments = cold_vm.monitor.cache.fragment_count
+
+        empty = TraceStore(tempfile.mkdtemp(dir=tmp_root), cold_vm.config)
+        started = time.perf_counter()
+        assert empty.persist(cold_vm, program.source, code), program.name
+        persist_seconds = time.perf_counter() - started
 
         warm_vm = TracingVM(_config(store_dir))
         started = time.perf_counter()
@@ -100,6 +115,7 @@ def _sweep(store_dir):
                 "name": program.name,
                 "cold_seconds": cold_seconds,
                 "warm_seconds": warm_seconds,
+                "persist_seconds": persist_seconds,
                 "fragments": fragments,
             }
         )
@@ -118,7 +134,7 @@ def test_warmstart_speedup():
 
         best = None
         for _ in range(RUNS):
-            entries = _sweep(store_dir)
+            entries = _sweep(store_dir, tmp)
             warm_total = sum(entry["warm_seconds"] for entry in entries)
             if best is None or warm_total < sum(
                 entry["warm_seconds"] for entry in best
@@ -128,10 +144,11 @@ def test_warmstart_speedup():
 
     cold_total = sum(entry["cold_seconds"] for entry in entries)
     warm_total = sum(entry["warm_seconds"] for entry in entries)
+    persist_total = sum(entry["persist_seconds"] for entry in entries)
     speedup = cold_total / warm_total
 
     document = {
-        "schema": 1,
+        "schema": 2,
         "bench": "warmstart",
         "generated_by": "benchmarks/test_warmstart.py",
         "python": platform.python_version(),
@@ -141,6 +158,7 @@ def test_warmstart_speedup():
         "programs": entries,
         "cold_seconds": cold_total,
         "warm_seconds": warm_total,
+        "persist_seconds": persist_total,
         "speedup": speedup,
     }
     RESULT_PATH.write_text(json.dumps(document, indent=2) + "\n")
@@ -154,12 +172,13 @@ def test_warmstart_speedup():
         print(
             f"{entry['name']:>{width}}  cold {entry['cold_seconds'] * 1000:7.1f} ms  "
             f"warm {entry['warm_seconds'] * 1000:7.1f} ms  {ratio:7.2f}x  "
+            f"persist {entry['persist_seconds'] * 1000:6.1f} ms  "
             f"({entry['fragments']} fragments)"
         )
     print(
         f"{'total':>{width}}  cold {cold_total * 1000:7.1f} ms  "
-        f"warm {warm_total * 1000:7.1f} ms  {speedup:7.2f}x "
-        f"-> {RESULT_PATH.name}"
+        f"warm {warm_total * 1000:7.1f} ms  {speedup:7.2f}x  "
+        f"persist {persist_total * 1000:6.1f} ms -> {RESULT_PATH.name}"
     )
 
     assert len(entries) == len(PROGRAMS)

@@ -49,6 +49,14 @@ class FrameSnapshot:
     resume_pc: int
     stack_depth: int
 
+    def __setstate__(self, state: tuple) -> None:
+        # The trace store's state: the slot values in ``__slots__``
+        # order (see repro.core.store).  Frozen, hence object.__setattr__.
+        set_slot = object.__setattr__
+        set_slot(self, "code", state[0])
+        set_slot(self, "resume_pc", state[1])
+        set_slot(self, "stack_depth", state[2])
+
 
 class SideExit:
     """One potential exit point of a compiled trace."""
@@ -119,6 +127,14 @@ class SideExit:
         #: set when branch recording from this exit failed permanently
         self.recording_blocked = False
 
+    def __setstate__(self, state: tuple) -> None:
+        # The trace store's state: the slot values in ``__slots__`` order.
+        (self.exit_id, self.kind, self.pc, self.frames, self.stack_depth0,
+         self.anchor_resume_pc, self.livemap, self.live_slots, self.result_loc,
+         self.result_slot, self.branch_result_type, self.target, self.hit_count,
+         self.bytecode_progress, self.fragment, self.tree,
+         self.recording_blocked) = state
+
     @property
     def depth(self) -> int:
         """Number of inlined frames above the anchor at this exit."""
@@ -161,6 +177,10 @@ class CallTreeSite:
     depth: int  # outer frame depth at which the inner tree runs
     local_mapping: Tuple[Tuple[int, int], ...]  # (inner_slot, outer_slot)
     expected_exit_id: int = -1
+
+    def __setstate__(self, state: tuple) -> None:
+        # The trace store's state: the slot values in ``__slots__`` order.
+        self.tree, self.depth, self.local_mapping, self.expected_exit_id = state
 
     def __repr__(self) -> str:
         header = getattr(self.tree, "header_pc", "?")

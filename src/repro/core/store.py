@@ -50,10 +50,11 @@ the trace trees themselves — fragments, ``NativeInsn`` code, entry type
 maps, side exits with their ids, livemaps and links, and then the
 tree-wide value-numbering tables — and pickle keeps the recorded
 graph's sharing by construction.  It is read by an unpickler whose
-``find_class`` admits only the trace classes (:data:`TRACE_CLASSES`);
-objects that belong to one process (code objects, const-pool functions,
-natives, helpers, box singletons, loop descriptors) travel as
-persistent ids and are looked up again in the loading VM.  Everything
+``find_class`` admits only the trace classes (:data:`TRACE_CLASSES`)
+and one loader hook: objects that belong to one process (code objects,
+const-pool functions, natives, helpers, box singletons, loop
+descriptors) travel as calls of the hook with a reference, which the
+unpickler resolves in the loading VM.  Everything
 needed for a preloaded VM to be byte-identical (results, simulated
 cycles, stats, events modulo exit-id renumbering) to a VM that
 self-traced the same program once before is in one of the two.
@@ -61,11 +62,13 @@ self-traced the same program once before is in one of the two.
 
 from __future__ import annotations
 
+import copyreg
 import enum
 import hashlib
 import io
 import itertools
 import json
+import operator
 import os
 import pickle
 from typing import Dict, List, Optional, Tuple
@@ -90,8 +93,10 @@ from repro.runtime.values import FALSE, NULL, TRUE, UNDEFINED
 #: Checked on every load; carried in the manifest, every entry, and
 #: folded into the config fingerprint.  2: ``+ - * -x`` specialize to
 #: int only when the observed result is an int.  3: entries are
-#: pickles and hold no generated Python.
-STORE_SCHEMA = 3
+#: pickles and hold no generated Python.  4: the tree stream names
+#: process-local objects through one loader hook and holds the slotted
+#: trace objects as positional states.
+STORE_SCHEMA = 4
 
 MANIFEST_NAME = "manifest.json"
 
@@ -142,9 +147,6 @@ TRACE_CLASSES = (
 _ALLOWED = {(cls.__module__, cls.__qualname__): cls for cls in TRACE_CLASSES}
 _ALLOWED_CLASSES = frozenset(TRACE_CLASSES)
 
-#: Values pickled as themselves (containers are walked).
-_PLAIN = frozenset((type(None), bool, int, float, str, tuple, list, dict, set, frozenset))
-
 _HELPER_NAMES = (
     "ARRAY_SET",
     "ADD_PROPERTY",
@@ -158,7 +160,7 @@ _HELPER_NAMES = (
     "BOOL_TO_STR",
 )
 
-#: Process-wide objects a trace can hold, by persistent id: runtime
+#: Process-wide objects a trace can hold, by reference: runtime
 #: helpers, string methods and their callables, the box singletons and
 #: the one class a guard immediate holds.  The loader looks each up by
 #: name in its own process.
@@ -172,8 +174,7 @@ _PROCESS_OBJECTS = {
     ("singleton", "FALSE"): FALSE,
     ("singleton", "JSArray"): JSArray,
 }
-_PROCESS_PIDS = {id(obj): pid for pid, obj in _PROCESS_OBJECTS.items()}
-_OPT_VN = ("opt_vn",)
+_PROCESS_REFS = {id(obj): ref for ref, obj in _PROCESS_OBJECTS.items()}
 
 
 class StoreError(Exception):
@@ -300,63 +301,80 @@ def _callable_sentinel(name: str):
     return _stale
 
 
-_SENTINELS = {
-    "native": _native_sentinel,
-    "callable": _callable_sentinel,
-    "dead": lambda _name: _DeadKey(),
-}
+_SENTINELS = {"native": _native_sentinel, "callable": _callable_sentinel}
 
 
 # -- the tree stream ---------------------------------------------------------------
 
 
+def _process_ref(*ref):
+    """The tree stream's one loader hook.  A process-local object is
+    pickled as a call of this function with its reference; the tree
+    unpickler maps the name to its own resolver
+    (:meth:`_TreeUnpickler._resolve`), so this body runs only when a
+    stream is read some other way."""
+    raise StoreError("decode-error", f"process reference {ref!r} outside a tree stream")
+
+
+_HOOK_NAME = (_process_ref.__module__, _process_ref.__qualname__)
+
+#: Trace classes pickled as NEWOBJ plus a BUILD state holding their slot
+#: values in ``__slots__`` order (each class's ``__setstate__`` takes it
+#: back); a state, not constructor arguments, because exits, fragments
+#: and instructions reference one another.  The other trace classes
+#: keep pickle's own reduction (``TraceTree``/``Fragment`` through their
+#: ``__getstate__``).
+_POSITIONAL = {
+    cls: operator.attrgetter(*cls.__slots__)
+    for cls in (NativeInsn, SideExit, FrameSnapshot, CallSpec, CallTreeSite)
+}
+
+
 class _TreePickler(pickle.Pickler):
-    """Pickles trace trees.  ``persistent_id`` names every object that
-    belongs to this process the way the loader finds it again, and
-    refuses any object that is neither a trace class nor a plain value.
+    """Pickles trace trees.  Pickle writes plain values itself and asks
+    ``reducer_override`` only about other objects it has not memoized
+    yet: a trace class is written as itself, an object that belongs to
+    this process as a call of the loader hook with the reference the
+    loader finds it again by, and anything else refuses the save.
 
     The trees are dumped first; the opt_vn tables follow as a second
     object on the same pickler with ``in_key`` set, because inside a
     snapshot key an identity that cannot be named becomes a dead key
-    (an always-miss) instead of a refusal."""
+    (an always-miss) instead of a refusal.  The memo spans both dumps,
+    so an object the first dump named keeps that name in the second."""
 
     def __init__(self, file, codes: List[object]):
         super().__init__(file, protocol=5)
-        #: id -> persistent id: the process-wide objects, then this
+        #: id -> reference: the process-wide objects, then this
         #: program's code objects, loops and const-pool functions.
-        self.pids = dict(_PROCESS_PIDS)
+        self.refs = dict(_PROCESS_REFS)
         for ci, code in enumerate(codes):
-            self.pids[id(code)] = ("code", ci)
+            self.refs[id(code)] = ("code", ci)
             for loop in code.loops:
-                self.pids[id(loop)] = ("loop", ci, loop.header_pc)
+                self.refs[id(loop)] = ("loop", ci, loop.header_pc)
             for ki, box in enumerate(code.consts):
                 payload = getattr(box, "payload", None)
                 if isinstance(payload, JSFunction):
-                    self.pids.setdefault(id(payload), ("fn", ci, ki))
+                    self.refs.setdefault(id(payload), ("fn", ci, ki))
         self.in_key = False
         self.max_exit_id = 0
-        #: (kind, id) -> persistent id of a sentinel or dead key, so
-        #: that sharing survives (``_keep`` pins the ids against reuse).
-        self._shared_pids: Dict[tuple, tuple] = {}
-        self._keep: List[object] = []
 
-    def persistent_id(self, obj):
+    def reducer_override(self, obj):
+        ref = self.refs.get(id(obj))
+        if ref is not None:
+            return _process_ref, ref  # helpers are CallSpecs: refs come first
         cls = type(obj)
-        if cls in _PLAIN:
-            return None
-        pid = self.pids.get(id(obj))
-        if pid is not None:
-            return pid
-        if cls in _ALLOWED_CLASSES:
-            if cls is SideExit:
-                self.max_exit_id = max(self.max_exit_id, obj.exit_id)
-            elif cls is TreeValueState and not self.in_key:
-                return _OPT_VN  # pickled in the second dump
-            return None
+        slot_values = _POSITIONAL.get(cls)
+        if slot_values is not None:
+            if cls is SideExit and obj.exit_id > self.max_exit_id:
+                self.max_exit_id = obj.exit_id
+            return copyreg.__newobj__, (cls,), slot_values(obj)
+        if cls in _ALLOWED_CLASSES or obj is _process_ref:
+            return NotImplemented
         if isinstance(obj, type) and obj in _ALLOWED_CLASSES:
-            return None  # the class of a trace object being pickled
+            return NotImplemented  # the class of a trace object being pickled
         if self.in_key:
-            return self._shared("dead", obj, None)
+            return _process_ref, ("dead",)
         if isinstance(obj, JSFunction):
             raise StoreError(
                 "unencodable-const", f"JSFunction {obj.name!r} is not in a const pool"
@@ -366,18 +384,10 @@ class _TreePickler(pickle.Pickler):
             # matters on trace (eqp callee guards), and that identity
             # does not survive the process boundary — persist a sentinel
             # that fails the guard, like a warm second run would.
-            return self._shared("native", obj, obj.name)
+            return _process_ref, ("native", obj.name)
         if callable(obj) and not isinstance(obj, type):
-            return self._shared("callable", obj, getattr(obj, "__name__", "?"))
+            return _process_ref, ("callable", getattr(obj, "__name__", "?"))
         raise StoreError("unencodable-const", f"cannot persist {cls.__name__}")
-
-    def _shared(self, kind: str, obj, name) -> tuple:
-        key = (kind, id(obj))
-        pid = self._shared_pids.get(key)
-        if pid is None:
-            pid = self._shared_pids[key] = (kind, len(self._shared_pids), name)
-            self._keep.append(obj)
-        return pid
 
 
 class _EnvelopeUnpickler(pickle.Unpickler):
@@ -388,51 +398,58 @@ class _EnvelopeUnpickler(pickle.Unpickler):
 
 
 class _TreeUnpickler(pickle.Unpickler):
-    """Reads a tree stream: admits the trace classes and resolves each
-    persistent id in the loading VM."""
+    """Reads a tree stream: admits the trace classes and the loader
+    hook, which it resolves in the loading VM."""
 
     def __init__(self, data: bytes, codes: List[object]):
         super().__init__(io.BytesIO(data))
         self.codes = codes
-        self._shared: Dict[tuple, object] = {}
 
     def find_class(self, module, name):
+        if (module, name) == _HOOK_NAME:
+            return self._resolve
         cls = _ALLOWED.get((module, name))
         if cls is None:
             raise StoreError("forbidden-global", f"{module}.{name}")
         return cls
 
-    def persistent_load(self, pid):
+    def _resolve(self, *ref):
         try:
-            return self._resolve(pid)
+            return self._lookup(ref)
         except (LookupError, TypeError, ValueError, AttributeError) as error:
-            raise StoreError("decode-error", f"bad persistent id {pid!r}: {error}")
+            raise StoreError("decode-error", f"bad process reference {ref!r}: {error}")
 
-    def _resolve(self, pid):
-        obj = _PROCESS_OBJECTS.get(pid)
+    def _lookup(self, ref):
+        obj = _PROCESS_OBJECTS.get(ref)
         if obj is not None:
             return obj
-        kind = pid[0]
+        kind = ref[0]
         if kind == "code":
-            return self.codes[pid[1]]
+            return _item(self.codes, ref[1])
         if kind == "loop":
-            loop = self.codes[pid[1]].loop_at_header(pid[2])
+            loop = _item(self.codes, ref[1]).loop_at_header(ref[2])
             if loop is None:
                 raise StoreError("decode-error", "tree header has no loop")
             return loop
         if kind == "fn":
-            payload = self.codes[pid[1]].consts[pid[2]].payload
+            payload = _item(_item(self.codes, ref[1]).consts, ref[2]).payload
             if not isinstance(payload, JSFunction):
                 raise StoreError("decode-error", "const ref is not a function")
             return payload
-        if kind == "opt_vn":
-            return None
+        if kind == "dead" and len(ref) == 1:
+            return _DeadKey()
         if kind in _SENTINELS:
-            shared = self._shared.get(pid)
-            if shared is None:
-                shared = self._shared[pid] = _SENTINELS[kind](pid[2])
-            return shared
-        raise StoreError("decode-error", f"unknown persistent id {kind!r}")
+            (name,) = ref[1:]
+            if type(name) is str:
+                return _SENTINELS[kind](name)
+        raise StoreError("decode-error", f"bad process reference {ref!r}")
+
+
+def _item(items, index):
+    """``items[index]`` for a non-negative int index only."""
+    if type(index) is not int or index < 0:
+        raise IndexError(f"index {index!r}")
+    return items[index]
 
 
 def _dump_trees(codes: List[object], trees: List[TraceTree]) -> Tuple[bytes, int]:
@@ -665,6 +682,8 @@ class _EntryLoader:
         ):
             raise StoreError("decode-error", "tree stream is not a tree list")
         for tree, opt_vn in zip(trees, opt_vns):
+            if opt_vn is not None and type(opt_vn) is not TreeValueState:
+                raise StoreError("decode-error", "opt_vn is not a value state")
             tree.opt_vn = opt_vn
         self.trees = trees
 

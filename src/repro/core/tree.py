@@ -160,8 +160,9 @@ class TraceTree:
     )
 
     #: Fields that exist only at run time (see :attr:`Fragment
-    #: .RUNTIME_FIELDS`).
-    RUNTIME_FIELDS = frozenset(("profile", "links_in"))
+    #: .RUNTIME_FIELDS`).  ``opt_vn`` is saved, but apart from the
+    #: trees: the store pickles the value-numbering tables after them.
+    RUNTIME_FIELDS = frozenset(("profile", "links_in", "opt_vn"))
 
     def __init__(self, code, header_pc: int, loop_info):
         self.code = code

@@ -84,6 +84,12 @@ class NativeInsn:
         self.aux = aux
         self.srcs = srcs
 
+    def __setstate__(self, state: tuple) -> None:
+        # The trace store's state: the slot values in ``__slots__`` order
+        # (see repro.core.store).
+        (self.op, self.dst, self.a, self.b, self.c, self.imm, self.exit,
+         self.aux, self.srcs) = state
+
     def __repr__(self) -> str:
         parts = [self.op]
         if self.dst is not None:
@@ -134,6 +140,11 @@ class CallSpec:
     #: dirty globals flushed before the call (the trace is forced to
     #: exit right after it returns).
     accesses_state: bool = False
+
+    def __setstate__(self, state: tuple) -> None:
+        # The trace store's state: the slot values in ``__slots__`` order.
+        (self.kind, self.name, self.fn, self.arg_types, self.this_type,
+         self.result_type, self.cost, self.pure, self.accesses_state) = state
 
 
 class GlobalArea:

@@ -18,7 +18,7 @@ container deliberately does not ship.
 Current versions: events v7 (:data:`repro.core.events
 .EVENT_SCHEMA_VERSION`), profile v5 (:data:`repro.obs.profiler
 .PROFILE_SCHEMA_VERSION`), metrics v1, spans v1, BENCH_wallclock v3,
-BENCH_warmstart v1, trace-store manifest v3
+BENCH_warmstart v2, trace-store manifest v4
 (:data:`repro.core.store.STORE_SCHEMA`).
 """
 
@@ -35,7 +35,7 @@ from repro.obs.profiler import PROFILE_SCHEMA_VERSION
 from repro.obs.spans import SPANS_SCHEMA_VERSION
 
 BENCH_SCHEMA_VERSION = 3
-WARMSTART_SCHEMA_VERSION = 1
+WARMSTART_SCHEMA_VERSION = 2
 
 
 class ValidationError(Exception):
@@ -259,7 +259,8 @@ def validate_bench_wallclock(doc: dict) -> int:
 
 
 def validate_bench_warmstart(doc: dict) -> int:
-    """BENCH_warmstart v1: cold-vs-warm wall clock, speedup machine-gated.
+    """BENCH_warmstart v2: cold-vs-warm wall clock, speedup machine-gated,
+    and the save side (one persist per program).
 
     The file is invalid if warm start is not actually faster than cold
     tracing (speedup < 1.0) — recording a regression must fail CI, not
@@ -276,7 +277,7 @@ def validate_bench_warmstart(doc: dict) -> int:
              "WARMSTART missing backend")
     runs = doc.get("runs")
     _require(isinstance(runs, int) and runs >= 1, "WARMSTART: bad runs")
-    for key in ("cold_seconds", "warm_seconds", "speedup"):
+    for key in ("cold_seconds", "warm_seconds", "persist_seconds", "speedup"):
         value = doc.get(key)
         _require(isinstance(value, (int, float)) and value > 0,
                  f"WARMSTART: bad {key}")
@@ -285,7 +286,7 @@ def validate_bench_warmstart(doc: dict) -> int:
              "WARMSTART missing per-program entries")
     for entry in programs:
         _require(isinstance(entry.get("name"), str), "program without name")
-        for key in ("cold_seconds", "warm_seconds"):
+        for key in ("cold_seconds", "warm_seconds", "persist_seconds"):
             value = entry.get(key)
             _require(isinstance(value, (int, float)) and value > 0,
                      f"{entry.get('name')}: bad {key}")
@@ -293,14 +294,13 @@ def validate_bench_warmstart(doc: dict) -> int:
             isinstance(entry.get("fragments"), int) and entry["fragments"] >= 0,
             f"{entry.get('name')}: bad fragments",
         )
-    cold = sum(entry["cold_seconds"] for entry in programs)
-    warm = sum(entry["warm_seconds"] for entry in programs)
-    _require(abs(cold - doc["cold_seconds"]) <= 1e-6 * max(cold, 1.0),
-             "cold_seconds does not sum over programs")
-    _require(abs(warm - doc["warm_seconds"]) <= 1e-6 * max(warm, 1.0),
-             "warm_seconds does not sum over programs")
+    for key in ("cold_seconds", "warm_seconds", "persist_seconds"):
+        total = sum(entry[key] for entry in programs)
+        _require(abs(total - doc[key]) <= 1e-6 * max(total, 1.0),
+                 f"{key} does not sum over programs")
     _require(
-        abs(doc["speedup"] - cold / warm) <= 1e-6 * doc["speedup"],
+        abs(doc["speedup"] - doc["cold_seconds"] / doc["warm_seconds"])
+        <= 1e-6 * doc["speedup"],
         "speedup is not cold_seconds / warm_seconds",
     )
     _require(

@@ -84,6 +84,25 @@ def test_every_run_matches_the_golden_table():
     )
 
 
+def test_bench_wallclock_cycles_match_the_golden_table():
+    """The committed ``BENCH_wallclock.json`` bills every suite program
+    the cycles this table pins for the tracing engine, on both
+    backends: a change that moves the simulated world regenerates it
+    (``benchmarks/test_wallclock.py``) too."""
+    golden = json.loads(GOLDEN_PATH.read_text())
+    bench = json.loads((ROOT / "BENCH_wallclock.json").read_text())
+    by_name = {entry["name"]: entry for entry in bench["programs"]}
+    stale = [
+        f"{program.name}/{backend}: {by_name[program.name][backend]['simulated_cycles']}"
+        f" != {golden[f'{program.name}/tracing']['total_cycles']}"
+        for program in PROGRAMS
+        for backend in ("step", "py")
+        if by_name[program.name][backend]["simulated_cycles"]
+        != golden[f"{program.name}/tracing"]["total_cycles"]
+    ]
+    assert not stale, "BENCH_wallclock.json is stale: " + "; ".join(stale)
+
+
 if __name__ == "__main__":
     with open(GOLDEN_PATH, "w") as handle:
         json.dump(build_table(), handle, indent=1, sort_keys=True)

@@ -409,19 +409,28 @@ class _Call:
         return self.fn, self.args
 
 
-def _rewrite_entry(store_dir, data: bytes) -> None:
+def _rewrite_entry(store_dir, data: bytes, source=LOOP_SOURCE) -> None:
     """Replace the entry file and re-checksum it in the manifest."""
     import hashlib
 
-    with open(_entry_path(store_dir), "wb") as handle:
+    with open(_entry_path(store_dir, source), "wb") as handle:
         handle.write(data)
     manifest_path = os.path.join(str(store_dir), MANIFEST_NAME)
     manifest = json.load(open(manifest_path))
-    record = manifest["entries"][source_sha(LOOP_SOURCE)]
+    record = manifest["entries"][source_sha(source)]
     record["sha256"] = hashlib.sha256(data).hexdigest()
     record["size"] = len(data)
     with open(manifest_path, "w") as handle:
         json.dump(manifest, handle)
+
+
+def _retreed(store_dir, trees: bytes, source=LOOP_SOURCE) -> None:
+    """Rewrite the entry of ``source`` with ``trees`` as its tree stream."""
+    import pickle
+
+    entry = pickle.loads(open(_entry_path(store_dir, source), "rb").read())
+    entry["trees"] = trees
+    _rewrite_entry(store_dir, pickle.dumps(entry, protocol=5), source)
 
 
 def test_envelope_naming_a_global_refused(tmp_path):
@@ -446,14 +455,167 @@ def test_tree_stream_naming_a_global_refused(tmp_path):
 
     marker = tmp_path / "stream-ran"
     _populate(tmp_path / "store")
-    entry = pickle.loads(open(_entry_path(tmp_path / "store"), "rb").read())
-    entry["trees"] = pickle.dumps(
-        _Call(eval, f"open({str(marker)!r}, 'w').close()"), protocol=5)
-    _rewrite_entry(tmp_path / "store", pickle.dumps(entry, protocol=5))
+    _retreed(tmp_path / "store", pickle.dumps(
+        _Call(eval, f"open({str(marker)!r}, 'w').close()"), protocol=5))
     result, vm = _warm_vm(tmp_path / "store")
     assert not marker.exists()
     assert _fallback_reasons(vm) == ["forbidden-global"]
     assert repr(result) == repr(TracingVM(_config()).run(LOOP_SOURCE))
+
+
+class _Tripwire:
+    """Creates ``marker`` when unpickled: a class outside the trace
+    classes that a tampered tree stream builds with NEWOBJ."""
+
+    def __init__(self, marker):
+        self.marker = marker
+
+    def __setstate__(self, state):
+        open(state["marker"], "w").close()
+
+
+def test_tree_stream_newobj_outside_trace_classes_refused(tmp_path):
+    """A stream that builds an object of a class outside the trace
+    classes with NEWOBJ, as the stream builds its own, is refused at
+    the allowlist before the class is looked up."""
+    import pickle
+    import pickletools
+
+    marker = tmp_path / "newobj-ran"
+    stream = pickle.dumps([_Tripwire(str(marker))], protocol=5)
+    assert "NEWOBJ" in {op.name for op, _arg, _pos in pickletools.genops(stream)}
+    _populate(tmp_path / "store")
+    _retreed(tmp_path / "store", stream)
+    result, vm = _warm_vm(tmp_path / "store")
+    assert not marker.exists()
+    assert _fallback_reasons(vm) == ["forbidden-global"]
+    assert repr(result) == repr(TracingVM(_config()).run(LOOP_SOURCE))
+
+
+@pytest.mark.parametrize("ref", (
+    (), ("code", 99), ("code", -1), ("code", True), ("loop", 0, 12345),
+    ("fn", 0, 0), ("native",), ("native", 7), ("dead", "extra"), ("nope",),
+    (["unhashable"],),
+), ids=repr)
+def test_loader_hook_with_malformed_reference_refused(ref, tmp_path):
+    """The loader hook resolves only well-formed references into the
+    loading program; anything else is a ``decode-error``."""
+    import pickle
+
+    from repro.core import store
+
+    _populate(tmp_path)
+    _retreed(tmp_path, pickle.dumps([_Call(store._process_ref, *ref)], protocol=5))
+    result, vm = _warm_vm(tmp_path)
+    assert _fallback_reasons(vm) == ["decode-error"]
+    assert repr(result) == repr(TracingVM(_config()).run(LOOP_SOURCE))
+
+
+def test_malformed_value_numbering_list_refused(tmp_path):
+    """A checksum-valid math-partial-sums entry whose opt_vn list holds
+    ints must be refused at load (a ``store-fallback``), not linked and
+    left to fail at the next compile as an internal JIT failure."""
+    import pickle
+    import pickletools
+
+    from repro.core import store
+
+    program = next(p for p in PROGRAMS if p.name == "math-partial-sums")
+    writer = _populate(tmp_path, program.source, program.name)
+    entry = pickle.loads(open(_entry_path(tmp_path, program.source), "rb").read())
+    stream = entry["trees"]
+    trees = store._TreeUnpickler(stream, store.enumerate_codes(
+        writer.compile(program.source, name=program.name))).load()
+    # The trees end at the stream's first STOP; the opt_vn list follows.
+    trees_end = next(pos + 1 for op, _arg, pos in pickletools.genops(stream)
+                     if op.name == "STOP")
+    _retreed(tmp_path, stream[:trees_end] + pickle.dumps([42] * len(trees), protocol=5),
+             program.source)
+    result, vm = _warm_vm(tmp_path, program.source, program.name)
+    assert _fallback_reasons(vm) == ["decode-error"]
+    assert not [event for event in vm.events.of_kind(eventkind.JIT_INTERNAL_FAILURE)
+                if event.payload["boundary"] != "store.load"]
+    assert repr(result) == repr(TracingVM(_config()).run(program.source))
+
+
+@pytest.mark.parametrize("where", ("store", "entry"))
+def test_schema_3_entry_refused_and_rewritten(where, tmp_path):
+    """An entry written at schema 3 (persistent ids, dict states) is
+    refused with ``schema-mismatch``, whether its whole store or only
+    the entry says so, and the same run's save rewrites it at the
+    current schema."""
+    import pickle
+
+    _populate(tmp_path)
+    path = _entry_path(tmp_path)
+    entry = pickle.loads(open(path, "rb").read())
+    entry["schema"] = 3
+    _rewrite_entry(tmp_path, pickle.dumps(entry, protocol=5))
+    manifest_path = os.path.join(str(tmp_path), MANIFEST_NAME)
+    if where == "store":
+        manifest = json.load(open(manifest_path))
+        manifest["schema"] = 3
+        with open(manifest_path, "w") as handle:
+            json.dump(manifest, handle)
+    _result, vm = _warm_vm(tmp_path)
+    assert _fallback_reasons(vm) == ["schema-mismatch"]
+    assert json.load(open(manifest_path))["schema"] == STORE_SCHEMA == 4
+    assert pickle.loads(open(path, "rb").read())["schema"] == STORE_SCHEMA
+    _result, fresh = _warm_vm(tmp_path)
+    loads = fresh.events.of_kind(eventkind.STORE_LOAD)
+    assert loads and loads[0].payload["result"] == "hit"
+    assert not fresh.events.of_kind(eventkind.STORE_FALLBACK)
+
+
+def test_tree_stream_pickles_plain_values_without_the_hook(monkeypatch):
+    """The cost guard: pickle writes plain values itself, so the hook
+    that names trace and process-local objects never sees one."""
+    from repro.core import store
+
+    seen = set()
+    reducer_override = store._TreePickler.reducer_override
+
+    def spy(pickler, obj):
+        seen.add(type(obj))
+        return reducer_override(pickler, obj)
+
+    monkeypatch.setattr(store._TreePickler, "reducer_override", spy)
+    program = next(p for p in PROGRAMS if p.name == "crypto-sha1")
+    vm = TracingVM(_config())
+    code = vm.compile(program.source, name=program.name)
+    vm.run_code(code)
+    store.build_entry(vm, program.source, code, config_fingerprint(vm.config))
+    assert {store.NativeInsn, store.SideExit, store.TraceTree} <= seen
+    assert not seen & {int, str, tuple, type(None), list, dict}
+
+
+def test_positional_states_follow_slot_order():
+    """Each positionally pickled class takes its state back slot by
+    slot in ``__slots__`` order, the order the layout fingerprint
+    folds in."""
+    from repro.core import store
+
+    for cls in store._POSITIONAL:
+        values = tuple(object() for _ in cls.__slots__)
+        obj = cls.__new__(cls)
+        obj.__setstate__(values)
+        assert store._POSITIONAL[cls](obj) == values, cls.__name__
+
+
+def test_tree_unpickler_admits_trace_classes_and_the_hook_only():
+    from repro.core import store
+
+    unpickler = store._TreeUnpickler(b"", [])
+    for cls in store.TRACE_CLASSES:
+        assert unpickler.find_class(cls.__module__, cls.__qualname__) is cls
+    hook = unpickler.find_class("repro.core.store", "_process_ref")
+    assert hook == unpickler._resolve
+    for module, name in (("copyreg", "__newobj__"), ("builtins", "getattr"),
+                         ("repro.core.store", "_DeadKey"),
+                         ("repro.core.store", "_TreeUnpickler")):
+        with pytest.raises(store.StoreError) as refusal:
+            unpickler.find_class(module, name)
+        assert refusal.value.reason == "forbidden-global"
 
 
 def test_save_onto_foreign_store_reinitializes(tmp_path):
@@ -704,30 +866,35 @@ def test_validate_bench_warmstart():
     from repro.obs.validate import ValidationError, validate_bench_warmstart
 
     doc = {
-        "schema": 1, "bench": "warmstart", "backend": "py", "runs": 1,
+        "schema": 2, "bench": "warmstart", "backend": "py", "runs": 1,
         "programs": [
             {"name": "a", "cold_seconds": 2.0, "warm_seconds": 0.5,
-             "fragments": 3},
+             "persist_seconds": 0.25, "fragments": 3},
             {"name": "b", "cold_seconds": 1.0, "warm_seconds": 0.5,
-             "fragments": 1},
+             "persist_seconds": 0.125, "fragments": 1},
         ],
-        "cold_seconds": 3.0, "warm_seconds": 1.0, "speedup": 3.0,
+        "cold_seconds": 3.0, "warm_seconds": 1.0, "persist_seconds": 0.375,
+        "speedup": 3.0,
     }
     assert validate_bench_warmstart(doc) == 2
 
     slow = dict(doc, speedup=0.5, warm_seconds=6.0)
     slow["programs"] = [
-        {"name": "a", "cold_seconds": 2.0, "warm_seconds": 4.0,
-         "fragments": 3},
-        {"name": "b", "cold_seconds": 1.0, "warm_seconds": 2.0,
-         "fragments": 1},
+        dict(doc["programs"][0], warm_seconds=4.0),
+        dict(doc["programs"][1], warm_seconds=2.0),
     ]
     with pytest.raises(ValidationError):
         validate_bench_warmstart(slow)
 
-    inconsistent = dict(doc, speedup=9.0)
-    with pytest.raises(ValidationError):
-        validate_bench_warmstart(inconsistent)
+    for broken in (
+        dict(doc, speedup=9.0),
+        dict(doc, persist_seconds=0.5),
+        dict(doc, schema=1),
+        dict(doc, programs=[doc["programs"][0],
+                            dict(doc["programs"][1], persist_seconds=None)]),
+    ):
+        with pytest.raises(ValidationError):
+            validate_bench_warmstart(broken)
 
 
 def test_store_stats_and_warm_sources(tmp_path):
