@@ -24,9 +24,10 @@ Runs:
 
 Wall-clock values are not pinned: the profile's wall fields and the
 bucket counts and sums of ``repro_pycompile_wall_seconds`` are blanked.
-Side-exit ids come from a process-wide counter, so they are renumbered
-per run in creation order; trace-store entries serialize them, so the
-``repro_store_bytes`` level is blanked too.
+Everything else is deterministic and pinned as reported: side-exit ids
+are numbered per VM, so the profile's ``exit_id`` values and the
+``repro_store_bytes`` level of the trace-store runs (whose entries
+serialize them) are the same in every process.
 
 A change that moves these outputs on purpose regenerates the table by
 running this module as a script from the repository root::
@@ -92,9 +93,6 @@ EXTRA_RUNS = {
 #: The histogram whose bucket counts and sum are wall-clock readings.
 WALL_HISTOGRAM = "repro_pycompile_wall_seconds"
 
-#: The gauge whose level depends on the process-wide exit-id counter.
-STORE_BYTES = "repro_store_bytes"
-
 #: Profile fields that hold wall-clock seconds.
 PROFILE_WALL_KEYS = (
     "wall_seconds",
@@ -104,7 +102,7 @@ PROFILE_WALL_KEYS = (
 )
 
 _UNPINNED_PROM_LINE = re.compile(
-    rf"^({WALL_HISTOGRAM}_(?:bucket|sum)(?:\{{[^}}]*\}})?|{STORE_BYTES}) \S+$"
+    rf"^({WALL_HISTOGRAM}_(?:bucket|sum)(?:\{{[^}}]*\}})?) \S+$"
 )
 
 
@@ -139,13 +137,6 @@ def _blank_walls(node):
 
 def _profile_view(vm) -> dict:
     doc = _blank_walls(vm.profiler.to_dict(program="golden"))
-    ids = sorted(
-        guard["exit_id"] for loop in doc["loops"] for guard in loop["guards"]
-    )
-    renumber = {exit_id: index for index, exit_id in enumerate(ids, start=1)}
-    for loop in doc["loops"]:
-        for guard in loop["guards"]:
-            guard["exit_id"] = renumber[guard["exit_id"]]
     doc["timeline"]["intervals"] = [
         interval[:3] for interval in doc["timeline"]["intervals"]
     ]
@@ -154,10 +145,6 @@ def _profile_view(vm) -> dict:
 
 def _snapshot_view(registry, program: str) -> dict:
     doc = registry.snapshot(program=program)
-    for family in doc["gauges"]:
-        if family["name"] == STORE_BYTES:
-            for series in family["series"]:
-                series["value"] = "*"
     for family in doc["histograms"]:
         if family["name"] != WALL_HISTOGRAM:
             continue
