@@ -134,10 +134,11 @@ def _program_entry(name, category, traceable, step, py) -> dict:
             "compile_wall_seconds": py["compile_wall_seconds"],
             "simulated_cycles": py["simulated_cycles"],
         },
-        # How the py backend moved between traces: megafunction direct
-        # transfers vs monitor-stitched transfers vs exits that surfaced
-        # to the interpreter.  The CI wallclock job uploads these so the
-        # direct-link win is auditable, not just a timing delta.
+        # How the py backend moved between traces: direct transfers
+        # into inlined branches vs transfers stitched through the driver
+        # vs exits that surfaced to the interpreter.  The CI wallclock
+        # job uploads these, so how a cold run links is auditable, not
+        # just a timing delta.
         "transitions": py["transitions"],
     }
 
@@ -226,10 +227,11 @@ def test_wallclock_full_suite(sieve_measurements):
     )
 
     assert len(entries) == 26, "the frontier covers the suite + the sieve"
-    # The direct-link machinery must actually be exercising itself on
+    # Cold runs build each trunk before its branches exist, so every
+    # stitch crosses the driver: that path must be exercising itself on
     # this suite, or the transition columns (and the frontier) are
     # measuring the wrong configuration.
-    assert transition_totals["direct_transfers"] > 0
+    assert transition_totals["monitor_stitched"] > 0
     below_floor = [
         f"{entry['name']} ({entry['ratio']:.3f}x, {entry['ratio_basis']})"
         for entry in entries

@@ -345,8 +345,8 @@ class TraceMonitor:
             )
             self.cache.register_branch(tree, fragment)
             recorder.anchor_exit.target = fragment
-            # Count the link; the trunk's Python function is rebuilt
-            # once the count has doubled since its last build.
+            # Count the link.  A trunk's Python function, built once,
+            # reaches the branch through the driver's stitch.
             tree.link_version += 1
         else:
             fragment.bytecount = recorder.bytecodes_recorded

@@ -56,7 +56,6 @@ class Fragment:
         "lir_loop_start",
         "py_func",
         "py_consts",
-        "py_links",
         "py_failed",
     )
 
@@ -80,14 +79,12 @@ class Fragment:
         #: twin marks the same split in ``lir`` (for ``--trace-dump``).
         self.loop_start = 0
         self.lir_loop_start = 0
-        #: Python-backend function compiled from ``native`` with the
-        #: LINKED branches below inlined (and the constants tuple keeping
-        #: its pooled objects alive); dropped on retirement so evicted
-        #: code can never run again.  ``py_links`` is the tree's
-        #: ``link_version`` at the build (see repro.jit.pycompile).
+        #: Python-backend function compiled from ``native``, once, with
+        #: the branches already LINKED below at its build inlined (and
+        #: the constants its closure binds); dropped on retirement so
+        #: evicted code can never run again (see repro.jit.pycompile).
         self.py_func = None
         self.py_consts = None
-        self.py_links = 0
         #: Latched on an emission/compile failure so the backend does
         #: not retry a broken fragment on every invocation.
         self.py_failed = False
@@ -96,7 +93,7 @@ class Fragment:
     #: pickle them, and a loaded fragment gets their constructor defaults.
     RUNTIME_FIELDS = frozenset(
         ("lir", "pre_lir", "backward_stats", "opt_stats", "py_func",
-         "py_consts", "py_links", "py_failed")
+         "py_consts", "py_failed")
     )
 
     def __getstate__(self) -> dict:
@@ -198,9 +195,9 @@ class TraceTree:
         #: ``link_version`` counts the tree's links: it is bumped once
         #: per side exit that gains a branch target, attached by the
         #: monitor or restored by a store preload.  A target is set only
-        #: once, so the count only grows.  The py backend rebuilds the
-        #: trunk's function, which inlines the linked branches, once the
-        #: count reaches twice the trunk's ``py_links`` (at least 1).
+        #: once, so the count only grows.  The py backend builds a
+        #: trunk whose tree already has links (a store preload) with
+        #: those branches inlined.
         self.link_version = 0
         #: Links into this tree from its peers' type-unstable exits, by
         #: exit (:meth:`link_from`); None records a rejection.  Not saved

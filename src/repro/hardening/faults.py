@@ -58,8 +58,9 @@ ORACLE_RECORD = "oracle.record"
 #: exists, so the fragment simply runs on the step machine).
 PYCOMPILE_EMIT = "pycompile.emit"
 #: Python backend: entry of ``pycompile.compile_tree_py`` (once per
-#: rebuild of a trunk's function to inline newer links; fires before any
-#: codegen state exists, so the trunk keeps its last function).
+#: first build of a trunk that already has links, which only a store
+#: preload makes; fires before any codegen state exists, so the trunk
+#: runs on the step machine).
 PYCOMPILE_LINK = "pycompile.link"
 
 #: Batch scheduling: the batch VM dies abruptly at the moment it begins
@@ -116,8 +117,8 @@ STORE_FAULT_SITES = (
     STORE_LOAD_RACE,
 )
 
-#: Direct-link injection sites: they fire when the py backend rebuilds
-#: a trunk's function (``repro.jit.pycompile.compile_tree_py``).
+#: Direct-link injection sites: they fire when the py backend builds a
+#: trunk with its links inlined (``repro.jit.pycompile.compile_tree_py``).
 #: Kept out of :data:`FAULT_SITES` so seeded plans keep their historic
 #: sampling.
 LINK_FAULT_SITES = (

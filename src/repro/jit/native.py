@@ -691,7 +691,8 @@ class NativeMachine:
                     result = self._guard_exit(insn.exit, fragment, cycles, profile)
                     if result is not None:
                         return result
-                    fragment, insns, pc, cycles = self._stitch(insn.exit)
+                    fragment = self._stitch(insn.exit)
+                    insns, pc, cycles = fragment.native, 0, 0
             elif op == "d2i32":
                 regs[insn.dst] = to_int32(regs[insn.a])
                 cycles += NATIVE_D2I32
@@ -819,7 +820,8 @@ class NativeMachine:
                     )
                     if result is not None:
                         return result
-                    fragment, insns, pc, cycles = self._stitch(insn.exit)
+                    fragment = self._stitch(insn.exit)
+                    insns, pc, cycles = fragment.native, 0, 0
 
             # ---- guards -----------------------------------------------------------
             elif op == "gcmp":
@@ -832,7 +834,8 @@ class NativeMachine:
                     result = self._guard_exit(insn.exit, fragment, cycles, profile)
                     if result is not None:
                         return result
-                    fragment, insns, pc, cycles = self._stitch(insn.exit)
+                    fragment = self._stitch(insn.exit)
+                    insns, pc, cycles = fragment.native, 0, 0
             elif op == "xt" or op == "xf":
                 cycles += NATIVE_GUARD
                 condition = bool(regs[insn.a])
@@ -843,14 +846,16 @@ class NativeMachine:
                     )
                     if result is not None:
                         return result
-                    fragment, insns, pc, cycles = self._stitch(insn.exit)
+                    fragment = self._stitch(insn.exit)
+                    insns, pc, cycles = fragment.native, 0, 0
             elif op == "govf":
                 cycles += NATIVE_GUARD
                 if self.ovf:
                     result = self._guard_exit(insn.exit, fragment, cycles, profile)
                     if result is not None:
                         return result
-                    fragment, insns, pc, cycles = self._stitch(insn.exit)
+                    fragment = self._stitch(insn.exit)
+                    insns, pc, cycles = fragment.native, 0, 0
             elif op == "gi31":
                 cycles += NATIVE_GUARD
                 value = regs[insn.a]
@@ -858,7 +863,8 @@ class NativeMachine:
                     result = self._guard_exit(insn.exit, fragment, cycles, profile)
                     if result is not None:
                         return result
-                    fragment, insns, pc, cycles = self._stitch(insn.exit)
+                    fragment = self._stitch(insn.exit)
+                    insns, pc, cycles = fragment.native, 0, 0
             elif op == "gni31":
                 cycles += NATIVE_GUARD
                 value = regs[insn.a]
@@ -866,14 +872,16 @@ class NativeMachine:
                     result = self._guard_exit(insn.exit, fragment, cycles, profile)
                     if result is not None:
                         return result
-                    fragment, insns, pc, cycles = self._stitch(insn.exit)
+                    fragment = self._stitch(insn.exit)
+                    insns, pc, cycles = fragment.native, 0, 0
             elif op == "gclass":
                 cycles += NATIVE_GUARD
                 if not isinstance(regs[insn.a], insn.imm):
                     result = self._guard_exit(insn.exit, fragment, cycles, profile)
                     if result is not None:
                         return result
-                    fragment, insns, pc, cycles = self._stitch(insn.exit)
+                    fragment = self._stitch(insn.exit)
+                    insns, pc, cycles = fragment.native, 0, 0
             elif op == "x":
                 cycles += NATIVE_JUMP
                 result = self._guard_exit(
@@ -882,7 +890,8 @@ class NativeMachine:
                 )
                 if result is not None:
                     return result
-                fragment, insns, pc, cycles = self._stitch(insn.exit)
+                fragment = self._stitch(insn.exit)
+                insns, pc, cycles = fragment.native, 0, 0
 
             # ---- VM flags -----------------------------------------------------------
             elif op == "ldreentry":
@@ -1032,16 +1041,21 @@ class NativeMachine:
             stats.ledger.charge(_NATIVE, costs.NATIVE_STORE)
         return None  # caller performs the stitched transfer
 
-    def _stitch(self, exit: SideExit):
-        """Transfer control to the branch trace patched onto ``exit``."""
+    def _stitch(self, exit: SideExit, direct: bool = False):
+        """Count, charge and profile a transfer into the branch trace
+        patched onto ``exit``, on either backend; returns the branch.
+        ``direct`` marks a transfer the py backend made inside one
+        generated function, into a branch it inlined at the guard."""
         vm = self.vm
         stats = vm.stats
-        stats.tracing.driver_transfers += 1
+        if direct:
+            stats.tracing.direct_transfers += 1
+        else:
+            stats.tracing.driver_transfers += 1
         stats.ledger.charge(_NATIVE, costs.STITCH_PENALTY)
         if vm.profiler is not None:
             vm.profiler.record_stitch(exit)
-        fragment = exit.target
-        return fragment, fragment.native, 0, 0
+        return exit.target
 
     # -- nested trees --------------------------------------------------------------
 

@@ -5,8 +5,9 @@ The step machine in :mod:`repro.jit.native` interprets one
 dispatch-loop wall-clock cost on every simulated instruction.  This
 module is the second backend: each COMPILED fragment's straight-line
 ``NativeInsn`` sequence is translated into real Python source (one
-function per fragment), assembled with ``compile()``/``exec()``, cached
-on the fragment, and re-entered on every subsequent trace invocation.
+function per fragment), assembled with ``compile()``/``exec()`` once,
+cached on the fragment, and re-entered on every subsequent trace
+invocation.
 
 Emission strategy (see docs/INTERNALS.md section 12):
 
@@ -23,27 +24,29 @@ Emission strategy (see docs/INTERNALS.md section 12):
   every other exit builds its event through ``_exit_event`` and goes
   through ``_finish_exit``.  It returns the RESULT or STITCH tuple;
 * helper/FFI calls, ``calltree`` sites, exit records, trace types, and
-  non-trivial immediates dispatch through a preloaded **constants
-  tuple** unpacked into locals at function entry;
+  non-trivial immediates are **closure cells**: the emitted source is a
+  factory ``_make(K0, ...)``, called once per build, that returns
+  ``_fragment_fn``.  Each call hoists into locals only the machine and
+  VM names its body reads;
 * a trunk's ``loopjmp`` becomes ``continue`` on a ``while`` loop
   around the body; ``jtree`` returns a transfer request.
 
-**Direct fragment linking** (the paper's trace stitching): a
-fragment's function inlines, at its guard, the body of every LINKED
-branch below it, transitively, so hot trunk<->branch transitions stay
-inside one Python frame instead of surfacing an exit tuple to the
-driver.  An inlined ``jtree`` in a trunk's function breaks out of the
-loop to an outer ``while 1:`` that re-runs the prologue (emitted only
-when something is inlined); in a branch's function it returns the
-transfer request.  :func:`function_for` builds a branch's function
-once and rebuilds a trunk's only once the tree's link count has
-reached twice the count at its last build, so a tree that grows n
-links is compiled O(log n) times.  A function that lacks the newest
-links stays correct: exits it did not inline keep the driver's stitch
-path, which follows ``exit.target`` at run time.  Retirement drops a
-fragment's function.  A rebuild that fails (the ``pycompile.link``
-fault site) keeps the trunk's last function, which is
-observationally identical.
+**Build schedule and fragment linking** (the paper's trace stitching):
+every fragment's function is built exactly once, at its first run, and
+never rebuilt.  A trunk built before its branches exist (every trunk
+of a cold run) reaches each of them through the driver's stitch: its
+exit helper :func:`_leave` follows ``exit.target`` at run time and
+hands :func:`run_compiled` the branch, whose own function is built the
+first time it is stitched into.  A function built when LINKED branches
+already hang below its fragment (a trunk preloaded from the trace
+store, built by :func:`compile_tree_py`) inlines their bodies at their
+guards, transitively, so those trunk<->branch transitions stay inside
+one Python frame.  An inlined ``jtree`` in a trunk's function breaks
+out of the loop to an outer ``while 1:`` that re-runs the prologue
+(emitted only when something is inlined); in a branch's function it
+returns the transfer request.  Retirement drops a fragment's function.
+A failed build (the ``pycompile.emit`` and ``pycompile.link`` fault
+sites) leaves the fragment on the step machine.
 
 **Cycle-accounting contract**: the generated function charges *exactly*
 the same simulated cycles as the step machine, and the ledger and the
@@ -71,6 +74,7 @@ advanced.  The ``pycompile.emit`` fault site makes this path testable.
 from __future__ import annotations
 
 import math
+import re
 import time
 from typing import List, Optional, Tuple
 
@@ -104,7 +108,7 @@ from repro.runtime.values import (
 #: Driver protocol: the generated function returns a 4-tuple
 #: ``(status, payload, cycles, executed)``.
 RESULT = 0  # payload = the ExitEvent to hand to the monitor
-STITCH = 1  # payload = the SideExit whose branch target to stitch into
+STITCH = 1  # payload = the branch Fragment the exit stitched into
 TRANSFER = 2  # jtree: re-enter the tree's root trunk (cycles carry over)
 
 #: The ledger-flush threshold mirrored from the step machine's run loop.
@@ -170,15 +174,14 @@ def _leave(machine, record, cycles, executed, value=None):
 
     ``value`` is the guard's boxed result, None when it carries none.
     After the flushes the step machine made, the exit settles through
-    ``NativeMachine._guard_exit``, as on the step machine.  Returns the
-    generated function's RESULT tuple, or the STITCH the driver takes;
-    for an inlined exit that stitches, returns None after
-    ``NativeMachine._stitch``'s bookkeeping, and the generated code
-    falls into the branch.
+    ``NativeMachine._guard_exit`` and a stitch through
+    ``NativeMachine._stitch``, as on the step machine.  Returns the
+    generated function's RESULT tuple, or the STITCH tuple that hands
+    the driver the branch; for an inlined exit that stitches, returns
+    None, and the generated code falls into the branch.
     """
     exit = record.exit
-    vm = machine.vm
-    stats = vm.stats
+    stats = machine.vm.stats
     if record.count and cycles >= _FLUSH_AT:
         # Looked up at call time: the differential suite wraps _settle.
         cycles = _settle(stats.ledger.charge, cycles, record.run,
@@ -189,13 +192,10 @@ def _leave(machine, record, cycles, executed, value=None):
                                  stats.profile, value)
     if result is not None:
         return (RESULT, result, 0, 0)
-    if not record.inlined:
-        return (STITCH, exit, 0, executed + record.offset)
-    stats.tracing.direct_transfers += 1
-    stats.ledger.charge(_NATIVE, costs.STITCH_PENALTY)
-    if vm.profiler is not None:
-        vm.profiler.record_stitch(exit)
-    return None
+    if record.inlined:
+        machine._stitch(exit, True)
+        return None
+    return (STITCH, machine._stitch(exit), 0, executed + record.offset)
 
 
 def _throw(machine, record, cycles, thrown):
@@ -219,6 +219,28 @@ _TAG_OF_TYPE = {
     TraceType.UNDEFINED: TAG_UNDEFINED,
 }
 
+#: The machine and VM names a generated function may read, in
+#: dependency order.  A function hoists one into a local at entry only
+#: when its body, or a later hoist it keeps, reads the name.
+_HOISTS = (
+    ("vm", "machine.vm"),
+    ("stats", "vm.stats"),
+    ("profile", "stats.profile"),
+    ("tracing", "stats.tracing"),
+    ("tree", "machine.tree"),
+    ("ar", "machine.ar"),
+    ("ar_slots", "ar.slots"),
+    ("area", "ar.globals"),
+    ("area_values", "area.values"),
+    ("area_types", "area.types"),
+    ("area_dirty", "area.dirty"),
+    ("loop_edge", "machine._loop_edge"),
+    ("run_inner", "machine._run_inner_tree"),
+)
+
+#: A name the generated code reads: an identifier not after a dot.
+_NAME_READ = re.compile(r"(?<![\w.])[A-Za-z_]\w*")
+
 _CMP_PYOP = {
     "eqi": "==", "eqd": "==", "eqs": "==",
     "nei": "!=", "ned": "!=",
@@ -235,7 +257,7 @@ class PyEmitError(NativeMachineError):
 
 
 class _ConstPool:
-    """Names objects for the generated function's constants tuple."""
+    """Names objects for the generated function's closure cells."""
 
     def __init__(self):
         self.values: List[object] = []
@@ -339,7 +361,7 @@ class _Emitter:
         """The per-instruction ledger-flush check from the step loop."""
         native = self.const(Activity.NATIVE, "NATIVE")
         self.emit(f"if cycles >= {_FLUSH_AT}:")
-        self.emit(f"    charge({native}, cycles); cycles = 0")
+        self.emit(f"    stats.ledger.charge({native}, cycles); cycles = 0")
 
     # -- straight-line runs ------------------------------------------------
 
@@ -383,7 +405,8 @@ class _Emitter:
             self.charge_pending()
             settle = self.const(_settle, "settle")
             self.emit(f"if cycles >= {_FLUSH_AT}:")
-            self.emit(f"    cycles = {settle}(charge, cycles, {self.run_ref()})")
+            self.emit(f"    cycles = {settle}(stats.ledger.charge, cycles, "
+                      f"{self.run_ref()})")
         self.begin_run()
 
     # -- exit sequences ----------------------------------------------------
@@ -921,7 +944,7 @@ class _Emitter:
         # Only a looping function with something inlined needs the
         # outer loop that an inlined ``jtree`` breaks to.
         self.reenters = loops and bool(self._inline_map)
-        self.indent = 1 + self.reenters
+        self.indent = 2 + self.reenters
         # Hoisted entry prologue: runs once per tree entry, then the
         # executed counter advances past it and the loop body takes
         # over (the back edge re-enters at the inner ``while 1:``).
@@ -941,33 +964,25 @@ class _Emitter:
             self.emit("raise IndexError('list index out of range')")
         header = self.header_lines()
         if self.reenters:
-            header.append("    while 1:")
-        return "\n".join(header + self.lines) + "\n"
+            header.append("        while 1:")
+        return "\n".join(
+            header + self.lines + ["    return _fragment_fn"]
+        ) + "\n"
 
     def header_lines(self) -> List[str]:
-        """The function header: consts unpack + machine-state hoists."""
-        header: List[str] = ["def _fragment_fn(machine, executed, cycles):"]
-
-        def hoist(text: str) -> None:
-            header.append("    " + text)
-
-        if self.pool.names:
-            hoist(f"({', '.join(self.pool.names)},) = _consts")
-        hoist("vm = machine.vm")
-        hoist("stats = vm.stats")
-        hoist("charge = stats.ledger.charge")
-        hoist("profile = stats.profile")
-        hoist("tracing = stats.tracing")
-        hoist("tree = machine.tree")
-        hoist("ar = machine.ar")
-        hoist("ar_slots = ar.slots")
-        hoist("area = ar.globals")
-        hoist("area_values = area.values")
-        hoist("area_types = area.types")
-        hoist("area_dirty = area.dirty")
-        hoist("loop_edge = machine._loop_edge")
-        hoist("run_inner = machine._run_inner_tree")
-        return header
+        """The factory that binds the constants as closure cells, and
+        the function's header: the hoists its body reads."""
+        read = set(_NAME_READ.findall("\n".join(self.lines)))
+        hoists = []
+        for name, expr in reversed(_HOISTS):
+            if name in read:
+                hoists.append(f"        {name} = {expr}")
+                read.add(expr.split(".", 1)[0])
+        return [
+            f"def _make({', '.join(self.pool.names)}):",
+            "    def _fragment_fn(machine, executed, cycles):",
+            *reversed(hoists),
+        ]
 
 
 def _emit(fragment) -> Tuple[str, tuple]:
@@ -978,13 +993,14 @@ def _emit(fragment) -> Tuple[str, tuple]:
 
 def emit_fragment(fragment) -> Tuple[str, tuple]:
     """``fragment``'s function, with the LINKED branches below it
-    inlined: ``(python source, consts tuple)``."""
+    inlined: ``(python source of its factory, the factory's
+    arguments)``."""
     return _emit(fragment)
 
 
 def emit_tree(tree) -> Tuple[str, tuple]:
-    """The trunk's function of ``tree`` (a rebuild), as
-    :func:`emit_fragment`."""
+    """The trunk's function of ``tree``, with the links it already has
+    inlined, as :func:`emit_fragment`."""
     return _emit(tree.fragment)
 
 
@@ -1013,10 +1029,10 @@ def _contain_pycompile_failure(vm, fragment, error: BaseException) -> None:
 
 
 def _build_py(vm, fragment, site: str, emit, label: str):
-    """Emit, compile and exec ``fragment``'s function and cache it on
-    the fragment with the tree's link count; returns it, or None after
-    latching ``py_failed`` and containing the failure.  A failed build
-    leaves any earlier function in place.
+    """Emit, compile and exec ``fragment``'s factory, call it once to
+    bind the constants, and cache the function it returns on the
+    fragment; returns the function, or None after latching
+    ``py_failed`` and containing the failure.
 
     Lazy compilation runs inside the monitor's PHASE_NATIVE bracket, so
     the build pushes PHASE_COMPILE: without it the one-time emission
@@ -1033,9 +1049,9 @@ def _build_py(vm, fragment, site: str, emit, label: str):
         if vm.faults is not None:
             vm.faults.fire(site)
         source, consts = emit()
-        namespace = {"_consts": consts}
+        namespace = {}
         exec(compile(source, f"<pycompile:{label}>", "exec"), namespace)
-        fn = namespace["_fragment_fn"]
+        fn = namespace["_make"](*consts)
     except Exception as error:
         fragment.py_failed = True
         _contain_pycompile_failure(vm, fragment, error)
@@ -1050,14 +1066,13 @@ def _build_py(vm, fragment, site: str, emit, label: str):
         vm.metrics.pycompile_wall.observe(elapsed)
     fragment.py_func = fn
     fragment.py_consts = consts
-    fragment.py_links = getattr(tree, "link_version", 0)
     return fn
 
 
 def compile_fragment_py(vm, fragment):
-    """Build ``fragment``'s function (its first build); None on failure.
+    """Build ``fragment``'s function, its only build; None on failure.
 
-    The function and its constants tuple are cached on the fragment
+    The function and its constants are cached on the fragment
     (``py_func`` / ``py_consts``); :meth:`repro.core.tree.Fragment
     .retire` drops them, so a RETIRED fragment can never run compiled.
     Failures are contained through the ``pycompile`` firewall boundary
@@ -1072,14 +1087,13 @@ def compile_fragment_py(vm, fragment):
 
 
 def compile_tree_py(vm, tree):
-    """Rebuild the trunk's function of ``tree`` with the branches linked
-    since; None on failure.
+    """Build the trunk's function of ``tree`` when the tree already has
+    links (a store preload), with those branches inlined; None on
+    failure.
 
-    Also the first build of a trunk whose tree already has links (a
-    store preload).  Cached like :func:`compile_fragment_py`'s build;
-    a failure latches the trunk's ``py_failed`` and keeps its last
-    function, whose exits that lack the newer links still reach their
-    branches through the driver's stitch.
+    It is the trunk's only build, cached like
+    :func:`compile_fragment_py`'s; a failure latches the trunk's
+    ``py_failed``, and the tree runs on the step machine.
     """
     fn = _build_py(vm, tree.fragment, sites.PYCOMPILE_LINK,
                    lambda: emit_tree(tree), f"tree@{tree.header_pc}")
@@ -1089,39 +1103,30 @@ def compile_tree_py(vm, tree):
 
 
 def function_for(vm, fragment):
-    """The fragment's function, built lazily; None = run stepped.
+    """The fragment's function, built at its first run; None = run
+    stepped.
 
-    A branch's function is built once, when the driver first stitches
-    into it.  A trunk's is built at its first run and rebuilt once the
-    tree's link count (``link_version``) reaches ``max(1, 2 *
-    py_links)``, ``py_links`` being the count at the last build: at 1,
-    2, 4, ... links, so a tree that grows n links is built at most
-    floor(log2 n) + 2 times and emits about twice its final function's
-    source in total.  Until then the function lacks the newest links,
-    which is safe: an exit's target is set only once, so every exit it
-    inlined still leads to the same LINKED branch, and every exit it did
-    not inline goes through :func:`_leave`, which follows
-    ``exit.target`` at run time and hands the driver a STITCH.  After a
-    failed rebuild the trunk keeps its last function for good; after a
-    failed first build, and for a RETIRED fragment, it runs stepped.
+    A built function is returned unchanged: each fragment is built
+    exactly once.  A trunk whose tree has no links yet (``link_version``
+    0, every trunk of a cold run) and every branch are built by
+    :func:`compile_fragment_py`; branches linked later are reached
+    through :func:`_leave`, which follows ``exit.target`` at run time
+    and hands the driver a STITCH.  A trunk whose tree already has links
+    (a store preload) is built by :func:`compile_tree_py`, with them
+    inlined.  After a failed build, and for a RETIRED fragment, the
+    fragment runs stepped.
     """
     fn = getattr(fragment, "py_func", None)
-    tree = getattr(fragment, "tree", None)
-    trunk = tree is not None and fragment is tree.fragment
     if fn is not None:
-        if not trunk or fragment.py_failed:
-            return fn
-        links = tree.link_version
-        if links < 2 * fragment.py_links or not links:
-            return fn
-        return compile_tree_py(vm, tree) or fn
+        return fn
     if getattr(fragment, "py_failed", False):
         return None
     if getattr(fragment, "state", None) is _RETIRED:
         # A flush may retire fragments an in-flight machine still
         # reaches by stitch/jtree; they run stepped, never re-compiled.
         return None
-    if trunk and tree.link_version:
+    tree = getattr(fragment, "tree", None)
+    if tree is not None and fragment is tree.fragment and tree.link_version:
         return compile_tree_py(vm, tree)
     return compile_fragment_py(vm, fragment)
 
@@ -1141,14 +1146,17 @@ def run_compiled(machine, fragment):
     cycles = 0
     vm = machine.vm
     while True:
-        fn = function_for(vm, fragment)
+        fn = fragment.py_func
         if fn is None:
-            machine.backend_used = "step"
-            return machine.run_step(fragment, executed=executed, cycles=cycles)
+            fn = function_for(vm, fragment)
+            if fn is None:
+                machine.backend_used = "step"
+                return machine.run_step(fragment, executed=executed,
+                                        cycles=cycles)
         status, payload, cycles, executed = fn(machine, executed, cycles)
-        if status == RESULT:
-            return payload
         if status == STITCH:
-            fragment, _insns, _pc, cycles = machine._stitch(payload)
+            fragment = payload
+        elif status == RESULT:
+            return payload
         else:  # TRANSFER: a branch fragment jumped back into the trunk
             fragment = machine.tree.fragment

@@ -120,9 +120,10 @@ def profile_report(vm, limit_loops: int = 20, limit_deopts: int = 10) -> str:
     if tracing.stitched_transfers or tracing.side_exits_taken:
         sections.append(
             f"trace transitions: {tracing.direct_transfers:,} direct "
-            f"(into inlined branches), {tracing.driver_transfers:,} "
-            f"monitor-stitched, {tracing.side_exits_taken:,} exits "
-            f"surfaced to the interpreter"
+            f"(into branches inlined at a trunk's build, as in a warm "
+            f"start), {tracing.driver_transfers:,} stitched through the "
+            f"driver, {tracing.side_exits_taken:,} exits surfaced to the "
+            f"interpreter"
         )
     if profiler.lir_emitted:
         kept = profiler.lir_retained / profiler.lir_emitted

@@ -94,8 +94,9 @@ def validate_profile(doc: dict) -> int:
     )
     pycompile = doc.get("pycompile")
     _require(isinstance(pycompile, dict), "profile missing pycompile")
-    # ``tree_builds`` (trunk rebuilds, counted apart from first builds)
-    # is additive within v5: older documents lack it.
+    # ``tree_builds`` (builds of a trunk that already has links, counted
+    # apart from the other builds) is additive within v5: older
+    # documents lack it.
     for key, value in (("fragments", pycompile.get("fragments")),
                        ("tree_builds", pycompile.get("tree_builds", 0))):
         _require(isinstance(value, int) and value >= 0,

@@ -87,11 +87,14 @@ class TraceStats:
     tree_calls_recorded: int = 0
     tree_calls_executed: int = 0
     trace_entries: int = 0
-    #: Transfers into a branch trace mediated by the backend driver's
-    #: stitch loop (``NativeMachine._stitch``).
+    #: Transfers into a branch trace through the backend driver's
+    #: stitch (``NativeMachine._stitch``): every stitch of the step
+    #: machine and of a py function that did not inline the branch
+    #: (every py stitch of a cold run).
     driver_transfers: int = 0
     #: Transfers into a branch trace inlined in the generated function
-    #: (py backend).
+    #: (py backend; only a function built when the branch was already
+    #: linked, such as a warm start's trunk, inlines it).
     direct_transfers: int = 0
     loop_iterations_native: int = 0
     oracle_marks: int = 0
@@ -104,10 +107,10 @@ class TraceStats:
     compiled_code_bytes: int = 0
     #: Flush reason -> fragments those flushes retired (FLUSH payload sum).
     flush_retired: Dict[str, int] = field(default_factory=dict)
-    #: Python functions compiled by the py backend: first builds of
-    #: fragment functions, and rebuilds of a trunk's function to inline
-    #: newer links (with a preloaded trunk's first build, which already
-    #: has links).
+    #: Python functions compiled by the py backend, each fragment's
+    #: once: builds of a trunk whose tree has no links yet and of every
+    #: branch, and builds of a trunk whose tree already has links (a
+    #: store preload), which inline them.
     pycompile_fragments: int = 0
     pycompile_tree_builds: int = 0
     safe_mode: bool = False

@@ -223,10 +223,15 @@ def test_exit_after_mid_run_flush_identical_across_backends(stop, monkeypatch):
 
 
 def _knob_matrix():
-    """The execution-strategy matrix beyond the default: every direct-
-    link megafunction build failing (the ``pycompile.link`` fault site),
-    which leaves each tree on per-fragment dispatch.  The default is
-    covered by the tests above."""
+    """The execution-strategy matrix beyond the default: a plan that
+    fails every tree build (the ``pycompile.link`` fault site).  That
+    site fires only at the first build of a trunk whose tree already has
+    links, which a cold run never makes, so the plan no longer fires
+    here: each run checks that nothing was injected and that every
+    transfer went through the driver, and the matrix still compares
+    every program across both backends.  The site itself is exercised by
+    warm starts (``test_chaos_pycompile_link_fault_falls_back_to_stitching``).
+    The default is covered by the tests above."""
     from repro.hardening import FaultPlan
 
     return [{"fault_plan": FaultPlan.parse(["pycompile.link:*"])}]
@@ -260,7 +265,8 @@ def _assert_identical_across_knob_matrix(source: str, name: str):
     for overrides in _knob_matrix():
         for backend in ("py", "step"):
             result, vm = _run(source, backend, **overrides)
-            # No megafunction ran: every transfer went through the driver.
+            # A cold run builds no tree and inlines no branch.
+            assert vm.stats.tracing.faults_injected == 0, name
             assert vm.stats.tracing.direct_transfers == 0, name
             got = _observables(result, vm)
             assert got == baseline, f"{name}: {backend} {overrides}"
@@ -333,31 +339,32 @@ def test_chaos_pycompile_fault_falls_back_to_step():
     assert not vm.in_safe_mode
 
 
-def test_chaos_pycompile_link_fault_falls_back_to_stitching():
-    """An injected megafunction-emission fault (``pycompile.link``) must
-    be contained: trees keep running on per-fragment py dispatch with
-    monitor-mediated stitching, and the result is unchanged."""
+def test_chaos_pycompile_link_fault_falls_back_to_stitching(tmp_path):
+    """An injected tree-build fault (``pycompile.link``) in a warm start
+    must be contained: each trunk preloaded with links runs on the step
+    machine, which stitches into its branches through the driver, and
+    the run matches a clean warm start's result, output and cycles."""
     from repro.hardening import FaultPlan
 
     source = SIEVE_PATH.read_text()
-    clean_result, clean_vm = _profiled_run(source, "py")
-    assert clean_vm.stats.tracing.direct_transfers > 0, "expected direct transfers"
 
-    config = VMConfig()
-    config.native_backend = "py"
-    config.fault_plan = FaultPlan.parse(["pycompile.link:*"])
-    vm = TracingVM(config)
-    vm.events.capture = True
-    vm.enable_profiling()
-    result = vm.run(source)
+    def warm_run(store, **overrides):
+        _run(source, "py", trace_store=str(store))
+        return _profiled_run(source, "py", trace_store=str(store),
+                             **overrides)
+
+    clean_result, clean_vm = warm_run(tmp_path / "clean")
+    assert clean_vm.stats.tracing.direct_transfers > 0, "expected direct transfers"
+    result, vm = warm_run(tmp_path / "faulted",
+                          fault_plan=FaultPlan.parse(["pycompile.link:*"]))
 
     assert repr(result) == repr(clean_result)
     assert vm.output == clean_vm.output
     assert vm.stats.total_cycles == clean_vm.stats.total_cycles
-    # Fragments still compile; only the direct-link megafunction failed,
-    # so the loops stay on the py backend with monitor stitching.
+    # Only the tree builds failed: the trees that had links ran stepped.
     assert vm.profiler.loops
-    assert all(loop.backend == "py" for loop in vm.profiler.loops)
+    assert any(loop.backend == "step" for loop in vm.profiler.loops)
+    assert vm.stats.tracing.pycompile_tree_builds == 0
     assert vm.stats.tracing.direct_transfers == 0
     assert vm.stats.tracing.driver_transfers > 0
     failures = vm.events.of_kind(eventkind.JIT_INTERNAL_FAILURE)

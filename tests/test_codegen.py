@@ -38,6 +38,8 @@ class _FakeTree:
 
 
 class _Fragment:
+    py_func = None
+
     def __init__(self, native):
         self.native = native
         self.kind = "root"

@@ -15,8 +15,9 @@ Runs:
   1-3, a 2,000-byte code cache and the step backend;
 * single runs that reach the remaining counters: capacity caps, native
   and pycompile fault plans (safe mode, invalidation, pycompile
-  failures), and a trace-store cold run, warm preload and
-  truncated-manifest fallback;
+  failures; the tree-build fault in a warm start, the only kind of run
+  that builds a trunk with links), and a trace-store cold run, warm
+  preload and truncated-manifest fallback;
 * one supervised batch (retry under cache pressure, a degraded tenant
   on probation, deadline, heap and cancellation faults);
 * one fleet batch with rate sheds and a VM respawn, pinning the
@@ -85,6 +86,11 @@ EXTRA_RUNS = {
     "sieve/fault-pycompile": (
         "sieve", {"fault_plan": ["pycompile.emit:*"]}
     ),
+}
+
+#: Single runs warm-started from a store that a clean cold run of the
+#: same program filled.
+WARM_RUNS = {
     "regexp-dna-lite/fault-link": (
         "regexp-dna-lite", {"fault_plan": ["pycompile.link:*"]}
     ),
@@ -206,6 +212,14 @@ def observe_run(source: str, overrides: dict, program: str) -> dict:
     return _vm_view(vm, program)
 
 
+def observe_warm_run(source: str, overrides: dict, program: str) -> dict:
+    with tempfile.TemporaryDirectory() as store:
+        TracingVM(_config({"trace_store": store})).run(source, name=program)
+        return observe_run(
+            source, {**overrides, "trace_store": store}, program
+        )
+
+
 def observe_store_runs(source: str) -> dict:
     """Cold run into an empty store, warm preload, then a preload from
     a truncated manifest (fallback, store rewritten)."""
@@ -323,6 +337,8 @@ def build_table() -> dict:
             )
     for key, (name, overrides) in EXTRA_RUNS.items():
         table[key] = observe_run(sources[name], overrides, name)
+    for key, (name, overrides) in WARM_RUNS.items():
+        table[key] = observe_warm_run(sources[name], overrides, name)
     table.update(observe_store_runs(sources["sieve"]))
     table["batch"] = observe_batch()
     table["fleet"] = observe_fleet()

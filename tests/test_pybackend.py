@@ -2,7 +2,7 @@
 
 The differential suite (test_backend_differential.py) proves whole-run
 equivalence; these tests pin the backend's lifecycle contract: callables
-are cached per fragment, dropped on retirement and cache flushes,
+are built once per fragment, dropped on retirement and cache flushes,
 emission faults fall back to the step interpreter without advancing the
 firewall breaker, and the emitted source actually compiles.
 """
@@ -27,6 +27,36 @@ def _py_vm(**overrides) -> TracingVM:
     for name, value in overrides.items():
         setattr(config, name, value)
     return TracingVM(config)
+
+
+def _warm_pair(source, store, **overrides):
+    """Fill ``store`` from a cold py run of ``source``, then warm-start a
+    second VM (configured with ``overrides``) from it; returns both VMs
+    and the warm run's result."""
+    cold = _py_vm(trace_store=str(store))
+    cold.run(source)
+    warm = _py_vm(trace_store=str(store), **overrides)
+    warm.events.capture = True
+    result = warm.run(source)
+    return cold, warm, result
+
+
+def _capture_builds(monkeypatch):
+    """Record ``(emitter name, built fragment, source)`` per build."""
+    from repro.jit import pycompile
+
+    built = []
+    for name in ("emit_fragment", "emit_tree"):
+        emit = getattr(pycompile, name)
+
+        def capturing(owner, emit=emit, name=name):
+            source, consts = emit(owner)
+            fragment = owner.fragment if name == "emit_tree" else owner
+            built.append((name, fragment, source))
+            return source, consts
+
+        monkeypatch.setattr(pycompile, name, capturing)
+    return built
 
 
 def _compiled_fragments(vm):
@@ -63,47 +93,89 @@ def test_callable_is_compiled_once_and_reused():
 
 
 def test_emitted_source_is_python():
+    """The source is a factory that takes the constants once, as
+    closure cells, and returns the fragment's function."""
     vm = _py_vm()
     vm.run(HOT_LOOP)
     trunk = _compiled_fragments(vm)[0]
     source, consts = emit_fragment(trunk)
-    assert source.startswith("def _fragment_fn(machine, executed, cycles):")
-    compile(source, "<test>", "exec")  # must be valid Python
-    assert isinstance(consts, tuple)
+    lines = source.splitlines()
+    assert lines[1] == "    def _fragment_fn(machine, executed, cycles):"
+    assert lines[-1] == "    return _fragment_fn"
+    assert "_consts" not in source
+    namespace = {}
+    exec(compile(source, "<test>", "exec"), namespace)  # valid Python
+    assert isinstance(consts, tuple) and consts
+    fn = namespace["_make"](*consts)
+    assert fn.__code__.co_argcount == 3
+    # Every constant is a cell of the function, none a local it unpacks.
+    cells = {id(cell.cell_contents) for cell in fn.__closure__}
+    assert {id(value) for value in consts} <= cells
+    assert not set(fn.__code__.co_freevars) & set(fn.__code__.co_varnames)
 
 
-def test_emitted_exits_are_one_line_and_skip_machine_registers(monkeypatch):
+def _leave_lines(sources):
+    return [
+        line.strip()
+        for source in sources
+        for line in source.splitlines()
+        if "leave(" in line
+    ]
+
+
+def test_emitted_exits_are_one_line_and_skip_machine_registers(
+    monkeypatch, tmp_path
+):
     """Every failed guard leaves through the shared exit helper: the
     generated code never builds an ``ExitEvent``, never touches
     ``machine.regs`` or ``machine.ovf``, and a plain exit is one
-    ``return leave(...)`` statement."""
-    from repro.jit import pycompile
+    ``return leave(...)`` statement.  A cold run inlines nothing; a warm
+    start's trunks fall into their inlined branches."""
     from repro.suite.programs import PROGRAMS
 
-    sources = []
-    for name in ("emit_fragment", "emit_tree"):
-        emit = getattr(pycompile, name)
-
-        def capturing(owner, emit=emit):
-            source, consts = emit(owner)
-            sources.append(source)
-            return source, consts
-
-        monkeypatch.setattr(pycompile, name, capturing)
+    built = _capture_builds(monkeypatch)
     program = next(p for p in PROGRAMS if p.name == "crypto-sha1")
-    vm = _py_vm()
-    vm.run(program.source)
-    assert vm.stats.tracing.pycompile_tree_builds > 0
-    assert vm.stats.tracing.direct_transfers > 0
-    text = "\n".join(sources)
+    cold, warm, _result = _warm_pair(program.source, tmp_path)
+    cold_sources = [source for _, _, source in built[: cold.stats.tracing
+                                                     .pycompile_fragments]]
+    assert cold.stats.tracing.pycompile_tree_builds == 0
+    assert cold.stats.tracing.direct_transfers == 0
+    cold_leaves = _leave_lines(cold_sources)
+    assert cold_leaves
+    assert all(line.startswith("return leave(machine, ") for line in cold_leaves)
+    assert warm.stats.tracing.pycompile_tree_builds > 0
+    assert warm.stats.tracing.direct_transfers > 0
+    text = "\n".join(source for _, _, source in built)
     for banned in ("regs", "machine.ovf", "ExitEvent", "finish_exit"):
         assert banned not in text, banned
-    leaves = [line.strip() for line in text.splitlines() if "leave(" in line]
+    leaves = _leave_lines(source for _, _, source in built)
     plain = [line for line in leaves if line.startswith("return leave(machine, ")]
     # An exit whose branch the function inlines falls into it.
     inlined = [line for line in leaves if line.startswith("out = leave(machine, ")]
     assert plain and inlined
     assert len(plain) + len(inlined) == len(leaves)
+
+
+def test_functions_hoist_only_the_names_they_read(monkeypatch):
+    """A loop over locals hoists no global-area name; a loop over
+    globals does, and neither hoists the ledger's ``charge``, which only
+    the rare flush paths read."""
+    built = _capture_builds(monkeypatch)
+    local_loop = (
+        "function f(n) { var s = 0;"
+        " for (var i = 0; i < n; i++) s += i; return s; } f(500);"
+    )
+    _py_vm().run(local_loop)
+    ((_, _, local_source),) = built
+    assert "ar_slots = ar.slots" in local_source
+    assert "area" not in local_source
+    built.clear()
+    _py_vm().run(HOT_LOOP)
+    ((_, _, global_source),) = built
+    assert "area_values = area.values" in global_source
+    for source in (local_source, global_source):
+        assert "charge =" not in source
+        assert "run_inner" not in source
 
 
 def test_static_boxing_returns_the_interpreters_boxes(monkeypatch):
@@ -139,10 +211,12 @@ def test_static_boxing_returns_the_interpreters_boxes(monkeypatch):
     assert all(box == make_number(i - 1) for i, box in enumerate(ints))
 
 
-def test_megafunction_rebuilds_grow_logarithmically_with_links():
+def test_link_chain_builds_each_fragment_once(monkeypatch):
     """A 32-way ``if``/``else if`` chain grows one tree 31 stitched
-    links.  Its megafunction is rebuilt only when the link count has
-    doubled (at 1, 2, 4, 8 and 16 links: 5 builds), not once per link."""
+    links.  The trunk is built once, before any of them, and is never
+    rebuilt; each branch the run stitches into is built once, when it is
+    first reached, and nothing is inlined."""
+    built = _capture_builds(monkeypatch)
     arms = " else ".join(f"if (k == {n}) t += {n + 1};" for n in range(32))
     source = (
         "var t = 0;"
@@ -152,12 +226,20 @@ def test_megafunction_rebuilds_grow_logarithmically_with_links():
     vm.enable_profiling()
     vm.run(source)
     (tree,) = vm.monitor.cache.all_trees()
-    links = tree.link_version
+    assert tree.link_version == 31
+    tracing = vm.stats.tracing
+    assert tracing.pycompile_tree_builds == 0
+    assert tracing.direct_transfers == 0 and tracing.driver_transfers > 0
+    assert all(name == "emit_fragment" for name, _, _ in built)
+    fragments = [fragment for _, fragment, _ in built]
+    assert len({id(fragment) for fragment in fragments}) == len(fragments)
+    assert fragments[0] is tree.fragment
+    taken = [branch for branch in tree.branches if branch.py_func is not None]
+    assert len(taken) == 31
+    assert {id(f) for f in fragments[1:]} == {id(f) for f in taken}
     section = vm.profiler.to_dict()["pycompile"]
-    # floor(log2 links) + 1 == links.bit_length()
-    assert 1 < section["tree_builds"] <= links.bit_length(), (links, section)
-    # Megafunction builds are not fragment functions.
-    assert section["fragments"] == vm.stats.tracing.pycompile_fragments
+    assert section["fragments"] == len(built) == tracing.pycompile_fragments
+    assert section["tree_builds"] == 0
 
 
 BRANCHY_LOOP = (
@@ -166,46 +248,63 @@ BRANCHY_LOOP = (
 )
 
 
-def test_trunk_function_grows_an_outer_loop_only_when_it_inlines(monkeypatch):
-    """A trunk's first build, before any link, is one loop; its rebuild
-    inlines the branch, whose ``jtree`` breaks out to an outer loop
-    instead of returning a transfer."""
+def test_trunk_function_grows_an_outer_loop_only_when_it_inlines(
+    monkeypatch, tmp_path
+):
+    """A cold trunk is built before its branch exists: one loop, which
+    reaches the branch through the driver, and the branch is built on
+    its own.  A warm start builds the trunk once, with the preloaded
+    branch inlined, whose ``jtree`` breaks out to an outer loop instead
+    of returning a transfer."""
     from repro.jit import pycompile
 
-    built = []
-    for name in ("emit_fragment", "emit_tree"):
-        emit = getattr(pycompile, name)
+    expected = repr(_py_vm().run(BRANCHY_LOOP))
+    built = _capture_builds(monkeypatch)
+    cold, warm, result = _warm_pair(BRANCHY_LOOP, tmp_path)
+    assert repr(result) == expected
+    (tree,) = cold.monitor.cache.all_trees()
+    assert tree.link_version == 1
+    assert [name for name, _, _ in built] == [
+        "emit_fragment", "emit_fragment", "emit_tree"
+    ]
+    (_, _, trunk), (_, _, branch), (_, _, warm_trunk) = built
+    assert trunk.count("while 1:") == 1 and "break" not in trunk
+    assert "while 1:" not in branch
+    assert f"return ({pycompile.TRANSFER}," in branch
+    assert warm_trunk.count("while 1:") == 2 and "break" in warm_trunk
+    assert f"return ({pycompile.TRANSFER}," not in warm_trunk
+    assert cold.stats.tracing.direct_transfers == 0
+    assert cold.stats.tracing.driver_transfers > 0
+    assert warm.stats.tracing.pycompile_tree_builds == 1
+    assert warm.stats.tracing.pycompile_fragments == 0
+    assert warm.stats.tracing.direct_transfers > 0
+    assert warm.stats.tracing.driver_transfers == 0
 
-        def capturing(owner, emit=emit, name=name):
-            source, consts = emit(owner)
-            built.append((name, source))
-            return source, consts
 
-        monkeypatch.setattr(pycompile, name, capturing)
-    vm = _py_vm()
-    vm.run(BRANCHY_LOOP)
-    (tree,) = vm.monitor.cache.all_trees()
-    assert tree.link_version == 1 and tree.fragment.py_links == 1
-    assert [name for name, _source in built] == ["emit_fragment", "emit_tree"]
-    (_, first), (_, rebuilt) = built
-    assert first.count("while 1:") == 1 and "break" not in first
-    assert rebuilt.count("while 1:") == 2 and "break" in rebuilt
-    assert f"return ({pycompile.TRANSFER}," not in rebuilt
-
-
-def test_failed_rebuild_keeps_the_trunks_last_function():
-    """A ``pycompile.link`` fault fails the rebuild at the first link:
-    the trunk keeps its first build's function, latched so it is not
-    rebuilt again, and reaches its branch through the driver."""
-    vm = _py_vm(fault_plan=FaultPlan.parse(["pycompile.link:*"]))
-    assert repr(vm.run(BRANCHY_LOOP)) == repr(_py_vm().run(BRANCHY_LOOP))
+def test_failed_warm_tree_build_is_contained(tmp_path):
+    """A ``pycompile.link`` fault fails a warm start's tree build: the
+    failure is reported at the ``pycompile`` boundary without a breaker
+    strike, the trunk is latched and runs on the step machine, and the
+    run matches a clean warm start's result, output and cycles."""
+    _cold, clean, clean_result = _warm_pair(BRANCHY_LOOP, tmp_path / "clean")
+    _cold, vm, result = _warm_pair(
+        BRANCHY_LOOP, tmp_path / "faulted",
+        fault_plan=FaultPlan.parse(["pycompile.link:*"]),
+    )
+    assert repr(result) == repr(clean_result)
+    assert vm.output == clean.output
+    assert vm.stats.total_cycles == clean.stats.total_cycles
     (tree,) = vm.monitor.cache.all_trees()
     trunk = tree.fragment
-    assert tree.link_version == 1 and trunk.py_links == 0
-    assert trunk.py_failed and trunk.py_func is not None
+    assert trunk.py_failed and trunk.py_func is None
+    failures = vm.events.of_kind(eventkind.JIT_INTERNAL_FAILURE)
+    assert len(failures) == 1
+    assert failures[0].payload["boundary"] == "pycompile"
+    assert vm.firewall.failures == 0 and not vm.in_safe_mode
     assert vm.stats.tracing.pycompile_tree_builds == 0
     assert vm.stats.tracing.direct_transfers == 0
     assert vm.stats.tracing.driver_transfers > 0
+    assert clean.stats.tracing.direct_transfers > 0
 
 
 def test_emit_empty_fragment_raises():

@@ -90,8 +90,9 @@ class TestHotChargePath:
 class TestHotStitchPath:
     """A failed guard that stitches into a linked branch builds no
     ``ExitEvent`` on either native backend: in a loop whose guard fails
-    into its branch every other iteration (inlined in the py backend's
-    megafunction), 2,000 iterations build as many events as 200."""
+    into its branch every other iteration (through the driver's stitch
+    in a cold run, on both backends), 2,000 iterations build as many
+    events as 200."""
 
     LOOP = """
 function f(n) {
@@ -131,8 +132,8 @@ f(%d);
         short_events, short = self._counts(backend, 200)
         long_events, long = self._counts(backend, 2000)
         assert long.stitched_transfers >= short.stitched_transfers + 850
-        if backend == "py":
-            assert long.direct_transfers >= short.direct_transfers + 850
+        assert long.driver_transfers >= short.driver_transfers + 850
+        assert long.direct_transfers == short.direct_transfers == 0
         assert long_events == short_events
         assert long.side_exits_taken == short.side_exits_taken
 

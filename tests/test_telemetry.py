@@ -398,7 +398,11 @@ class TestArtifactValidation:
             detect_and_validate(str(bad))
 
     def test_validator_checks_pycompile_counts(self, tmp_path):
-        vm = TracingVM(VMConfig())
+        # A cold run builds no tree (its trunks have no links yet), so
+        # the profile comes from a warm start, which does.
+        store = str(tmp_path / "store")
+        TracingVM(VMConfig(trace_store=store)).run(SIEVE)
+        vm = TracingVM(VMConfig(trace_store=store))
         vm.enable_profiling()
         vm.run(SIEVE)
         doc = vm.profiler.to_dict(program="sieve")
