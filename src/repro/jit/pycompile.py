@@ -74,7 +74,6 @@ advanced.  The ``pycompile.emit`` fault site makes this path testable.
 from __future__ import annotations
 
 import math
-import re
 import time
 from typing import List, Optional, Tuple
 
@@ -221,7 +220,8 @@ _TAG_OF_TYPE = {
 
 #: The machine and VM names a generated function may read, in
 #: dependency order.  A function hoists one into a local at entry only
-#: when its body, or a later hoist it keeps, reads the name.
+#: when its body (see :meth:`_Emitter.hoist`), or a later hoist it
+#: keeps, reads the name.
 _HOISTS = (
     ("vm", "machine.vm"),
     ("stats", "vm.stats"),
@@ -237,9 +237,6 @@ _HOISTS = (
     ("loop_edge", "machine._loop_edge"),
     ("run_inner", "machine._run_inner_tree"),
 )
-
-#: A name the generated code reads: an identifier not after a dot.
-_NAME_READ = re.compile(r"(?<![\w.])[A-Za-z_]\w*")
 
 _CMP_PYOP = {
     "eqi": "==", "eqd": "==", "eqs": "==",
@@ -303,6 +300,8 @@ class _Emitter:
         self._collect_links(fragment, {id(fragment)})
         #: Whether an inlined ``jtree`` breaks out to an outer loop.
         self.reenters = False
+        #: The :data:`_HOISTS` names the emitted body reads.
+        self.reads = set()
         self.begin_run()
 
     def _collect_links(self, fragment, seen) -> None:
@@ -342,6 +341,11 @@ class _Emitter:
     def emit(self, text: str) -> None:
         self.lines.append("    " * self.indent + text)
 
+    def hoist(self, *names: str) -> None:
+        """Note :data:`_HOISTS` names the code emitted next reads, so
+        the function hoists them at entry."""
+        self.reads.update(names)
+
     def const(self, value, name: Optional[str] = None) -> str:
         return self.pool.add(value, name)
 
@@ -360,6 +364,7 @@ class _Emitter:
     def flush_check(self) -> None:
         """The per-instruction ledger-flush check from the step loop."""
         native = self.const(Activity.NATIVE, "NATIVE")
+        self.hoist("stats")
         self.emit(f"if cycles >= {_FLUSH_AT}:")
         self.emit(f"    stats.ledger.charge({native}, cycles); cycles = 0")
 
@@ -404,6 +409,7 @@ class _Emitter:
         if self.run:
             self.charge_pending()
             settle = self.const(_settle, "settle")
+            self.hoist("stats")
             self.emit(f"if cycles >= {_FLUSH_AT}:")
             self.emit(f"    cycles = {settle}(stats.ledger.charge, cycles, "
                       f"{self.run_ref()})")
@@ -472,8 +478,10 @@ class _Emitter:
     def _op_ldar(self, insn, index):
         slot = insn.imm
         if slot >= 0:
+            self.hoist("ar_slots")
             expr = f"ar_slots[{slot}]"
         else:
+            self.hoist("area_values")
             expr = f"area_values[{-slot - 1}]"
         self._alu(insn, expr, costs.NATIVE_LOAD)
 
@@ -481,11 +489,14 @@ class _Emitter:
         slot = insn.imm
         src = self.reg(insn.a)
         if slot >= 0:
+            self.hoist("ar_slots")
             self.emit(f"ar_slots[{slot}] = {src}")
         else:
             gslot = -slot - 1
+            self.hoist("area_values", "area_dirty")
             self.emit(f"area_values[{gslot}] = {src}")
             if insn.aux is not None:
+                self.hoist("area_types")
                 self.emit(f"area_types[{gslot}] = {self.const(insn.aux)}")
             self.emit(f"area_dirty.add({gslot})")
         self.add_cost(costs.NATIVE_STORE)
@@ -835,9 +846,11 @@ class _Emitter:
     # VM flags
 
     def _op_ldreentry(self, insn, index):
+        self.hoist("vm")
         self._alu(insn, "vm.trace_reentered", costs.NATIVE_LOAD)
 
     def _op_ldpreempt(self, insn, index):
+        self.hoist("vm")
         self._alu(insn, "vm.preempt_flag", costs.NATIVE_LOAD)
 
     # calls
@@ -848,9 +861,11 @@ class _Emitter:
         self.settle()
         self.emit(f"cycles += {spec.cost}")
         if spec.accesses_state:
+            self.hoist("area", "vm")
             self.emit("cycles += area.flush(vm)")
         if spec.kind == "helper":
             fn = self.const(spec.fn)
+            self.hoist("vm")
             call = f"{fn}(vm" + "".join(f", {s}" for s in srcs) + ")"
         elif spec.kind == "typed":
             fn = self.const(spec.fn)
@@ -869,6 +884,7 @@ class _Emitter:
             else:
                 this = self.const(UNDEFINED, "UNDEF")
                 rest = boxes
+            self.hoist("vm")
             call = f"{fn}(vm, {this}, [{', '.join(rest)}])"
         if insn.exit is not None:
             jsthrow = self.const(JSThrow, "JSThrow_")
@@ -889,6 +905,7 @@ class _Emitter:
         site = self.const(insn.aux)
         self.settle()
         self.emit(f"cycles += {costs.CALLTREE_CALL}")
+        self.hoist("run_inner", "profile")
         self.emit(f"{self.reg(insn.dst)} = run_inner({site}, profile)")
         self.flush_check()
 
@@ -896,9 +913,11 @@ class _Emitter:
 
     def _edge(self, insn, index: int, is_loopjmp: bool) -> None:
         self.settle()
+        self.hoist("profile", "tracing", "loop_edge")
         self.emit(f"cycles += {costs.NATIVE_JUMP}")
         self.emit(f"profile.native += {self.fragment.bytecount}")
         if is_loopjmp:
+            self.hoist("tree")
             self.emit("tree.iterations += 1")
         self.emit("tracing.loop_iterations_native += 1")
         self.emit(f"executed += {self._executed_offset(index)}")
@@ -972,7 +991,7 @@ class _Emitter:
     def header_lines(self) -> List[str]:
         """The factory that binds the constants as closure cells, and
         the function's header: the hoists its body reads."""
-        read = set(_NAME_READ.findall("\n".join(self.lines)))
+        read = set(self.reads)
         hoists = []
         for name, expr in reversed(_HOISTS):
             if name in read:

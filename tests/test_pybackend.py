@@ -9,6 +9,8 @@ firewall breaker, and the emitted source actually compiles.
 
 from __future__ import annotations
 
+import re
+
 import pytest
 
 from repro.core import events as eventkind
@@ -154,6 +156,56 @@ def test_emitted_exits_are_one_line_and_skip_machine_registers(
     inlined = [line for line in leaves if line.startswith("out = leave(machine, ")]
     assert plain and inlined
     assert len(plain) + len(inlined) == len(leaves)
+
+
+def _hoists_and_reads(source):
+    """The machine/VM names a function hoists, and the ones its body
+    and its hoists read."""
+    from repro.jit.pycompile import _HOISTS
+
+    hoist_lines = {f"{name} = {expr}": name for name, expr in _HOISTS}
+    hoisted, body = set(), []
+    for line in source.splitlines()[2:]:
+        if line.strip() in hoist_lines:
+            hoisted.add(hoist_lines[line.strip()])
+        body.append(line)
+    names = {name for name, _ in _HOISTS}
+    reads = set(re.findall(r"(?<![\w.])[A-Za-z_]\w*", "\n".join(body)))
+    return hoisted, reads & names
+
+
+#: Sources whose functions between them read every hoisted name: a
+#: nested tree call, boxed FFI calls, a state-accessing native's global
+#: flush and a re-entering native's flag.
+HOIST_SOURCES = {
+    "crypto-crc32": None,
+    "crypto-sha1": None,
+    "state-native": (
+        "var g = 0; var t = 0; for (var i = 0; i < 60; i++)"
+        " { writeGlobal('g', i); t += readGlobal('g'); } t;"
+    ),
+    "reentering-native": (
+        "function cb() { return 3; }"
+        "var t = 0; for (var i = 0; i < 60; i++) t += reenter(cb); t;"
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(HOIST_SOURCES))
+def test_every_function_hoists_exactly_the_names_it_reads(monkeypatch, name):
+    """No function reads a machine/VM name it did not hoist (which would
+    raise at run time), and none hoists a name nothing reads."""
+    from repro.suite.programs import PROGRAMS
+
+    built = _capture_builds(monkeypatch)
+    source = HOIST_SOURCES[name] or next(
+        p for p in PROGRAMS if p.name == name
+    ).source
+    _py_vm().run(source)
+    assert built
+    for _, _, source in built:
+        hoisted, reads = _hoists_and_reads(source)
+        assert hoisted == reads, source
 
 
 def test_functions_hoist_only_the_names_they_read(monkeypatch):
