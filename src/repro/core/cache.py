@@ -211,7 +211,7 @@ class TraceCache:
         """A RETIRED fragment must not retain a compiled callable.
 
         ``Fragment.retire`` drops the Python-backend function and its
-        constants tuple; if one ever survives retirement, evicted code
+        constants; if one ever survives retirement, evicted code
         could still execute, so fail loudly right at the eviction site
         (works under ``-O``, unlike a bare assert).
         """

@@ -345,8 +345,7 @@ class TraceMonitor:
             )
             self.cache.register_branch(tree, fragment)
             recorder.anchor_exit.target = fragment
-            # Count the link.  A trunk's Python function, built once,
-            # reaches the branch through the driver's stitch.
+            # Count the link (see TraceTree.link_version).
             tree.link_version += 1
         else:
             fragment.bytecount = recorder.bytecodes_recorded

@@ -22,7 +22,9 @@ Emission strategy (see docs/INTERNALS.md section 12):
   exit path: an exit that stitches into a LINKED branch and has no
   result slot settles through ``_settle_stitch`` with no event, and
   every other exit builds its event through ``_exit_event`` and goes
-  through ``_finish_exit``.  It returns the RESULT or STITCH tuple;
+  through ``_finish_exit``.  It returns the RESULT tuple, or counts the
+  stitch through ``NativeMachine._stitch`` and returns the STITCH tuple
+  with the branch;
 * helper/FFI calls, ``calltree`` sites, exit records, trace types, and
   non-trivial immediates are **closure cells**: the emitted source is a
   factory ``_make(K0, ...)``, called once per build, that returns
