@@ -1166,14 +1166,8 @@ def run_compiled(machine, fragment):
     executed = 0
     cycles = 0
     vm = machine.vm
-    while True:
-        fn = fragment.py_func
-        if fn is None:
-            fn = function_for(vm, fragment)
-            if fn is None:
-                machine.backend_used = "step"
-                return machine.run_step(fragment, executed=executed,
-                                        cycles=cycles)
+    fn = function_for(vm, fragment)
+    while fn is not None:
         status, payload, cycles, executed = fn(machine, executed, cycles)
         if status == STITCH:
             fragment = payload
@@ -1181,3 +1175,8 @@ def run_compiled(machine, fragment):
             return payload
         else:  # TRANSFER: a branch fragment jumped back into the trunk
             fragment = machine.tree.fragment
+        fn = fragment.py_func
+        if fn is None:
+            fn = function_for(vm, fragment)
+    machine.backend_used = "step"
+    return machine.run_step(fragment, executed=executed, cycles=cycles)

@@ -38,8 +38,6 @@ class _FakeTree:
 
 
 class _Fragment:
-    py_func = None
-
     def __init__(self, native):
         self.native = native
         self.kind = "root"

@@ -28,7 +28,6 @@ class _Tree:
 class _Fragment:
     kind = "root"
     bytecount = 1
-    py_func = None
 
     def __init__(self, native):
         self.native = native
