@@ -210,14 +210,15 @@ class TraceCache:
     def _check_callables_dropped(tree) -> None:
         """A RETIRED fragment must not retain a compiled callable.
 
-        ``Fragment.retire`` drops the Python-backend function and its
-        constants; if one ever survives retirement, evicted code
+        ``Fragment.retire`` drops the Python-backend function; if one
+        ever survives retirement, evicted code
         could still execute, so fail loudly right at the eviction site
         (works under ``-O``, unlike a bare assert).
         """
         for fragment in [tree.fragment] + tree.branches:
-            if fragment.state is FragmentState.RETIRED and (
-                fragment.py_func is not None or fragment.py_consts is not None
+            if (
+                fragment.state is FragmentState.RETIRED
+                and fragment.py_func is not None
             ):
                 raise AssertionError(
                     f"retired fragment retains a compiled callable: {fragment!r}"

@@ -55,7 +55,6 @@ class Fragment:
         "loop_start",
         "lir_loop_start",
         "py_func",
-        "py_consts",
         "py_failed",
     )
 
@@ -80,11 +79,10 @@ class Fragment:
         self.loop_start = 0
         self.lir_loop_start = 0
         #: Python-backend function compiled from ``native``, once, with
-        #: the branches already LINKED below at its build inlined (and
-        #: the constants its closure binds); dropped on retirement so
-        #: evicted code can never run again (see repro.jit.pycompile).
+        #: the branches already LINKED below at its build inlined; its
+        #: closure holds its constants.  Dropped on retirement so evicted
+        #: code can never run again (see repro.jit.pycompile).
         self.py_func = None
-        self.py_consts = None
         #: Latched on an emission/compile failure so the backend does
         #: not retry a broken fragment on every invocation.
         self.py_failed = False
@@ -93,7 +91,7 @@ class Fragment:
     #: pickle them, and a loaded fragment gets their constructor defaults.
     RUNTIME_FIELDS = frozenset(
         ("lir", "pre_lir", "backward_stats", "opt_stats", "py_func",
-         "py_consts", "py_failed")
+         "py_failed")
     )
 
     def __getstate__(self) -> dict:
@@ -111,7 +109,6 @@ class Fragment:
     def retire(self) -> None:
         self.state = FragmentState.RETIRED
         self.py_func = None
-        self.py_consts = None
 
     def __repr__(self) -> str:
         return (

@@ -1086,16 +1086,15 @@ def _build_py(vm, fragment, site: str, emit, label: str):
     if vm.metrics is not None:
         vm.metrics.pycompile_wall.observe(elapsed)
     fragment.py_func = fn
-    fragment.py_consts = consts
     return fn
 
 
 def compile_fragment_py(vm, fragment):
     """Build ``fragment``'s function, its only build; None on failure.
 
-    The function and its constants are cached on the fragment
-    (``py_func`` / ``py_consts``); :meth:`repro.core.tree.Fragment
-    .retire` drops them, so a RETIRED fragment can never run compiled.
+    The function, whose closure holds its constants, is cached on the
+    fragment (``py_func``); :meth:`repro.core.tree.Fragment.retire`
+    drops it, so a RETIRED fragment can never run compiled.
     Failures are contained through the ``pycompile`` firewall boundary
     and latched in ``py_failed`` so a broken fragment is not recompiled
     on every invocation.

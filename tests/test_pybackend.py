@@ -80,7 +80,6 @@ def test_hot_loop_compiles_and_caches_callable():
     assert fragments, "expected at least one compiled fragment"
     trunk = fragments[0]
     assert trunk.py_func is not None
-    assert trunk.py_consts is not None
     assert not trunk.py_failed
 
 
@@ -380,7 +379,6 @@ def test_retirement_drops_compiled_callable():
     trunk_tree.retire()
     assert trunk.state is FragmentState.RETIRED
     assert trunk.py_func is None
-    assert trunk.py_consts is None
 
 
 def test_cache_flush_under_budget_pressure_drops_callables():
@@ -423,7 +421,6 @@ a + b;
     assert retired, "budget pressure must have retired at least one fragment"
     for fragment in retired:
         assert fragment.py_func is None
-        assert fragment.py_consts is None
 
     # Re-execution after the flush recompiles from scratch.
     vm2 = _py_vm(code_cache_budget=1)
