@@ -143,7 +143,8 @@ SITE_HELP = {
     CACHE_FLUSH: "whole-cache flush, once per flush",
     ORACLE_RECORD: "oracle bookkeeping, once per mark_double",
     PYCOMPILE_EMIT: "python-backend function, once per fragment's first build",
-    PYCOMPILE_LINK: "python-backend function, once per trunk rebuild",
+    PYCOMPILE_LINK: "python-backend function, once per first build of a "
+                    "trunk that already has links",
     FLEET_WORKER_CRASH: "fleet worker, dies at a job-attempt start",
     FLEET_WORKER_HANG: "fleet worker, wedges at a job-attempt start",
     STORE_CORRUPT_ENTRY: "trace store, entry corrupt mid-link at load",

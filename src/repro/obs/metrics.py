@@ -352,8 +352,9 @@ class MetricsRegistry:
         # -- pycompile ---------------------------------------------------------
         self.pycompile_fragments = self.counter(
             "repro_pycompile_fragments_total",
-            "Python functions successfully compiled: first builds of "
-            "fragment functions and rebuilds of trunk functions.",
+            "Python functions successfully compiled, one per fragment: "
+            "each fragment's only build, a trunk's with its links inlined "
+            "when its tree already has some.",
         )
         self.pycompile_failures = self.counter(
             "repro_pycompile_failures_total",
@@ -361,8 +362,7 @@ class MetricsRegistry:
         )
         self.pycompile_wall = self.histogram(
             "repro_pycompile_wall_seconds",
-            "Wall seconds per Python compilation (first build or trunk "
-            "rebuild).",
+            "Wall seconds per Python compilation (one per fragment).",
             COMPILE_WALL_BUCKETS,
         )
 

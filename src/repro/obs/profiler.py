@@ -409,8 +409,8 @@ class PhaseProfiler:
         self.lir_retained += retained
 
     def note_pycompile(self, tree, seconds: float) -> None:
-        """One fragment function (first build or rebuild) compiled to
-        Python for ``tree`` (wall cost)."""
+        """One fragment function (its only build) compiled to Python
+        for ``tree`` (wall cost)."""
         self.loop_profile(tree).compile_wall += seconds
 
     def note_safe_mode(self) -> None:
