@@ -317,11 +317,22 @@ class TestCLIProfileFlags:
         assert status == 0
         assert "legend:" in target.read_text()
 
-    def test_profile_sieve_example_file(self):
+    def test_profile_sieve_example_file(self, tmp_path):
+        # The same run as CI's sieve profile artifacts: one --profile run
+        # writes the report, the JSON document and the HTML timeline.
         out = io.StringIO()
-        status = cli_main(["examples/sieve.js", "--profile"], out=out)
+        profile, timeline = tmp_path / "profile.json", tmp_path / "timeline.html"
+        status = cli_main(["--profile", "--profile-json", str(profile),
+                           "--timeline", str(timeline), "examples/sieve.js"],
+                          out=out)
         assert status == 0
-        assert "top deopt sites" in out.getvalue()
+        text = out.getvalue()
+        assert "phase breakdown" in text
+        assert "top deopt sites" in text
+        doc = json.loads(profile.read_text())
+        assert doc["schema_version"] == PROFILE_SCHEMA_VERSION
+        assert doc["program"] == "examples/sieve.js"
+        assert timeline.read_text().rstrip().endswith("</html>")
 
 
 class TestProfilerUnit:
