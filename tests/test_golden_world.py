@@ -1,8 +1,9 @@
 """The golden simulated-world table: every engine, pinned to the cycle.
 
-Each suite program plus ``examples/sieve.js`` runs on each of the four
-engines (baseline, threaded, methodjit, tracing) with the default
-configuration.  Per run the table pins:
+Each suite program, ``examples/sieve.js`` and the three exception
+programs below run on each of the four engines (baseline, threaded,
+methodjit, tracing) with the default configuration.  Per run the table
+pins:
 
 * the result ``repr`` and the printed output;
 * ``stats.total_cycles`` and the ledger's cycles per activity;
@@ -41,9 +42,90 @@ ENGINES = {
 }
 
 
+#: No suite program throws, so these pin the paths the suite never
+#: takes: handlers that raise, and the unwind's charges.  Each guest
+#: exception leaves a traced loop (a side exit, then the interpreter
+#: raises) and is caught in the untraced loop around it.
+EXCEPTION_PROGRAMS = {
+    # A ``throw`` inside a traced loop, caught by its caller's loop.
+    "throw-in-traced-loop": """
+function scan(limit, bad) {
+    var s = 0;
+    for (var j = 0; j < limit; j++) {
+        if (j == bad) throw j;
+        s = s + j;
+    }
+    return s;
+}
+var total = 0;
+var caught = 0;
+for (var i = 0; i < 12; i++) {
+    try {
+        total = total + scan(40, i % 4 == 3 ? 25 + i : -1);
+    } catch (e) {
+        caught = caught + e;
+    }
+}
+print(total, caught);
+total + caught;
+""",
+    # A ReferenceError from reading an undefined global, caught in a loop.
+    "reference-error-in-loop": """
+function probe(limit, bad) {
+    var s = 0;
+    for (var j = 0; j < limit; j++) {
+        if (j == bad) s = s + notDefinedAnywhere;
+        s = s + j;
+    }
+    return s;
+}
+var errors = 0;
+var total = 0;
+var last = "";
+for (var i = 0; i < 12; i++) {
+    try {
+        total = total + probe(30, i % 3 == 2 ? 20 : -1);
+    } catch (e) {
+        errors = errors + 1;
+        last = e;
+    }
+}
+print(errors, last);
+total;
+""",
+    # A TypeError (a property read of null) that unwinds three frames.
+    "type-error-unwinds-frames": """
+function inner(items, n) {
+    var s = 0;
+    for (var k = 0; k < n; k++) s = s + items[k].x;
+    return s;
+}
+function middle(items, n) { return inner(items, n) + 1; }
+function outer(items, n) { return middle(items, n) * 2; }
+var items = [];
+for (var k = 0; k < 30; k++) items.push({x: k});
+var ok = 0;
+var failures = 0;
+var message = "";
+for (var i = 0; i < 10; i++) {
+    items[29] = (i % 4 == 3) ? null : {x: i};
+    try {
+        ok = ok + outer(items, 30);
+    } catch (e) {
+        failures = failures + 1;
+        message = e;
+    }
+}
+print(ok, failures, message);
+ok;
+""",
+}
+
+
 def _programs():
     yield from ((program.name, program.source) for program in PROGRAMS)
     yield "sieve.js", SIEVE_PATH.read_text()
+    yield from EXCEPTION_PROGRAMS.items()
 
 
 def observe(engine: str, name: str, source: str) -> dict:
