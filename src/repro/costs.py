@@ -34,8 +34,8 @@ class Activity(enum.Enum):
 
     Members hash by identity.  ``Enum``'s own ``__hash__`` is a Python
     method (``hash(self._name_)``), so every ledger lookup keyed by an
-    activity ran a Python frame; the interpreter makes about two such
-    lookups per bytecode.  Members are singletons and ``Enum`` compares
+    activity ran a Python frame; the interpreter makes at least one such
+    lookup per bytecode.  Members are singletons and ``Enum`` compares
     them by identity, so dict lookups find exactly the same bucket.
     """
 
